@@ -9,7 +9,8 @@ Subcommands:
   built-in objective.
 
 Exit codes: 0 converged / in-tolerance, 1 input error, 2 finished without
-convergence (result still printed), 3 route disagreement above threshold.
+convergence (result still printed) or a solver failure or size cap on valid
+input (one ``error:`` line, no result), 3 route disagreement above threshold.
 All randomness is derived from --seed (default: $SPECTRUMKIT_SEED, else 0),
 so equal invocations produce byte-identical output.
 """
@@ -32,6 +33,8 @@ from .functionals import (
     support_functional,
     symmetric_quantum_functional,
 )
+from .hypergraphs import ResourceLimitError
+from .linprog import LpError
 from .optim import L1FromUniform, MaxInfNorm, NegWeightedEntropy, ThetaWeights
 from .ranks import asymptotic_slice_rank, g_stable_rank, ncrank
 from .tensors import InvalidArgumentError, Tensor
@@ -265,6 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidArgumentError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
+    except (LpError, ResourceLimitError) as e:
+        # a solver failed or a size cap was hit on valid input: no result
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

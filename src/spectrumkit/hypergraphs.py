@@ -2,8 +2,8 @@
 
 The exact weighted cover is a branch-and-bound over "which vertex covers the
 first uncovered edge"; the fractional cover is a linear program solved with
-the in-package simplex; the asymptotic cover is the entropy program over the
-edge set viewed as a support set.
+HiGHS; the asymptotic cover is the entropy program over the edge set viewed
+as a support set; the bipartite cover comes from a Hopcroft-Karp matching.
 """
 
 from __future__ import annotations
@@ -271,49 +271,39 @@ class BipartiteCoverResult:
 def bipartite_vertex_cover(b: BipartiteGraph) -> BipartiteCoverResult:
     """Minimum vertex cover of a bipartite graph via maximum matching.
 
-    Augmenting-path matching plus the alternating-reachability construction,
-    so matching size and cover size agree exactly.
+    Hopcroft-Karp matching (scipy's ``maximum_bipartite_matching``) plus the
+    alternating-reachability construction (Konig), so matching size and
+    cover size agree exactly.
     """
-    adj: list[list[int]] = [[] for _ in range(b.n)]
-    for i, j in b.edges:
-        adj[i].append(j)
-    for lst in adj:
-        lst.sort()
-    match_l = [-1] * b.n
-    match_r = [-1] * b.n
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    def try_augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if seen[j]:
-                continue
-            seen[j] = True
-            if match_r[j] < 0 or try_augment(match_r[j], seen):
-                match_l[i] = j
-                match_r[j] = i
-                return True
-        return False
-
-    size = 0
-    for i in range(b.n):
-        if adj[i] and try_augment(i, [False] * b.n):
-            size += 1
+    edges = np.array(b.edges, dtype=np.int64).reshape(-1, 2)
+    # the edges are sorted, so each row's neighbours come out sorted
+    adj = csr_array(
+        (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])), shape=(b.n, b.n)
+    )
+    match_l = maximum_bipartite_matching(adj, perm_type="column")
+    match_r = np.full(b.n, -1)
+    matched = np.flatnonzero(match_l >= 0)
+    match_r[match_l[matched]] = matched
+    indptr, indices = adj.indptr, adj.indices
 
     # alternating reachability from unmatched left vertices
-    visited_l = [False] * b.n
-    visited_r = [False] * b.n
-    stack = [i for i in range(b.n) if adj[i] and match_l[i] < 0]
-    for i in stack:
-        visited_l[i] = True
+    visited_l = np.zeros(b.n, dtype=bool)
+    visited_r = np.zeros(b.n, dtype=bool)
+    stack = [i for i in range(b.n) if indptr[i + 1] > indptr[i] and match_l[i] < 0]
+    visited_l[stack] = True
     while stack:
         i = stack.pop()
-        for j in adj[i]:
+        for j in indices[indptr[i] : indptr[i + 1]]:
             if not visited_r[j]:
                 visited_r[j] = True
                 i2 = match_r[j]
                 if i2 >= 0 and not visited_l[i2]:
                     visited_l[i2] = True
                     stack.append(i2)
-    cover = [("L", i) for i in range(b.n) if match_l[i] >= 0 and not visited_l[i]]
-    cover += [("R", j) for j in range(b.n) if visited_r[j]]
-    matching = tuple((i, match_l[i]) for i in range(b.n) if match_l[i] >= 0)
-    return BipartiteCoverResult(size, tuple(cover), matching)
+    cover = [("L", int(i)) for i in matched if not visited_l[i]]
+    cover += [("R", int(j)) for j in np.flatnonzero(visited_r)]
+    matching = tuple((int(i), int(match_l[i])) for i in matched)
+    return BipartiteCoverResult(len(matching), tuple(cover), matching)

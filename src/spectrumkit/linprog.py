@@ -1,8 +1,9 @@
-"""A small dense two-phase simplex solver with dual extraction.
+"""Linear programs with row duals, solved by HiGHS through scipy.
 
-The problems solved here are tiny (at most a few hundred variables), so the
-solver favors determinism over speed: Bland's anti-cycling rule throughout,
-dense tableaus, fixed tie-breaking.
+HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
+2018) is deterministic for a fixed input.  scipy is imported on the first
+solve, not with this module, because ``scipy.optimize`` takes about half a
+second to import.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-TOL = 1e-9
 
 LEQ = "<="
 EQ = "="
@@ -83,148 +82,46 @@ class LpSolution:
     iterations: int
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Pivot on tableau row ``row`` (1-based; row 0 is the cost row)."""
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-    basis[row - 1] = col
-
-
-def _bland_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, ncols: int) -> int:
-    """Run primal simplex on rows [1:]; row 0 is the reduced-cost row.
-
-    Returns the number of pivots.  Raises LpUnbounded when a negative reduced
-    cost column has no positive entry.
-    """
-    m = tableau.shape[0] - 1
-    iters = 0
-    while True:
-        red = tableau[0, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if red[j] < -TOL:
-                enter = j
-                break
-        if enter < 0:
-            return iters
-        col = tableau[1:, enter]
-        best_row, best_ratio = -1, np.inf
-        for i in range(m):
-            if col[i] > TOL:
-                ratio = tableau[1 + i, -1] / col[i]
-                if ratio < best_ratio - TOL or (
-                    abs(ratio - best_ratio) <= TOL and (best_row < 0 or basis[i] < basis[best_row])
-                ):
-                    best_row, best_ratio = i, ratio
-        if best_row < 0:
-            raise LpUnbounded("unbounded objective")
-        _pivot(tableau, basis, 1 + best_row, enter)
-        iters += 1
-        if iters > 50000:
-            raise LpError("simplex iteration limit hit")
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase simplex.  Returns optimal value, primal x, and row duals y.
+    """Solve with HiGHS.  Returns optimal value, primal x, and row duals y.
 
     The duals satisfy strong duality ``b.y == value`` and the usual sign
     convention for a minimization: ``y_i >= 0`` on ``>=`` rows, ``y_i <= 0``
     on ``<=`` rows, free on equalities.
     """
-    n, m = lp.n_vars, lp.n_rows
-    a = lp.lhs.copy()
-    b = lp.rhs.copy()
-    senses = list(lp.senses)
-    flipped = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] *= -1.0
-            b[i] *= -1.0
-            flipped[i] = True
-            senses[i] = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[senses[i]]
+    from scipy.optimize import linprog
 
-    # standard form columns: x | slack/surplus | artificials
-    slack_cols, art_cols = [], []
-    cols = [a]
-    for i, s in enumerate(senses):
-        if s == LEQ:
-            e = np.zeros((m, 1))
-            e[i, 0] = 1.0
-            cols.append(e)
-            slack_cols.append((i, n + len(slack_cols)))
-        elif s == GEQ:
-            e = np.zeros((m, 1))
-            e[i, 0] = -1.0
-            cols.append(e)
-            slack_cols.append((i, n + len(slack_cols)))
-    n_slack = len(slack_cols)
-    a_std = np.hstack(cols) if len(cols) > 1 else a.copy()
-    # artificials: for >= and = rows (and <= rows whose slack already gives a basis)
-    basis = -np.ones(m, dtype=int)
-    for i, s in enumerate(senses):
-        if s == LEQ:
-            j = next(c for r, c in slack_cols if r == i)
-            basis[i] = j
-    need_art = [i for i in range(m) if basis[i] < 0]
-    for k, i in enumerate(need_art):
-        e = np.zeros((m, 1))
-        e[i, 0] = 1.0
-        a_std = np.hstack([a_std, e])
-        basis[i] = n + n_slack + k
-        art_cols.append(n + n_slack + k)
-    total = a_std.shape[1]
+    senses = np.array(lp.senses)
+    leq, geq, eq = (np.flatnonzero(senses == s) for s in (LEQ, GEQ, EQ))
+    # ">=" rows enter as "<=" rows with both sides negated
+    ub = np.concatenate([leq, geq])
+    flip = np.concatenate([np.ones(leq.size), -np.ones(geq.size)])
+    problem = dict(
+        c=lp.objective,
+        A_ub=flip[:, None] * lp.lhs[ub] if ub.size else None,
+        b_ub=flip * lp.rhs[ub] if ub.size else None,
+        A_eq=lp.lhs[eq] if eq.size else None,
+        b_eq=lp.rhs[eq] if eq.size else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    res = linprog(**problem)
+    if res.status == 4:
+        # "unbounded or infeasible" from presolve: the simplex tells which
+        res = linprog(**problem, options={"presolve": False})
+    if res.status == 2:
+        raise LpInfeasible(res.message)
+    if res.status == 3:
+        raise LpUnbounded(res.message)
+    if res.status != 0:
+        raise LpError(res.message)
 
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[1:, :total] = a_std
-    tableau[1:, -1] = b
-    iters = 0
-
-    if art_cols:
-        # phase 1: minimize the sum of artificials
-        cost1 = np.zeros(total)
-        cost1[art_cols] = 1.0
-        tableau[0, :total] = cost1
-        for i in range(m):
-            if basis[i] in art_cols:
-                tableau[0] -= tableau[1 + i]
-        iters += _bland_simplex(tableau, basis, cost1, total)
-        if tableau[0, -1] < -1e-7:
-            raise LpInfeasible(f"phase-1 objective {-tableau[0, -1]:.3e} > 0")
-        # drive leftover artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] in art_cols:
-                pivoted = False
-                for j in range(n + n_slack):
-                    if abs(tableau[1 + i, j]) > TOL:
-                        _pivot(tableau, basis, 1 + i, j)
-                        pivoted = True
-                        break
-                if not pivoted:
-                    # redundant row; keep the artificial pinned at zero
-                    pass
-
-    # phase 2
-    ncols2 = n + n_slack
-    cost2 = np.zeros(total)
-    cost2[:n] = lp.objective
-    tableau[0, :] = 0.0
-    tableau[0, :total] = cost2
-    for i in range(m):
-        if tableau[0, basis[i]] != 0.0:
-            tableau[0] -= tableau[0, basis[i]] * tableau[1 + i]
-    iters += _bland_simplex(tableau, basis, cost2, ncols2)
-
-    x_full = np.zeros(total)
-    for i in range(m):
-        x_full[basis[i]] = tableau[1 + i, -1]
-    x = x_full[:n]
-    value = float(lp.objective @ x)
-
-    # duals from the final basis: y = B^{-T} c_B on the standard-form rows
-    bmat = a_std[:, basis]
-    cb = cost2[basis]
-    y = np.linalg.solve(bmat.T, cb)
-    y = np.where(flipped, -y, y)
-    return LpSolution(value=value, x=x, y=y, iterations=iters)
+    # scipy's marginals are d value / d b of the rows as passed, so a
+    # negated ">=" row carries the negated dual
+    y = np.zeros(lp.n_rows)
+    if ub.size:
+        y[ub] = flip * res.ineqlin.marginals
+    if eq.size:
+        y[eq] = res.eqlin.marginals
+    x = np.asarray(res.x, dtype=float)
+    return LpSolution(value=float(lp.objective @ x), x=x, y=y, iterations=int(res.nit))

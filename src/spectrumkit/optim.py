@@ -164,13 +164,23 @@ def _entropy_grad(p: np.ndarray) -> np.ndarray:
     The true one-sided derivative at a zero coordinate is +inf.  A zero
     coordinate that no support point reaches stays zero at every feasible
     point, so the affine minorant is unaffected.  One that a point of weight
-    0 reaches is not: for objectives that report ``curvature`` the engine
-    prices a finite slope there by the objective's ``conjugate``.
+    0 reaches is not: for objectives that report ``entropy_weights`` the
+    engine prices a finite slope there by ``_entropy_conjugate``.
     """
     g = np.zeros_like(p)
     pos = p > 0
     g[pos] = -np.log2(p[pos]) - 1.0 / LN2
     return g
+
+
+def _entropy_conjugate(c: float, slope: float) -> float:
+    """Least b with slope * q - b <= c q log2 q for all q >= 0 (c > 0).
+
+    The conjugate of an entropy term -c H at one coordinate: it prices a
+    finite slope at a coordinate without mass, where the true slope is -inf.
+    """
+    with np.errstate(over="ignore"):
+        return float(c * np.exp2(slope / c - 1.0 / LN2) / LN2)
 
 
 def _softmax_weights(x: np.ndarray, sharp: float) -> np.ndarray:
@@ -204,15 +214,9 @@ class NegWeightedEntropy:
     def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
         return self.value(p)
 
-    def conjugate(self, j: int, slope: float) -> float:
-        """Least b with slope * q - b <= theta_j q log2 q for all q >= 0.
-
-        The conjugate of leg j's term at one coordinate: it prices a finite
-        slope at a coordinate without mass, where the true slope is -inf.
-        """
-        th = self.theta[j]
-        with np.errstate(over="ignore"):
-            return float(th * np.exp2(slope / th - 1.0 / LN2) / LN2)
+    def entropy_weights(self, p: Sequence[np.ndarray], sharp: float) -> np.ndarray:
+        """Per-leg weight c_j of the term -c_j H(p_j) in the minorant: theta."""
+        return self.theta
 
     def curvature(self, p: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Per-leg diagonal of the Hessian in marginal space, theta_j / (p_j ln 2).
@@ -259,6 +263,13 @@ class NegMinWeightedEntropy:
         for w_i, j, t in zip(s, self.active, terms):
             grads[j] = w_i * (-_entropy_grad(p[j]) / self.xi[j])
         return float(s @ terms), grads
+
+    def entropy_weights(self, p: Sequence[np.ndarray], sharp: float) -> np.ndarray:
+        """Per-leg weight c_j of the term -c_j H(p_j) in the minorant: the
+        softmax weight of leg j's term over xi_j, 0 on skipped legs."""
+        c = np.zeros(len(p))
+        c[self.active] = _softmax_weights(self._terms(p), sharp) / self.xi[self.active]
+        return c
 
     def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
         terms = self._terms(p)
@@ -387,6 +398,53 @@ class _SupportProgram:
         return g
 
 
+def _zero_mass(
+    prog: _SupportProgram, objective, p: Sequence[np.ndarray], sharp: float, g: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Points that reach a coordinate without mass, and what certifying them
+    costs.
+
+    The entropy's slope at such a coordinate is unbounded, so ``g`` (0
+    there) is no subgradient.  The minorant instead takes there the finite
+    slope that lifts every point reaching it to the cheapest other point,
+    and pays the conjugate offset for it (Fenchel-Young).
+    """
+    c = objective.entropy_weights(p, sharp)
+    zero = [(pj == 0) & (cj > 0) for pj, cj in zip(p, c)]
+    hits = sum(z[idx].astype(int) for z, idx in zip(zero, prog.leg_index))
+    blocked = hits > 0
+    offset = 0.0
+    if blocked.any():
+        lift = (g[~blocked].min() - g) / np.maximum(hits, 1)
+        for j, (z, idx) in enumerate(zip(zero, prog.leg_index)):
+            for ell in np.flatnonzero(z):
+                on = idx == ell
+                if on.any():
+                    offset += _entropy_conjugate(c[j], float(lift[on].max()))
+    return blocked, offset
+
+
+def _assess(
+    prog: _SupportProgram, objective, wvec: np.ndarray, sharp: float
+) -> tuple[float, float, np.ndarray]:
+    """Exact value, rigorous optimality gap, and pulled-back gradient.
+
+    The gap comes from the affine minorant:
+    F(w*) >= lin_val + g.(w* - w) >= lin_val + min(g) - g.w,
+    with coordinates without mass priced by ``_zero_mass``.
+    """
+    p = prog.marginals(wvec)
+    exact = objective.value(p)
+    lin_val, grads = objective.minorant(p, sharp)
+    g = prog.chain(grads)
+    low, offset = float(g.min()), 0.0
+    if hasattr(objective, "entropy_weights") and not wvec.all():
+        blocked, offset = _zero_mass(prog, objective, p, sharp, g)
+        low = float(g[~blocked].min())
+    gap = (exact - lin_val) + offset + float(g @ wvec) - low
+    return exact, gap, g
+
+
 def min_convex_over_support(
     support: SupportSet,
     objective,
@@ -419,44 +477,8 @@ def min_convex_over_support(
     schedule = list(getattr(objective, "sharpness_schedule", SHARPNESS_SCHEDULE))
     curvature = getattr(objective, "curvature", None)
 
-    def zero_mass(c: list[np.ndarray], g: np.ndarray) -> tuple[np.ndarray, float]:
-        """Points that reach a coordinate without mass, and what certifying
-        them costs.
-
-        The entropy's slope at such a coordinate is unbounded, so ``g`` (0
-        there) is no subgradient.  The minorant instead takes there the
-        finite slope that lifts every point reaching it to the cheapest
-        other point, and pays the conjugate offset for it (Fenchel-Young).
-        """
-        zero = [np.isinf(cj) for cj in c]
-        hits = sum(z[idx].astype(int) for z, idx in zip(zero, prog.leg_index))
-        blocked = hits > 0
-        offset = 0.0
-        if blocked.any():
-            lift = (g[~blocked].min() - g) / np.maximum(hits, 1)
-            for j, (z, idx) in enumerate(zip(zero, prog.leg_index)):
-                for ell in np.flatnonzero(z):
-                    on = idx == ell
-                    if on.any():
-                        offset += objective.conjugate(j, float(lift[on].max()))
-        return blocked, offset
-
     def assess(wvec: np.ndarray, sharp: float) -> tuple[float, float, np.ndarray]:
-        """Exact value, rigorous optimality gap, and pulled-back gradient.
-
-        The gap comes from the affine minorant:
-        F(w*) >= lin_val + g.(w* - w) >= lin_val + min(g) - g.w.
-        """
-        p = prog.marginals(wvec)
-        exact = objective.value(p)
-        lin_val, grads = objective.minorant(p, sharp)
-        g = prog.chain(grads)
-        low, offset = float(g.min()), 0.0
-        if curvature is not None and not wvec.all():
-            blocked, offset = zero_mass(curvature(p), g)
-            low = float(g[~blocked].min())
-        gap = (exact - lin_val) + offset + float(g @ wvec) - low
-        return exact, gap, g
+        return _assess(prog, objective, wvec, sharp)
 
     def consider(wvec: np.ndarray, exact: float, gap: float) -> None:
         nonlocal best_val, best_w, best_gap
@@ -480,8 +502,9 @@ def min_convex_over_support(
             if gap <= tol:
                 return
             slack = 1e-15 * max(1.0, abs(exact))
-            c = curvature(prog.marginals(y))
-            blocked, offset = zero_mass(c, g)
+            p_y = prog.marginals(y)
+            c = curvature(p_y)
+            blocked, offset = _zero_mass(prog, objective, p_y, sharp, g)
             face_min = float(g[face].min())
             spread = float(g @ y) - face_min
             free = ~face & ~blocked

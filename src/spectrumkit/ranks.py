@@ -29,6 +29,7 @@ from .functionals import (
 )
 from .hypergraphs import (
     BipartiteGraph,
+    Hypergraph,
     asymptotic_vertex_cover,
     bipartite_vertex_cover,
     fractional_vertex_cover,
@@ -55,9 +56,6 @@ class RankReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        routes = {}
-        for k, v in self.routes.items():
-            routes[k] = v if not isinstance(v, float) or v == int(v) else v
         return {
             "quantity": self.quantity,
             "value": self.value,
@@ -201,12 +199,16 @@ def g_stable_rank(
     if alpha.role != "alpha":
         raise InvalidArgumentError("G-stable rank expects weights with role 'alpha'")
 
+    # the candidates share few distinct supports, and equal supports have
+    # equal covers: one LP per support, and the first basis reaching it
+    cover_of: dict[Hypergraph, float] = {}
     val_a, best_u = np.inf, None
     for u in unitary_candidates(t, cfg):
         h = hypergraph_of(apply_group(u, t), cfg.eta)
-        res = fractional_vertex_cover(h, alpha)
-        if res.value < val_a - 1e-15:
-            val_a, best_u = res.value, u
+        if h not in cover_of:
+            cover_of[h] = fractional_vertex_cover(h, alpha).value
+        if cover_of[h] < val_a - 1e-15:
+            val_a, best_u = cover_of[h], u
 
     descent = minimize_over_moment_polytope(
         t, MaxInfNorm(alpha), max_iter=6000

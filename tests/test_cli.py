@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectrumkit import MatrixTuple, make_unit, w_tensor
+import spectrumkit
+from spectrumkit import MatrixTuple, hypergraphs, make_unit, w_tensor
 from spectrumkit import serialize as ser
 from spectrumkit.cli import main
+from spectrumkit.linprog import LpError
 
 
 @pytest.fixture()
@@ -95,6 +101,18 @@ def test_rank_gstable_w(files, capsys):
     assert abs(payload["value"] - 1.5) <= 1e-3
 
 
+def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
+    def failing(lp):
+        raise LpError("iteration limit reached")
+
+    monkeypatch.setattr(hypergraphs, "solve_lp", failing)
+    code = main(["rank", "gstable", files["w"], "--restarts", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: iteration limit reached\n"
+
+
 def test_check_minimax_w(files, capsys):
     code, out = run(
         capsys, "check-minimax", files["w"], "--objective", "neg-entropy:1/3,1/3,1/3",
@@ -160,3 +178,17 @@ def test_eta_flag_changes_support(files, capsys, tmp_path):
     v_zero = json.loads(out_zero)["value"]
     assert abs(v_default - 1.0) <= 1e-9  # tiny entry pruned
     assert v_zero >= 1.9  # exact support keeps both diagonal points
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # every CLI run pays for the import; scipy.optimize alone takes ~0.5 s
+    code = (
+        "import sys, spectrumkit.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+    )
+    src = str(Path(spectrumkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -12,6 +12,7 @@ from spectrumkit import (
     asymptotic_vertex_cover,
     bipartite_vertex_cover,
     fractional_vertex_cover,
+    g_stable_rank,
     hypergraph_of,
     kronecker_power,
     make_unit,
@@ -19,6 +20,7 @@ from spectrumkit import (
     vertex_cover,
     w_tensor,
 )
+from spectrumkit import ranks
 from spectrumkit.hypergraphs import ResourceLimitError
 from spectrumkit import min_convex_over_support
 from spectrumkit.optim import MaxInfNorm
@@ -117,6 +119,27 @@ def test_fractional_cover_examples():
     for r in (1, 2, 3):
         h = hypergraph_of(make_unit(r, 3), 0.0)
         assert abs(fractional_vertex_cover(h, AL1).value - r) <= 1e-9
+
+
+def test_fractional_cover_of_w_power_six():
+    # 729 edges: past the reach of a dense tableau simplex
+    h = kronecker_power(hypergraph_of(w_tensor()), 6)
+    res = fractional_vertex_cover(h, AL1)
+    assert abs(res.value - 30.0) <= 1e-9
+    assert res.lp_duality_gap <= 1e-9
+
+
+def test_g_stable_rank_solves_one_lp_per_support(monkeypatch):
+    calls = []
+
+    def counted(h, alpha):
+        calls.append(h)
+        return fractional_vertex_cover(h, alpha)
+
+    monkeypatch.setattr(ranks, "fractional_vertex_cover", counted)
+    rep = g_stable_rank(w_tensor())
+    assert abs(rep.value - 1.5) <= 1e-9
+    assert 1 <= len(calls) <= 2 and len(set(calls)) == len(calls)
 
 
 def test_fractional_cover_polytope_route_agreement():
@@ -219,3 +242,12 @@ def test_koenig_matching_equals_cover(seed):
     lefts = [i for i, _ in res.matching]
     rights = [j for _, j in res.matching]
     assert len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights)
+
+
+def test_bipartite_cover_of_long_path_like_graph():
+    # augmenting paths here are n long, deeper than the recursion limit
+    n = 3000
+    edges = [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)]
+    res = bipartite_vertex_cover(BipartiteGraph(n, tuple(edges)))
+    assert res.value == n
+    assert len(res.matching) == len(res.cover) == n

@@ -18,9 +18,13 @@ from spectrumkit import (
     support,
 )
 from spectrumkit.optim import (
+    SHARPNESS_SCHEDULE,
     L1FromUniform,
     MaxInfNorm,
+    NegMinWeightedEntropy,
     NegWeightedEntropy,
+    _assess,
+    _SupportProgram,
     shannon_entropy,
 )
 
@@ -166,6 +170,26 @@ def test_certified_gap_is_sound(w):
         oracle = grid_min_convex(s.points, s.dims, objective.value, steps=300)
         # value minus certified gap is a lower bound on the true optimum
         assert opt.value - opt.certified_gap <= oracle + 1e-6
+
+
+def test_max_min_certificate_is_sound_at_exact_zeros():
+    # snapped polish copies carry exact zeros; a zero-weight point reaching a
+    # coordinate without mass sees the entropy's slope -inf there, not 0
+    violations = 0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        s = rand_support(rng, max_points=8)
+        theta = rng.dirichlet([1.0] * 3)
+        objective = NegMinWeightedEntropy(ThetaWeights.xi(theta / theta.max()))
+        prog = _SupportProgram(s)
+        w = rng.dirichlet(np.ones(s.size))
+        w[rng.choice(s.size, int(rng.integers(1, s.size)), replace=False)] = 0.0
+        exact, gap, _ = _assess(prog, objective, w / w.sum(), SHARPNESS_SCHEDULE[-1])
+        samples = [np.eye(s.size)[i] for i in range(s.size)]
+        samples += [rng.dirichlet(np.full(s.size, a)) for a in (1.0, 0.3, 0.1) for _ in range(100)]
+        feasible = min(objective.value(prog.marginals(v)) for v in samples)
+        violations += exact - gap > feasible + 1e-12
+    assert violations == 0
 
 
 @settings(max_examples=15, deadline=None)
