@@ -34,6 +34,10 @@ LN2 = float(np.log(2.0))
 #: sharpness continuation used for max/min/l1-type objectives
 SHARPNESS_SCHEDULE = (16.0, 128.0, 1024.0, 8192.0, 65536.0, 2.0**19, 2.0**22)
 
+#: the entropy terms -c H(m) of a minorant, as (c, legs): the mass m is the
+#: mean of the marginals p_j over the legs
+EntropyTerms = list[tuple[float, tuple[int, ...]]]
+
 
 def shannon_entropy(p: np.ndarray) -> float:
     """Base-2 Shannon entropy with the 0 log 0 = 0 convention."""
@@ -164,7 +168,7 @@ def _entropy_grad(p: np.ndarray) -> np.ndarray:
     The true one-sided derivative at a zero coordinate is +inf.  A zero
     coordinate that no support point reaches stays zero at every feasible
     point, so the affine minorant is unaffected.  One that a point of weight
-    0 reaches is not: for objectives that report ``entropy_weights`` the
+    0 reaches is not: for objectives that report ``entropy_terms`` the
     engine prices a finite slope there by ``_entropy_conjugate``.
     """
     g = np.zeros_like(p)
@@ -214,9 +218,9 @@ class NegWeightedEntropy:
     def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
         return self.value(p)
 
-    def entropy_weights(self, p: Sequence[np.ndarray], sharp: float) -> np.ndarray:
-        """Per-leg weight c_j of the term -c_j H(p_j) in the minorant: theta."""
-        return self.theta
+    def entropy_terms(self, p: Sequence[np.ndarray], sharp: float) -> EntropyTerms:
+        """The terms -c H(p_j) of the minorant, as (c, (j,)): c = theta_j."""
+        return [(float(th), (j,)) for j, th in enumerate(self.theta)]
 
     def curvature(self, p: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Per-leg diagonal of the Hessian in marginal space, theta_j / (p_j ln 2).
@@ -264,12 +268,11 @@ class NegMinWeightedEntropy:
             grads[j] = w_i * (-_entropy_grad(p[j]) / self.xi[j])
         return float(s @ terms), grads
 
-    def entropy_weights(self, p: Sequence[np.ndarray], sharp: float) -> np.ndarray:
-        """Per-leg weight c_j of the term -c_j H(p_j) in the minorant: the
-        softmax weight of leg j's term over xi_j, 0 on skipped legs."""
-        c = np.zeros(len(p))
-        c[self.active] = _softmax_weights(self._terms(p), sharp) / self.xi[self.active]
-        return c
+    def entropy_terms(self, p: Sequence[np.ndarray], sharp: float) -> EntropyTerms:
+        """The terms -c H(p_j) of the minorant, as (c, (j,)): c is the
+        softmax weight of leg j's term over xi_j; skipped legs have none."""
+        c = _softmax_weights(self._terms(p), sharp) / self.xi[self.active]
+        return [(float(cj), (int(j),)) for cj, j in zip(c, self.active)]
 
     def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
         terms = self._terms(p)
@@ -305,6 +308,10 @@ class NegSummedEntropy:
 
     def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
         return self.value(p)
+
+    def entropy_terms(self, p: Sequence[np.ndarray], sharp: float) -> EntropyTerms:
+        """The one term -H(q) of the minorant, as (1, all legs)."""
+        return [(1.0, tuple(range(self.d)))]
 
 
 class MaxInfNorm:
@@ -404,23 +411,31 @@ def _zero_mass(
     """Points that reach a coordinate without mass, and what certifying them
     costs.
 
-    The entropy's slope at such a coordinate is unbounded, so ``g`` (0
-    there) is no subgradient.  The minorant instead takes there the finite
-    slope that lifts every point reaching it to the cheapest other point,
-    and pays the conjugate offset for it (Fenchel-Young).
+    Each term -c H(m) of the objective's minorant (``entropy_terms``) has a
+    mass m, the mean of p_j over the term's legs: one leg for the per-leg
+    objectives, all legs for the summed one.  The entropy's slope at a
+    coordinate of m without mass is unbounded, so ``g`` (0 there) is no
+    subgradient.  The minorant instead takes there the finite slope that
+    lifts every point reaching it to the cheapest other point, and pays the
+    conjugate offset for it (Fenchel-Young).  A point reaches a coordinate
+    once per leg of the term that lands on it, and each time gains the slope
+    over the number of legs.
     """
-    c = objective.entropy_weights(p, sharp)
-    zero = [(pj == 0) & (cj > 0) for pj, cj in zip(p, c)]
-    hits = sum(z[idx].astype(int) for z, idx in zip(zero, prog.leg_index))
+    terms = [(c, legs) for c, legs in objective.entropy_terms(p, sharp) if c > 0]
+    zeros = [sum(p[j] for j in legs) == 0 for _, legs in terms]
+    hits = np.zeros(g.size, dtype=int)
+    for zero, (_, legs) in zip(zeros, terms):
+        for j in legs:
+            hits += zero[prog.leg_index[j]]
     blocked = hits > 0
     offset = 0.0
     if blocked.any():
         lift = (g[~blocked].min() - g) / np.maximum(hits, 1)
-        for j, (z, idx) in enumerate(zip(zero, prog.leg_index)):
-            for ell in np.flatnonzero(z):
-                on = idx == ell
+        for zero, (c, legs) in zip(zeros, terms):
+            for ell in np.flatnonzero(zero):
+                on = np.any([prog.leg_index[j] == ell for j in legs], axis=0)
                 if on.any():
-                    offset += _entropy_conjugate(c[j], float(lift[on].max()))
+                    offset += _entropy_conjugate(c, len(legs) * float(lift[on].max()))
     return blocked, offset
 
 
@@ -438,7 +453,7 @@ def _assess(
     lin_val, grads = objective.minorant(p, sharp)
     g = prog.chain(grads)
     low, offset = float(g.min()), 0.0
-    if hasattr(objective, "entropy_weights") and not wvec.all():
+    if hasattr(objective, "entropy_terms") and not wvec.all():
         blocked, offset = _zero_mass(prog, objective, p, sharp, g)
         low = float(g[~blocked].min())
     gap = (exact - lin_val) + offset + float(g @ wvec) - low

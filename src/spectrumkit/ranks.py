@@ -15,7 +15,6 @@ Reports carry every route's value and the largest pairwise disagreement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,6 +34,7 @@ from .hypergraphs import (
     fractional_vertex_cover,
     hypergraph_of,
 )
+from .linprog import EQ, GEQ, LinearProgram, solve_lp
 from .optim import L1FromUniform, MaxInfNorm, ThetaWeights
 from .tensors import (
     InvalidArgumentError,
@@ -77,71 +77,63 @@ def _route_gap(routes: dict[str, float]) -> float:
 # asymptotic slice rank
 
 
-def _theta_grid(d: int, step_denominator: int) -> list[np.ndarray]:
-    grid = []
-    for comp in itertools.combinations_with_replacement(range(d), step_denominator):
-        counts = np.bincount(comp, minlength=d).astype(float)
-        grid.append(counts / step_denominator)
-    return grid
+#: the theta route stops once its bracket is this narrow, in bits, or at
+#: this many cuts
+THETA_BRACKET_BITS = 1e-4
+THETA_MAX_CUTS = 60
 
 
 def _slice_rank_theta_route(
-    t: Tensor,
-    xi: ThetaWeights,
-    cfg: SearchConfig,
-    grid_denominator: int = 16,
-) -> tuple[float, np.ndarray]:
-    """min over theta of F_theta(t)^(1 / <theta, xi>), by grid plus refinement.
+    t: Tensor, xi: ThetaWeights, cfg: SearchConfig
+) -> tuple[float, np.ndarray, tuple[float, float], int]:
+    """min over theta of F_theta(t)^(1 / <theta, xi>), by Kelley cutting planes.
 
-    Grid evaluations run the scaling at a loose budget and warm-start each
-    run from the previous endpoint (any orbit point is a valid start); the
-    winner is re-evaluated at full accuracy.
+    bits(theta) = log2 F_theta(t) is the maximum of <theta, h> over reachable
+    leg entropies h, so the h_k of any scaling endpoint is a cut: <theta,
+    h_k> <= bits(theta).  The master LP minimizes z >= <theta, h_k> over
+    theta >= 0 with <theta, xi> = 1, on the legs with xi_j > 0 (the others
+    take theta_j = 0).  Its value lo is a lower bound in bits whether or not
+    the runs converged; hi, the least cut model max_k <theta, h_k> at the
+    evaluated thetas, equals a converged run's bits.  From the vertices on,
+    one loose cold-started run at the LP's theta adds a cut until hi - lo <=
+    THETA_BRACKET_BITS or THETA_MAX_CUTS cuts; the best theta is then run at
+    full accuracy.  Returns the value, theta, (lo, hi) and the cut count.
     """
-    d = t.order
-    warm: dict[str, np.ndarray | None] = {"s": None}
+    legs = np.flatnonzero(xi.values > 0)
 
-    def ratio_bits(theta_vec: np.ndarray, *, loose: bool) -> float:
-        dot = float(theta_vec @ xi.values)
-        if dot < 1e-9:
-            return np.inf
-        start = warm["s"] if loose else None
-        cert, trace = entropic_scaling(
+    def run(point: np.ndarray, loose: bool = True):
+        theta = np.zeros(t.order)
+        theta[legs] = point / point.sum()
+        return entropic_scaling(
             t,
-            ThetaWeights.theta(theta_vec),
+            ThetaWeights.theta(theta),
             tol=1e-9 if loose else cfg.scaling_tol,
             max_iter=1500 if loose else min(cfg.scaling_max_iter, 30_000),
             window=30 if loose else 50,
             spectrum_tol=1e-6 if loose else 1e-8,
-            start=start,
-        )
-        if loose:
-            # reuse the endpoint unless it degenerated too close to a face
-            floor = min(l[l > 0].min() if (l > 0).any() else 0.0 for l in
-                        (np.clip(w, 0, None) for w in cert.witness.probs))
-            warm["s"] = trace.final_entries if floor > 1e-6 else None
-        return cert.bits / dot
+        )[0]
 
-    scored = []
-    for th in _theta_grid(d, grid_denominator):
-        scored.append((ratio_bits(th, loose=True), th))
-    scored.sort(key=lambda x: x[0])
-
-    from scipy.optimize import minimize
-
-    def of_z(z: np.ndarray) -> float:
-        e = np.exp(z - z.max())
-        return ratio_bits(e / e.sum(), loose=True)
-
-    best_bits, best_theta = scored[0]
-    for _, th0 in scored[:3]:
-        z0 = np.log(np.clip(th0, 1e-9, None))
-        res = minimize(of_z, z0, method="Nelder-Mead", options={"maxfev": 60, "fatol": 1e-10})
-        if res.fun < best_bits:
-            e = np.exp(res.x - res.x.max())
-            best_bits, best_theta = float(res.fun), e / e.sum()
-    warm["s"] = None
-    final_bits = ratio_bits(best_theta, loose=False)
-    return float(2.0 ** min(best_bits, final_bits)), best_theta
+    # the evaluated points, scaled to <theta, xi> = 1, and their cuts
+    points = list(np.diag(1.0 / xi.values[legs]))
+    cuts = [run(p).witness.entropies()[legs] for p in points]
+    while True:
+        h, n = np.array(cuts), len(cuts)
+        model = (np.array(points) @ h.T).max(axis=1)
+        best = int(np.argmin(model))
+        sol = solve_lp(LinearProgram(
+            objective=np.append(np.zeros(legs.size), 1.0),
+            lhs=np.vstack([np.c_[-h, np.ones(n)], np.append(xi.values[legs], 0.0)]),
+            senses=(GEQ,) * n + (EQ,),
+            rhs=np.append(np.zeros(n), 1.0),
+        ))
+        lo, hi = sol.value, max(sol.value, float(model[best]))
+        if hi - lo <= THETA_BRACKET_BITS or n >= THETA_MAX_CUTS:
+            break
+        points.append(sol.x[:-1])
+        cuts.append(run(points[-1]).witness.entropies()[legs])
+    cert = run(points[best], loose=False)
+    final = cert.bits / float(cert.theta @ xi.values)
+    return float(2.0 ** max(lo, min(hi, final))), cert.theta, (lo, hi), len(cuts)
 
 
 def asymptotic_slice_rank(
@@ -152,8 +144,11 @@ def asymptotic_slice_rank(
     """The weighted asymptotic slice rank, by two routes.
 
     Route "quantum_theta_min" minimizes the quantum functional over entropy
-    weights; route "cover_entropy" minimizes the asymptotic cover number of
-    the rotated support hypergraph over sampled unitary bases.
+    weights by cutting planes, with bracket ``details["theta_bracket"]`` and
+    ``details["scaling_runs"]`` runs; a bracket left open at THETA_MAX_CUTS
+    cuts adds a note and status "warn".  Route "cover_entropy" minimizes the
+    asymptotic cover number of the rotated support hypergraph over sampled
+    unitary bases.
     """
     t.require_nonzero()
     cfg = cfg or SearchConfig()
@@ -161,7 +156,9 @@ def asymptotic_slice_rank(
     if xi.role != "xi":
         raise InvalidArgumentError("slice rank expects weights with role 'xi'")
 
-    val_a, best_theta = _slice_rank_theta_route(t, xi, cfg)
+    val_a, best_theta, (lo, hi), cuts = _slice_rank_theta_route(t, xi, cfg)
+    open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
+    notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
     val_b, best_u = np.inf, None
     for u in unitary_candidates(t, cfg):
@@ -177,8 +174,10 @@ def asymptotic_slice_rank(
         value=float(val_a),
         routes=routes,
         gap=gap,
-        status="ok" if gap <= 5e-3 else "warn",
-        details={"theta": best_theta, "basis": best_u},
+        status="ok" if gap <= 5e-3 and not notes else "warn",
+        notes=notes,
+        details={"theta": best_theta, "basis": best_u,
+                 "theta_bracket": (float(2**lo), float(2**hi)), "scaling_runs": cuts + 1},
     )
 
 

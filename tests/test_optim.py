@@ -22,6 +22,7 @@ from spectrumkit.optim import (
     L1FromUniform,
     MaxInfNorm,
     NegMinWeightedEntropy,
+    NegSummedEntropy,
     NegWeightedEntropy,
     _assess,
     _SupportProgram,
@@ -185,6 +186,26 @@ def test_max_min_certificate_is_sound_at_exact_zeros():
         w = rng.dirichlet(np.ones(s.size))
         w[rng.choice(s.size, int(rng.integers(1, s.size)), replace=False)] = 0.0
         exact, gap, _ = _assess(prog, objective, w / w.sum(), SHARPNESS_SCHEDULE[-1])
+        samples = [np.eye(s.size)[i] for i in range(s.size)]
+        samples += [rng.dirichlet(np.full(s.size, a)) for a in (1.0, 0.3, 0.1) for _ in range(100)]
+        feasible = min(objective.value(prog.marginals(v)) for v in samples)
+        violations += exact - gap > feasible + 1e-12
+    assert violations == 0
+
+
+def test_summed_entropy_certificate_is_sound_at_exact_zeros():
+    # the summed objective's entropy slope is -inf at a coordinate of the
+    # summed marginal q without mass, whichever leg reaches it
+    violations = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 4))
+        s = rand_support(rng, dims=(n, n, n), max_points=8)
+        objective = NegSummedEntropy(3)
+        prog = _SupportProgram(s)
+        w = rng.dirichlet(np.ones(s.size))
+        w[rng.choice(s.size, int(rng.integers(1, s.size)), replace=False)] = 0.0
+        exact, gap, _ = _assess(prog, objective, w / w.sum(), 1.0)
         samples = [np.eye(s.size)[i] for i in range(s.size)]
         samples += [rng.dirichlet(np.full(s.size, a)) for a in (1.0, 0.3, 0.1) for _ in range(100)]
         feasible = min(objective.value(prog.marginals(v)) for v in samples)

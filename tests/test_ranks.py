@@ -1,4 +1,7 @@
+import itertools
+
 import numpy as np
+import pytest
 
 from conftest import F_W
 from spectrumkit import (
@@ -12,7 +15,9 @@ from spectrumkit import (
     ncrank_blowup,
     ncrank_fr,
     ncrank_moment,
+    quantum_functional,
 )
+from spectrumkit import ranks
 from spectrumkit.tensors import Tensor, random_tensor
 
 FAST = SearchConfig(restarts=6, nm_budget=0)
@@ -60,6 +65,69 @@ def test_slice_rank_bounds():
     t = random_tensor((2, 3, 4), rng)
     rep = asymptotic_slice_rank(t, XI1, FAST)
     assert 1.0 - 1e-9 <= rep.value <= min(t.dims) + 1e-6
+
+
+def sparse332() -> Tensor:
+    arr = np.zeros((3, 3, 2), dtype=complex)
+    arr[(0, 1, 2, 0, 1), (0, 1, 2, 1, 2), (0, 0, 1, 1, 0)] = (1.0, 0.7, 1.3, 0.5, -0.8)
+    return Tensor(arr)
+
+
+def test_slice_rank_w_unequal_xi_beats_grid(w):
+    # a tight scaling run at the route's theta confirms 1.998284; the old
+    # 153-point grid plus Nelder-Mead stopped at 1.999998
+    rep = asymptotic_slice_rank(w, ThetaWeights.xi([1, 1, 0.25]), FAST)
+    value = rep.routes["quantum_theta_min"]
+    lo, hi = rep.details["theta_bracket"]
+    assert value <= 1.99830
+    assert lo <= value <= hi
+    assert np.log2(hi / lo) <= ranks.THETA_BRACKET_BITS
+    assert rep.status == "ok" and not rep.notes
+
+
+@pytest.mark.parametrize("name", ["w", "rand234", "sparse332"])
+def test_theta_route_beats_quarter_grid(name, w):
+    t = {
+        "w": w,
+        "rand234": random_tensor((2, 3, 4), np.random.default_rng(5)),
+        "sparse332": sparse332(),
+    }[name]
+    # full-tolerance runs at the points of the 1/4 theta grid; a run stopped
+    # at its cap only underestimates bits(theta), which makes the check stricter
+    grid = [np.array(c) / 4 for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
+    bits = [quantum_functional(t, ThetaWeights.theta(th), max_iter=2000).bits for th in grid]
+    for xi in ([1, 1, 1], [1, 0.5, 1]):
+        value, _, (lo, _), _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
+        assert 2.0**lo <= value
+        for th, b in zip(grid, bits):
+            assert value <= 2.0 ** (b / float(th @ np.array(xi))) + 1e-9
+
+
+def test_theta_route_scaling_runs(w, monkeypatch):
+    calls = []
+    scaling = ranks.entropic_scaling
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return scaling(*args, **kwargs)
+
+    monkeypatch.setattr(ranks, "entropic_scaling", counted)
+    rep = asymptotic_slice_rank(w, XI1, FAST)
+    assert abs(rep.value - F_W) <= 2e-3
+    assert rep.details["scaling_runs"] == len(calls) <= 20
+
+
+def test_theta_route_drops_legs_with_zero_xi(w):
+    rep = asymptotic_slice_rank(w, ThetaWeights.xi([1, 1, 0]), FAST)
+    assert rep.details["theta"][2] == 0.0
+    assert abs(rep.routes["quantum_theta_min"] - 2.0) <= 1e-5
+
+
+def test_theta_route_warns_when_bracket_stays_open(w, monkeypatch):
+    monkeypatch.setattr(ranks, "THETA_MAX_CUTS", 3)
+    rep = asymptotic_slice_rank(w, XI1, FAST)
+    assert rep.status == "warn"
+    assert any("not closed after 3 cuts" in n for n in rep.notes)
 
 
 def test_g_stable_rank_examples(w):
