@@ -92,7 +92,6 @@ def _config(args) -> SearchConfig:
         seed=args.seed,
         eta=args.eta,
         inner_tol=args.tol,
-        jobs=args.jobs,
     )
 
 
@@ -225,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nm-budget", type=int, default=0, dest="nm_budget",
                        help="extra local-search evaluations per basis search")
         p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="ignored; basis candidates are scored one after another")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("json", "table"), default="json")
 

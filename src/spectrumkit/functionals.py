@@ -6,21 +6,29 @@ a fractional inverse power of its marginal and renormalizes.  The support
 side minimizes, over sampled unitary basis changes, entropy programs on the
 rotated support; the two sides bound each other and agree in the limit, so
 each call reports the gap it actually achieved.
+
+The orbit loops (entropic scaling, the symmetric scaling and the moment
+descent) view leg j of the flat tensor as (before, n_j, after): a marginal is
+the Gram matrix of the n_j x (before * after) flattening, and a factor acts
+as one matmul on that view.  The marginals of all legs of one dimension are
+stacked for one ``eigh`` call per distinct dimension per iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .optim import (
-    JointDistribution,
     MarginalTuple,
+    NegSummedEntropy,
     NegWeightedEntropy,
     SHARPNESS_SCHEDULE,
     ThetaWeights,
+    marginals_of,
     min_convex_over_support,
     max_weighted_entropy,
     shannon_entropy,
@@ -31,7 +39,6 @@ from .tensors import (
     InvalidArgumentError,
     Tensor,
     apply_group,
-    flattening,
     marginal,
     random_unitary,
     support,
@@ -53,7 +60,6 @@ class SearchConfig:
     scaling_tol: float = 1e-10
     scaling_max_iter: int = 200_000
     inner_tol: float = 1e-8
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -118,36 +124,74 @@ def _sorted_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1], vec[:, ::-1]
 
 
-# raw-array kernels for the scaling inner loops (the dataclass wrapper is
-# too heavy to rebuild hundreds of thousands of times)
-
-
 def _arr_unit(arr: np.ndarray) -> np.ndarray:
     return arr / np.linalg.norm(arr.ravel())
 
 
-def _arr_apply(arr: np.ndarray, j: int, g: np.ndarray) -> np.ndarray:
-    return np.moveaxis(np.tensordot(g, arr, axes=(1, j)), 0, j)
+class _LegViews:
+    """The (before, n_j, after) leg views of raw arrays of fixed dims, for the
+    orbit loops.  Per-leg data is kept as one stack per distinct leg dimension
+    (``groups`` lists the legs of each); legs of unequal dimension are never
+    padded into one stack, whose padded null space would mix with a marginal's.
+    """
+
+    def __init__(self, dims: tuple[int, ...], legs: Sequence[int]):
+        self.shape = dims
+        self.views = [(math.prod(dims[:j]), dims[j], math.prod(dims[j + 1 :])) for j in legs]
+        ns = [n for _, n, _ in self.views]
+        self.sizes = list(dict.fromkeys(ns))
+        self.groups = [np.flatnonzero(np.array(ns) == n) for n in self.sizes]
+        # the (group, row) of each leg
+        self.slots = [(self.sizes.index(n), ns[:i].count(n)) for i, n in enumerate(ns)]
+        # the flat indices of each leg's n x (before * after) flattening, stacked per group
+        flats = [np.arange(a * n * b).reshape(a, n, b).transpose(1, 0, 2).reshape(n, -1)
+                 for a, n, b in self.views]
+        self.gathers = [np.stack([flats[i] for i in ix]) for ix in self.groups]
+
+    def identity(self) -> list[np.ndarray]:
+        eyes = zip(self.sizes, self.groups)
+        return [np.tile(np.eye(n, dtype=complex), (ix.size, 1, 1)) for n, ix in eyes]
+
+    def flattenings(self, s: np.ndarray) -> list[np.ndarray]:
+        """Per group, the stacked n x (before * after) flattenings."""
+        return [s.take(g) for g in self.gathers]
+
+    def spectra(self, s: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per group, one ``eigh`` of the stacked trace-one marginals: spectra
+        (non-decreasing, clipped at 0) of shape (k, n) and eigenvectors."""
+        lams, vecs = [], []
+        for m in self.flattenings(s):
+            rho = m @ m.conj().transpose(0, 2, 1)
+            rho /= rho.trace(0, 1, 2).real[:, None, None]
+            lam, vec = np.linalg.eigh(rho)
+            lams.append(np.maximum(lam, 0.0, out=lam))
+            vecs.append(vec)
+        return lams, vecs
+
+    def summed_marginal(self, s: np.ndarray) -> np.ndarray:
+        """The sum of the trace-one marginals; every leg of one dimension."""
+        (m,) = self.flattenings(s)
+        mu = (m @ m.conj().transpose(0, 2, 1)).sum(axis=0) / np.linalg.norm(s.ravel()) ** 2
+        return 0.5 * (mu + mu.conj().T)
+
+    def per_leg(self, stacks: list[np.ndarray]) -> list[np.ndarray]:
+        return [stacks[g][r] for g, r in self.slots]
+
+    def apply(self, s: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+        """Apply one factor per leg (group stacks), leg by leg; unit norm."""
+        for (g, r), (a, n, b) in zip(self.slots, self.views):
+            s = factors[g][r] @ s.reshape(a, n, b)
+        return _arr_unit(s.reshape(self.shape))
+
+    def accumulate(self, acc: list[np.ndarray], factors: list[np.ndarray]) -> list[np.ndarray]:
+        """Left-multiply the accumulated factors; rescale by the largest entry."""
+        acc = [f @ a for f, a in zip(factors, acc)]
+        return [a / np.abs(a).max(axis=(1, 2), keepdims=True) for a in acc]
 
 
-def _arr_marginal(arr: np.ndarray, j: int) -> np.ndarray:
-    m = np.moveaxis(arr, j, 0).reshape(arr.shape[j], -1)
-    rho = m @ m.conj().T
-    rho /= np.trace(rho).real
-    return rho
-
-
-def _marginals_eigh(arr: np.ndarray, legs: Sequence[int]):
-    lams, vecs = [], []
-    for j in legs:
-        lam, vec = _sorted_eigh(_arr_marginal(arr, j))
-        lams.append(np.clip(lam, 0.0, None))
-        vecs.append(vec)
-    return lams, vecs
-
-
-def _rescale_factor(f: np.ndarray) -> np.ndarray:
-    return f / np.linalg.norm(f, 2)
+def _spectral(vec: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Stacked V diag(x) V^dag."""
+    return (vec * diag[:, None, :]) @ vec.conj().transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +227,26 @@ def entropic_scaling(
     if theta.d != t.order:
         raise InvalidArgumentError("one theta weight per leg required")
     th = theta.values
-    d = t.order
+    views = _LegViews(t.dims, range(t.order))
+    # per group: the exponents -theta_j/2 and the legs of weight 0, left alone;
+    # theta_j for each eigenvalue of the concatenated group spectra
+    powers = [-th[ix][:, None] / 2.0 for ix in views.groups]
+    idle = [np.flatnonzero(th[ix] == 0.0) for ix in views.groups]
+    weights = np.concatenate([np.repeat(th[ix], n) for n, ix in zip(views.sizes, views.groups)])
     s = _arr_unit(start if start is not None else t.entries)
-    acc = [np.eye(n, dtype=complex) for n in t.dims]
+    acc = views.identity()
     bits_seq: list[float] = []
-    prev_lams: list[np.ndarray] | None = None
-    converged = False
-    residual = np.inf
+    prev = np.inf
+    converged, residual = False, np.inf
+
+    def weighted_bits(flat: np.ndarray) -> float:
+        return float(-(weights * flat * np.log2(np.where(flat > 0.0, flat, 1.0))).sum())
 
     for it in range(max_iter + 1):
-        lams, vecs = _marginals_eigh(s, range(d))
-        bits = float(sum(th[j] * shannon_entropy(lams[j]) for j in range(d)))
-        bits_seq.append(bits)
-        spec_move = (
-            max(float(np.abs(lams[j] - prev_lams[j]).max()) for j in range(d))
-            if prev_lams is not None
-            else np.inf
-        )
+        lams, vecs = views.spectra(s)
+        flat = np.concatenate([lam.ravel() for lam in lams])
+        bits_seq.append(weighted_bits(flat))
+        spec_move = float(np.abs(flat - prev).max())
         if len(bits_seq) > window:
             residual = bits_seq[-1] - bits_seq[-1 - window]
             if abs(residual) < tol and spec_move < spectrum_tol:
@@ -207,34 +254,33 @@ def entropic_scaling(
                 break
         if it == max_iter:
             break
-        prev_lams = lams
-        for j in range(d):
-            if th[j] == 0.0:
-                continue
-            lam, vec = lams[j], vecs[j]
-            cut = PINV_CUTOFF * lam[0]
-            powed = np.where(lam > cut, np.power(np.maximum(lam, cut), -th[j] / 2.0), 0.0)
-            gj = (vec * powed) @ vec.conj().T
-            s = _arr_apply(s, j, gj)
-            acc[j] = _rescale_factor(gj @ acc[j])
-        s = _arr_unit(s)
+        prev = flat
+        factors = []
+        for lam, vec, pw, off in zip(lams, vecs, powers, idle):
+            cut = PINV_CUTOFF * lam[:, -1:]
+            g = _spectral(vec, np.power(lam, pw, out=np.zeros_like(lam), where=lam > cut))
+            if off.size:
+                g[off] = np.eye(g.shape[-1])
+            factors.append(g)
+        s = views.apply(s, factors)
+        acc = views.accumulate(acc, factors)
 
-    lams, _ = _marginals_eigh(s, range(d))
-    witness = MarginalTuple(tuple(lam / lam.sum() for lam in lams))
-    bits = float(sum(th[j] * shannon_entropy(lams[j]) for j in range(d)))
+    lams = views.spectra(s)[0]
+    bits = weighted_bits(np.concatenate([lam.ravel() for lam in lams]))
+    factors = tuple(f / np.linalg.norm(f, 2) for f in views.per_leg(acc))  # unit spectral norm
     cert = FunctionalCertificate(
         value=float(2.0**bits),
         bits=bits,
-        witness=witness,
+        witness=MarginalTuple(tuple(lam[::-1] / lam.sum() for lam in views.per_leg(lams))),
         theta=th.copy(),
-        group_factors=tuple(acc),
+        group_factors=factors,
         converged=converged,
         gap=None,
     )
     trace = ScalingTrace(
         iterations=len(bits_seq) - 1,
         objective_bits=np.array(bits_seq),
-        group_factors=tuple(acc),
+        group_factors=factors,
         residual=float(residual if np.isfinite(residual) else np.inf),
         converged=converged,
         final_entries=s,
@@ -276,16 +322,6 @@ def unitary_candidates(t: Tensor, cfg: SearchConfig) -> list[GroupElement]:
             GroupElement(tuple(random_unitary(n, rng) for n in t.dims), unitary=True)
         )
     return cands
-
-
-def _pmap(fn, items: list, jobs: int) -> list:
-    """Map preserving order; threads when jobs > 1 (results independent of jobs)."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 def _herm_from_params(x: np.ndarray, n: int) -> np.ndarray:
@@ -359,9 +395,9 @@ def support_functional(
         bits, _ = max_weighted_entropy(s, theta, tol=cfg.inner_tol)
         return bits
 
-    cands = unitary_candidates(t, cfg)
     best_bits, best_u = np.inf, None
-    for u, b in zip(cands, _pmap(score, cands, cfg.jobs)):
+    for u in unitary_candidates(t, cfg):
+        b = score(u)
         if b < best_bits - 1e-15:
             best_bits, best_u = b, u
     if cfg.nm_budget > 0:
@@ -379,18 +415,12 @@ def support_functional(
     return FunctionalCertificate(
         value=value,
         bits=float(bits),
-        witness=_dist_marginals(dist),
+        witness=marginals_of(dist),
         theta=theta.values.copy(),
         group_factors=tuple(best_u.factors),
         converged=converged,
         gap=gap,
     )
-
-
-def _dist_marginals(dist: JointDistribution) -> MarginalTuple:
-    from .optim import marginals_of
-
-    return marginals_of(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -426,67 +456,61 @@ def minimize_over_moment_polytope(
     """
     t.require_nonzero()
     legs = list(range(t.order)) if active_legs is None else list(active_legs)
+    views = _LegViews(t.dims, legs)
     s = _arr_unit(t.entries)
-    acc = [np.eye(t.dims[j], dtype=complex) for j in legs]
+    acc = views.identity()
 
-    lams, _ = _marginals_eigh(s, legs)
-    best_val = objective.value(lams)
-    best_wit = [l.copy() for l in lams]
-    best_acc = [a.copy() for a in acc]
-    step = 1.0
-    total = 0
-    history = [best_val]
+    def sorted_spectra(x: np.ndarray) -> list[np.ndarray]:
+        return [lam[::-1] for lam in views.per_leg(views.spectra(x)[0])]
+
+    best_wit = sorted_spectra(s)
+    best_val = objective.value(best_wit)
+    best_acc = acc
+    step, total, history = 1.0, 0, [best_val]
     schedule = list(getattr(objective, "sharpness_schedule", SHARPNESS_SCHEDULE))
     iters_per = max_iter // len(schedule) + 1
-
-    def leg_exp(h: np.ndarray, eta: float) -> np.ndarray:
-        lam_h, vec_h = np.linalg.eigh(h)
-        return (vec_h * np.exp(-0.5 * eta * lam_h)) @ vec_h.conj().T
 
     for sharp in schedule:
         stall = 0
         for _ in range(iters_per):
             total += 1
-            lams, vecs = _marginals_eigh(s, legs)
+            lam_stacks, vecs = views.spectra(s)
+            lams = [lam[::-1] for lam in views.per_leg(lam_stacks)]
             exact = objective.value(lams)
             if exact < best_val - 1e-15:
-                best_val = exact
-                best_wit = [l.copy() for l in lams]
-                best_acc = [a.copy() for a in acc]
+                best_val, best_wit, best_acc = exact, lams, acc
             history.append(exact)
             _, grads = objective.minorant(lams, sharp)
-            dirs = [(vec * g) @ vec.conj().T for vec, g in zip(vecs, grads)]
+            # h_j = V diag(grad_j) V^dag is diagonal in the marginal eigenbasis,
+            # so exp(-eta/2 h_j) = V diag(exp(-eta/2 grad_j)) V^dag; the gradients
+            # follow the non-increasing spectra, the eigenpairs eigh's order
+            grads = [np.stack([grads[i][::-1] for i in ix]) for ix in views.groups]
             sval = objective.smooth_value(lams, sharp)
 
             def candidate(eta: float):
-                x = s
-                for j, h in zip(legs, dirs):
-                    x = _arr_apply(x, j, leg_exp(h, eta))
-                x = _arr_unit(x)
-                return x, objective.smooth_value(_marginals_eigh(x, legs)[0], sharp)
+                fs = [_spectral(vec, np.exp(-0.5 * eta * g)) for vec, g in zip(vecs, grads)]
+                x = views.apply(s, fs)
+                return x, fs, objective.smooth_value(sorted_spectra(x), sharp)
 
             eta = step
-            x, v = candidate(eta)
-            improved = v < sval - 1e-15
-            while not improved and eta > 1e-16:
+            x, fs, v = candidate(eta)
+            while not v < sval - 1e-15 and eta > 1e-16:
                 eta /= 2.0
-                x, v = candidate(eta)
-                improved = v < sval - 1e-15
-            if not improved:
+                x, fs, v = candidate(eta)
+            if not v < sval - 1e-15:
                 stall += 1
                 if stall >= 2:
                     break
                 continue
             while eta < 1e8:
-                x2, v2 = candidate(2.0 * eta)
+                x2, fs2, v2 = candidate(2.0 * eta)
                 if v2 < v - 1e-15:
-                    eta, x, v = 2.0 * eta, x2, v2
+                    eta, x, fs, v = 2.0 * eta, x2, fs2, v2
                 else:
                     break
             step = eta
             s = x
-            for i, (j, h) in enumerate(zip(legs, dirs)):
-                acc[i] = _rescale_factor(leg_exp(h, eta) @ acc[i])
+            acc = views.accumulate(acc, fs)
             stall = 0
 
     tail = history[-window:]
@@ -494,9 +518,9 @@ def minimize_over_moment_polytope(
     return MomentDescentResult(
         value=float(best_val),
         witness=MarginalTuple(tuple(w / w.sum() for w in best_wit)),
-        group_factors=tuple(best_acc),
+        group_factors=tuple(f / np.linalg.norm(f, 2) for f in views.per_leg(best_acc)),
         iterations=total,
-        converged=bool(converged or total >= max_iter),
+        converged=bool(converged),
     )
 
 
@@ -519,29 +543,18 @@ def symmetric_quantum_functional(
     quantum marginals; unit tensors are fixed points with value equal to
     their diagonal size.
     """
-    cfg = cfg or SearchConfig()
     t.require_nonzero()
-    d = t.order
-    n = t.dims[0]
+    d, n = t.order, t.dims[0]
     if any(m != n for m in t.dims):
         raise InvalidArgumentError(f"symmetric functional needs equal dims, got {t.dims}")
+    views = _LegViews(t.dims, range(d))
     s = _arr_unit(t.entries)
     acc = np.eye(n, dtype=complex)
     bits_seq: list[float] = []
-    prev_lam = None
-    converged = False
-
-    def mu_sym(x: np.ndarray) -> np.ndarray:
-        total = np.zeros((n, n), dtype=complex)
-        for j in range(d):
-            m = np.moveaxis(x, j, 0).reshape(n, -1)
-            total += m @ m.conj().T
-        total /= np.linalg.norm(x.ravel()) ** 2
-        return 0.5 * (total + total.conj().T)
+    prev_lam, converged = None, False
 
     for it in range(max_iter + 1):
-        mu = mu_sym(s)
-        lam, vec = _sorted_eigh(mu)
+        lam, vec = _sorted_eigh(views.summed_marginal(s))
         lam = np.clip(lam, 0.0, None)
         p = lam / d
         bits = shannon_entropy(p / p.sum() if abs(p.sum() - 1) > 1e-13 else p)
@@ -558,13 +571,11 @@ def symmetric_quantum_functional(
         cut = PINV_CUTOFF * rho[0]
         powed = np.where(rho > cut, np.power(np.maximum(rho, cut), -1.0 / (2.0 * d)), 0.0)
         g = (vec * powed) @ vec.conj().T
-        for j in range(d):
-            s = _arr_apply(s, j, g)
-        s = _arr_unit(s)
-        acc = _rescale_factor(g @ acc)
+        s = views.apply(s, [np.broadcast_to(g, (d, n, n))])
+        acc = g @ acc
+        acc /= np.abs(acc).max()
 
-    mu = mu_sym(s)
-    lam = np.clip(_sorted_eigh(mu)[0], 0.0, None)
+    lam = np.clip(_sorted_eigh(views.summed_marginal(s))[0], 0.0, None)
     p = lam / lam.sum()
     bits = shannon_entropy(p)
     return FunctionalCertificate(
@@ -572,7 +583,7 @@ def symmetric_quantum_functional(
         bits=float(bits),
         witness=MarginalTuple((p,)),
         theta=None,
-        group_factors=(acc,),
+        group_factors=(acc / np.linalg.norm(acc, 2),),
         converged=converged,
         gap=None,
     )
@@ -585,8 +596,6 @@ def symmetric_support_functional(
     """min over sampled single unitaries u (acting on every leg) of the max
     of 2^(H(q/d)) over the support of u^(x d) . t, where q sums the per-leg
     marginals.  The support-side counterpart of the symmetric functional."""
-    from .optim import NegSummedEntropy, min_convex_over_support
-
     cfg = cfg or SearchConfig()
     t.require_nonzero()
     d = t.order
@@ -595,15 +604,8 @@ def symmetric_support_functional(
         raise InvalidArgumentError(f"symmetric functional needs equal dims, got {t.dims}")
     objective = NegSummedEntropy(d)
 
-    def mu_sym_basis() -> np.ndarray:
-        total = np.zeros((n, n), dtype=complex)
-        for j in range(d):
-            m = flattening(t, j)
-            total += m @ m.conj().T
-        _, vec = _sorted_eigh(0.5 * (total + total.conj().T))
-        return vec.conj().T
-
-    singles = [np.eye(n, dtype=complex), mu_sym_basis()]
+    _, vec = _sorted_eigh(_LegViews(t.dims, range(d)).summed_marginal(t.entries))
+    singles = [np.eye(n, dtype=complex), vec.conj().T]
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5000 + k)))
         singles.append(random_unitary(n, rng))
@@ -692,14 +694,10 @@ def minimax_gap(
         )
         lhs_converged = res.converged
 
-    cands = unitary_candidates(t, cfg)
-
-    def inner_min(u: GroupElement):
-        s = support(apply_group(u, t), cfg.eta)
-        return min_convex_over_support(s, objective, tol=cfg.inner_tol)
-
     best = None
-    for u, opt in zip(cands, _pmap(inner_min, cands, cfg.jobs)):
+    for u in unitary_candidates(t, cfg):
+        s = support(apply_group(u, t), cfg.eta)
+        opt = min_convex_over_support(s, objective, tol=cfg.inner_tol)
         if best is None or opt.value > best[0] + 1e-15:
             best = (opt.value, u, opt)
     rhs, best_u, rhs_opt = best

@@ -3,6 +3,8 @@
 Nothing here shares code paths with the package solvers: entropy programs
 are checked by dense grids over the weight simplex, linear programs by
 enumerating basic feasible points, and covers by exhausting vertex subsets.
+The orbit-loop steps at the end are built leg by leg from
+``tensors.marginal``, ``np.linalg.eigh`` and ``tensors.apply_factor``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from spectrumkit.tensors import Tensor, apply_factor, marginal
 
 
 def entropy_bits(p: np.ndarray) -> float:
@@ -112,3 +116,51 @@ def brute_force_vertex_cover(parts, edges) -> int:
             if all(any((j, e[j]) in chosen for j in range(len(parts))) for e in edges):
                 return size
     return len(vertices)
+
+
+def _sorted_spectra(t: Tensor, legs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    pairs = [np.linalg.eigh(marginal(t, j)) for j in legs]
+    return [np.clip(lam[::-1], 0.0, None) for lam, _ in pairs], [vec[:, ::-1] for _, vec in pairs]
+
+
+def scaling_step(t: Tensor, theta) -> tuple[float, Tensor]:
+    """sum_j theta_j H(spec rho_j) at t, and the next unit tensor of entropic
+    scaling: each leg of positive weight times rho_j^(-theta_j/2) on its support."""
+    lams, vecs = _sorted_spectra(t, range(t.order))
+    out = t
+    for j, (th, lam, vec) in enumerate(zip(theta, lams, vecs)):
+        if th > 0:
+            cut = 1e-13 * lam[0]
+            powed = np.where(lam > cut, np.maximum(lam, cut) ** (-th / 2.0), 0.0)
+            out = apply_factor(out, j, (vec * powed) @ vec.conj().T)
+    return sum(th * entropy_bits(lam) for th, lam in zip(theta, lams)), out.unit()
+
+
+def descent_step(t: Tensor, objective, sharp: float, step: float, legs):
+    """One step of the moment descent: the sorted marginal spectra at t, and
+    the line search on exp(-eta/2 h_j) with h_j = V diag(grad) V^dag, each
+    exponential taken by its own eigendecomposition.  Returns (spectra, next
+    tensor, eta), with eta None and t unchanged when no step improves the
+    smooth value."""
+    lams, vecs = _sorted_spectra(t, legs)
+    hs = [(vec * g) @ vec.conj().T for vec, g in zip(vecs, objective.minorant(lams, sharp)[1])]
+    sval = objective.smooth_value(lams, sharp)
+
+    def move(eta):
+        x = t
+        for j, h in zip(legs, hs):
+            lam_h, vec_h = np.linalg.eigh(h)
+            x = apply_factor(x, j, (vec_h * np.exp(-0.5 * eta * lam_h)) @ vec_h.conj().T)
+        x = x.unit()
+        return x, objective.smooth_value(_sorted_spectra(x, legs)[0], sharp)
+
+    eta = step
+    x, v = move(eta)
+    while not v < sval - 1e-15 and eta > 1e-16:
+        eta /= 2.0
+        x, v = move(eta)
+    if not v < sval - 1e-15:
+        return lams, t, None
+    while eta < 1e8 and (nxt := move(2.0 * eta))[1] < v - 1e-15:
+        eta, (x, v) = 2.0 * eta, nxt
+    return lams, x, eta

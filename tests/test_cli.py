@@ -143,6 +143,14 @@ def test_output_deterministic(files, tmp_path, capsys):
     assert out1 == out2
 
 
+def test_jobs_flag_is_accepted_and_ignored(files, capsys):
+    args = ["functional", "support", files["w"], "--theta", "1/3,1/3,1/3", "--restarts", "3"]
+    _, out1 = run(capsys, *args)
+    code, out2 = run(capsys, *args, "--jobs", "2")
+    assert code == 0
+    assert out1 == out2
+
+
 def test_out_file_and_table(files, tmp_path, capsys):
     dest = tmp_path / "res.json"
     code, out = run(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import F_W, symmetric_corpus
+from oracles import descent_step, scaling_step
 from spectrumkit import (
     GroupElement,
     InvalidArgumentError,
@@ -20,6 +21,7 @@ from spectrumkit import (
     symmetric_support_functional,
     torus_moment_map,
 )
+from spectrumkit.functionals import minimize_over_moment_polytope
 from spectrumkit.optim import L1FromUniform, MaxInfNorm, NegWeightedEntropy
 from spectrumkit.tensors import direct_sum, random_group_element, random_tensor, tensor_product
 
@@ -146,6 +148,109 @@ def test_scaling_nonconvergence_flagged(w):
     cert, trace = entropic_scaling(w, ThetaWeights.theta([0.6, 0.2, 0.2]), max_iter=3)
     assert not cert.converged
     assert not trace.converged
+
+
+def _act(factors, t: Tensor) -> Tensor:
+    """unit((x_j factors_j) . t), by one plain einsum."""
+    legs, outs = "abcdefgh"[: t.order], "ijklmnop"[: t.order]
+    spec = ",".join(o + i for o, i in zip(outs, legs)) + f",{legs}->{outs}"
+    return Tensor(np.einsum(spec, *factors, t.entries)).unit()
+
+
+def _assert_factors_witness(factors, t: Tensor, witness) -> None:
+    for f in factors:
+        assert abs(np.linalg.norm(f, 2) - 1.0) <= 1e-12
+    spectra = [np.linalg.eigvalsh(rho)[::-1] for rho in moment_map(_act(factors, t))]
+    for lam, p in zip(spectra, witness.probs):
+        assert np.abs(lam - p).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "label, theta",
+    [("w", [0.6, 0.4, 0.0]), ("rand234", [0.5, 0.25, 0.25]), ("rand2222", [0.4, 0.3, 0.2, 0.1])],
+)
+def test_scaling_factors_witness_the_endpoint(w, label, theta):
+    rng = np.random.default_rng(31)
+    t = {"w": w, "rand234": random_tensor((2, 3, 4), rng), "rand2222": random_tensor((2, 2, 2, 2), rng)}[label]
+    cert, trace = entropic_scaling(t, ThetaWeights.theta(theta))
+    assert cert.converged
+    assert all(np.array_equal(f, g) for f, g in zip(cert.group_factors, trace.group_factors))
+    _assert_factors_witness(cert.group_factors, t, cert.witness)
+
+
+def test_descent_factors_witness_the_best_point(w):
+    ww = tensor_product(w, w)
+    res = minimize_over_moment_polytope(ww, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])))
+    _assert_factors_witness(res.group_factors, ww, res.witness)
+
+
+def test_descent_at_iteration_cap_is_not_converged(w):
+    ww = tensor_product(w, w)
+    res = minimize_over_moment_polytope(ww, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), max_iter=14)
+    assert res.iterations >= 14
+    assert not res.converged
+
+
+def _kernel_cases() -> list[tuple[str, Tensor]]:
+    rng = np.random.default_rng(2027)
+    e0m = np.zeros((2, 3, 3), dtype=complex)
+    e0m[0, :2, :2] = rng.standard_normal((2, 2))  # rank 2, with exact null spaces
+    return [
+        ("rand234", random_tensor((2, 3, 4), rng)),
+        ("rand332", random_tensor((3, 3, 2), rng)),
+        ("rand2222", random_tensor((2, 2, 2, 2), rng)),
+        ("e0 x rank-2", Tensor(e0m)),
+    ]
+
+
+@pytest.mark.parametrize("label, t", _kernel_cases(), ids=[c[0] for c in _kernel_cases()])
+def test_scaling_matches_leg_by_leg_reference(label, t):
+    theta = np.arange(t.order, 0, -1) / np.arange(t.order, 0, -1).sum()
+    _, trace = entropic_scaling(t, ThetaWeights.theta(theta), tol=0.0, max_iter=200)
+    x, ref = t.unit(), []
+    for _ in range(200):
+        bits, x = scaling_step(x, theta)
+        ref.append(bits)
+    ref.append(scaling_step(x, theta)[0])
+    assert trace.objective_bits.shape == (201,)
+    assert np.abs(trace.objective_bits - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, t", _kernel_cases(), ids=[c[0] for c in _kernel_cases()])
+@pytest.mark.parametrize("kind", ["linf", "l1"])
+def test_descent_matches_leg_by_leg_reference(label, t, kind):
+    # at this sharpness every case takes steps; on e0 x rank-2 the l1 step
+    # acts on the null space of the rank-1 marginal of leg 0
+    sharp, steps = 16.0, 50
+    base = MaxInfNorm if kind == "linf" else L1FromUniform
+    args = (ThetaWeights.alpha([1.0] * t.order),) if kind == "linf" else ()
+
+    class Recorded(base):
+        sharpness_schedule = (sharp,)
+
+        def value(self, p):
+            self.seen.append((super().value(p), np.concatenate(p)))
+            return self.seen[-1][0]
+
+    objective = Recorded(*args)
+    objective.seen = []
+    minimize_over_moment_polytope(t, objective, max_iter=steps - 1)  # steps iterations
+    reference = base(*args)
+    legs, x, step, stall, ref, moves = list(range(t.order)), t.unit(), 1.0, 0, [], 0
+    for _ in range(steps):
+        lams, x, eta = descent_step(x, reference, sharp, step, legs)
+        ref.append(lams)
+        if eta is None:
+            stall += 1
+            if stall >= 2:
+                break
+            continue
+        step, stall, moves = eta, 0, moves + 1
+    assert moves >= 10
+    assert len(objective.seen) - 1 == len(ref)
+    for (value, spectra), lams in zip(objective.seen[1:], ref):
+        assert abs(value - reference.value(lams)) <= 1e-12
+        assert np.abs(spectra - np.concatenate(lams)).max() <= 1e-12
 
 
 def test_quantum_functional_examples(w):
