@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--eta", type=float, default=1e-9, help="relative support threshold")
         p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--restarts", type=int, default=20)
+        p.add_argument("--restarts", type=int, default=20,
+                       help="the most Haar-random bases scored per basis search; scoring "
+                            "stops once the independent route's bound is met")
         p.add_argument("--nm-budget", type=int, default=0, dest="nm_budget",
                        help="extra local-search evaluations per basis search")
         p.add_argument("--tol", type=float, default=1e-8)

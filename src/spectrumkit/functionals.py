@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +85,7 @@ class FunctionalCertificate:
     group_factors: tuple[np.ndarray, ...] | None = None
     converged: bool = True
     gap: float | None = None
+    bases_scored: int | None = None  # candidates scored by a basis search
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +314,18 @@ def _eigenbasis_unitary(t: Tensor) -> GroupElement:
     return GroupElement(tuple(factors), unitary=True)
 
 
-def unitary_candidates(t: Tensor, cfg: SearchConfig) -> list[GroupElement]:
-    """Identity, the marginal eigenbasis, and Haar-random restarts (seeded)."""
-    cands = [GroupElement.identity(t.dims), _eigenbasis_unitary(t)]
+def unitary_candidates(t: Tensor, cfg: SearchConfig) -> Iterator[GroupElement]:
+    """Yield the identity, the marginal eigenbasis, then ``cfg.restarts``
+    Haar-random unitaries, the k-th drawn from ``SeedSequence((cfg.seed, k))``.
+
+    A lazy generator: each basis is computed when the caller asks for it, so
+    a search that stops once its bracket closes draws none of the rest.
+    """
+    yield GroupElement.identity(t.dims)
+    yield _eigenbasis_unitary(t)
     for k in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
-        cands.append(
-            GroupElement(tuple(random_unitary(n, rng) for n in t.dims), unitary=True)
-        )
-    return cands
+        yield GroupElement(tuple(random_unitary(n, rng) for n in t.dims), unitary=True)
 
 
 def _herm_from_params(x: np.ndarray, n: int) -> np.ndarray:
@@ -382,13 +386,21 @@ def support_functional(
     Always an upper bound on the infimum over all bases.  The gap field
     reports (this value) - (quantum functional value); by the equality of
     the two functionals it should be nonnegative and small whenever the
-    search found an optimal basis.  ``compute_gap=False`` skips the scaling
-    run when the caller compares against its own quantum value.
+    search found an optimal basis.  The scaling run comes first: its value
+    bounds every basis from below, so the search stops at the first basis
+    within ``cfg.inner_tol`` bits of it, and Nelder-Mead refines the best
+    basis only while the bracket is open.  ``compute_gap=False`` skips the
+    scaling run when the caller compares against its own quantum value; the
+    search then scores every candidate.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
     if theta.d != t.order:
         raise InvalidArgumentError("one theta weight per leg required")
+
+    q = (quantum_functional(t, theta, tol=cfg.scaling_tol, max_iter=cfg.scaling_max_iter)
+         if compute_gap else None)
+    stop_bits = q.bits + cfg.inner_tol if q is not None else -np.inf
 
     def score(u: GroupElement) -> float:
         s = support(apply_group(u, t), cfg.eta)
@@ -396,11 +408,13 @@ def support_functional(
         return bits
 
     best_bits, best_u = np.inf, None
-    for u in unitary_candidates(t, cfg):
+    for scored, u in enumerate(unitary_candidates(t, cfg), 1):
         b = score(u)
         if b < best_bits - 1e-15:
             best_bits, best_u = b, u
-    if cfg.nm_budget > 0:
+        if best_bits <= stop_bits:
+            break
+    if cfg.nm_budget > 0 and best_bits > stop_bits:
         u_ref, b_ref = _nm_refine_unitary(t, best_u, score, cfg.nm_budget)
         if b_ref < best_bits - 1e-15:
             best_bits, best_u = b_ref, u_ref
@@ -408,18 +422,15 @@ def support_functional(
     s = support(apply_group(best_u, t), cfg.eta)
     bits, dist = max_weighted_entropy(s, theta, tol=cfg.inner_tol)
     value = float(2.0**bits)
-    converged, gap = True, None
-    if compute_gap:
-        q = quantum_functional(t, theta, tol=cfg.scaling_tol, max_iter=cfg.scaling_max_iter)
-        converged, gap = q.converged, value - q.value
     return FunctionalCertificate(
         value=value,
         bits=float(bits),
         witness=marginals_of(dist),
         theta=theta.values.copy(),
         group_factors=tuple(best_u.factors),
-        converged=converged,
-        gap=gap,
+        converged=q.converged if q is not None else True,
+        gap=value - q.value if q is not None else None,
+        bases_scored=scored,
     )
 
 
@@ -642,6 +653,7 @@ class MinimaxReport:
     lhs_certificate: FunctionalCertificate
     rhs_certificate: FunctionalCertificate
     converged: bool
+    bases_scored: int | None = None  # candidates scored on the support side
 
 
 def minimax_gap(
@@ -657,7 +669,11 @@ def minimax_gap(
 
     The two agree in exact arithmetic; ``gap = lhs - rhs`` is reported
     signed.  The lhs is computed by entropic scaling when F is a negated
-    weighted entropy and by subgradient scaling descent otherwise.
+    weighted entropy and by subgradient scaling descent otherwise.  The lhs
+    bounds the true value from above and (rhs - its certified gap) from
+    below, so the basis search stops once that bracket closes to within
+    ``cfg.inner_tol``.  A bracket closed to max(10 inner_tol, 1e-6) reports
+    ``converged=True``; an open one reports the lhs solver's own flag.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
@@ -695,26 +711,31 @@ def minimax_gap(
         lhs_converged = res.converged
 
     best = None
-    for u in unitary_candidates(t, cfg):
+    for scored, u in enumerate(unitary_candidates(t, cfg), 1):
         s = support(apply_group(u, t), cfg.eta)
         opt = min_convex_over_support(s, objective, tol=cfg.inner_tol)
         if best is None or opt.value > best[0] + 1e-15:
             best = (opt.value, u, opt)
+        if best[0] - best[2].certified_gap >= lhs - cfg.inner_tol:
+            break
     rhs, best_u, rhs_opt = best
+    closed_tol = max(cfg.inner_tol * 10, 1e-6)
     rhs_cert = FunctionalCertificate(
         value=float(rhs),
         bits=float("nan"),
         witness=rhs_opt.marginals,
         theta=None,
         group_factors=tuple(best_u.factors),
-        converged=rhs_opt.certified_gap <= max(cfg.inner_tol * 10, 1e-6),
+        converged=rhs_opt.certified_gap <= closed_tol,
         gap=None,
     )
+    closed = lhs - (rhs - rhs_opt.certified_gap) <= closed_tol
     return MinimaxReport(
         lhs=float(lhs),
         rhs=float(rhs),
         gap=float(lhs - rhs),
         lhs_certificate=lhs_cert,
         rhs_certificate=rhs_cert,
-        converged=bool(lhs_converged),
+        converged=bool(closed or lhs_converged),
+        bases_scored=scored,
     )

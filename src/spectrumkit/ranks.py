@@ -148,7 +148,10 @@ def asymptotic_slice_rank(
     ``details["scaling_runs"]`` runs; a bracket left open at THETA_MAX_CUTS
     cuts adds a note and status "warn".  Route "cover_entropy" minimizes the
     asymptotic cover number of the rotated support hypergraph over sampled
-    unitary bases.
+    unitary bases.  Every cover is at least 2^lo, so the search stops at the
+    first basis whose cover is within ``cfg.inner_tol`` bits of 2^hi: no later
+    basis could lower the route by more than hi - lo + inner_tol bits.
+    ``details["cover_bases"]`` counts the bases scored.
     """
     t.require_nonzero()
     cfg = cfg or SearchConfig()
@@ -161,11 +164,13 @@ def asymptotic_slice_rank(
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
     val_b, best_u = np.inf, None
-    for u in unitary_candidates(t, cfg):
+    for scored, u in enumerate(unitary_candidates(t, cfg), 1):
         h = hypergraph_of(apply_group(u, t), cfg.eta)
         v = asymptotic_vertex_cover(h, xi, tol=cfg.inner_tol)
         if v < val_b - 1e-15:
             val_b, best_u = v, u
+        if np.log2(val_b) <= hi + cfg.inner_tol:
+            break
 
     routes = {"quantum_theta_min": float(val_a), "cover_entropy": float(val_b)}
     gap = _route_gap(routes)
@@ -177,7 +182,8 @@ def asymptotic_slice_rank(
         status="ok" if gap <= 5e-3 and not notes else "warn",
         notes=notes,
         details={"theta": best_theta, "basis": best_u,
-                 "theta_bracket": (float(2**lo), float(2**hi)), "scaling_runs": cuts + 1},
+                 "theta_bracket": (float(2**lo), float(2**hi)), "scaling_runs": cuts + 1,
+                 "cover_bases": scored},
     )
 
 

@@ -43,6 +43,36 @@ def corpus_tensors(n_small: int = 10, n_mixed: int = 10) -> list[tuple[str, Tens
     return out
 
 
+def sparse_tensor(dims: tuple[int, ...], nnz: int, seed: int) -> Tensor:
+    """nnz Gaussian complex entries at seeded positions."""
+    rng = np.random.default_rng(seed)
+    flat = np.zeros(int(np.prod(dims)), dtype=complex)
+    idx = rng.choice(flat.size, nnz, replace=False)
+    flat[idx] = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    return Tensor(flat.reshape(dims))
+
+
+def gl_w_tensor() -> Tensor:
+    """W under a seeded Gaussian GL element: no candidate basis meets the
+    quantum bound, so every basis search on it scores every candidate."""
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+    return Tensor(np.einsum("ai,bj,ck,ijk->abc", *mats, w_tensor().entries))
+
+
+def basis_search_corpus() -> list[tuple[str, Tensor]]:
+    """Tensors on which a basis search stopped by its bracket is compared
+    with the exhaustive scan; sparse-6 leaves the support bracket open."""
+    return [
+        ("w", w_tensor()),
+        ("matmul222", matmul_tensor(2, 2, 2)),
+        ("unit2+unit1", direct_sum(make_unit(2, 3), make_unit(1, 3))),
+        ("rand234", random_tensor((2, 3, 4), np.random.default_rng(0))),
+        ("sparse332-6", sparse_tensor((3, 3, 2), 5, 6)),
+        ("sparse332-11", sparse_tensor((3, 3, 2), 5, 11)),
+    ]
+
+
 def symmetric_corpus() -> list[tuple[str, Tensor]]:
     rng = np.random.default_rng(4711)
 

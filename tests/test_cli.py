@@ -113,6 +113,18 @@ def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
     assert captured.err == "error: iteration limit reached\n"
 
 
+def test_rank_gstable_size_cap_exit_2(files, capsys, monkeypatch):
+    def capped(lp):
+        raise hypergraphs.ResourceLimitError("4096^2 edges exceeds the cap 1000000")
+
+    monkeypatch.setattr(hypergraphs, "solve_lp", capped)
+    code = main(["rank", "gstable", files["w"], "--restarts", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: 4096^2 edges exceeds the cap 1000000\n"
+
+
 def test_check_minimax_w(files, capsys):
     code, out = run(
         capsys, "check-minimax", files["w"], "--objective", "neg-entropy:1/3,1/3,1/3",
@@ -120,6 +132,14 @@ def test_check_minimax_w(files, capsys):
     )
     assert code == 0
     assert abs(json.loads(out)["gap"]) <= 1e-3
+
+
+def test_check_minimax_w_linf_closed_bracket_converges(files, capsys):
+    code, out = run(capsys, "check-minimax", files["w"], "--objective", "linf")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert abs(payload["lhs"] - 2 / 3) <= 1e-6
 
 
 def test_check_minimax_unit2_linf(files, capsys):

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import F_W, symmetric_corpus
+from conftest import F_W, basis_search_corpus, gl_w_tensor, symmetric_corpus
 from oracles import descent_step, scaling_step
 from spectrumkit import (
     GroupElement,
@@ -21,9 +23,16 @@ from spectrumkit import (
     symmetric_support_functional,
     torus_moment_map,
 )
-from spectrumkit.functionals import minimize_over_moment_polytope
+from spectrumkit import functionals
+from spectrumkit.functionals import minimize_over_moment_polytope, unitary_candidates
 from spectrumkit.optim import L1FromUniform, MaxInfNorm, NegWeightedEntropy
-from spectrumkit.tensors import direct_sum, random_group_element, random_tensor, tensor_product
+from spectrumkit.tensors import (
+    direct_sum,
+    random_group_element,
+    random_tensor,
+    random_unitary,
+    tensor_product,
+)
 
 FAST = SearchConfig(restarts=6, nm_budget=0)
 UNIFORM3 = ThetaWeights.uniform(3)
@@ -306,6 +315,66 @@ def test_support_functional_nm_refinement_runs(w):
     assert abs(cert.value - F_W) <= 1e-6
 
 
+def test_unitary_candidates_are_the_seeded_list_drawn_lazily(monkeypatch):
+    t = random_tensor((2, 3, 4), np.random.default_rng(1))
+    cfg = SearchConfig(restarts=4, seed=9)
+    cands = list(unitary_candidates(t, cfg))
+    assert len(cands) == cfg.restarts + 2
+    for f, n in zip(cands[0].factors, t.dims):
+        assert np.array_equal(f, np.eye(n))
+    for f, g in zip(cands[1].factors, functionals._eigenbasis_unitary(t).factors):
+        assert np.array_equal(f, g)
+    for k, u in enumerate(cands[2:]):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
+        for f, n in zip(u.factors, t.dims):
+            assert np.array_equal(f, random_unitary(n, rng))
+    draws = []
+    monkeypatch.setattr(functionals, "random_unitary", lambda n, rng: draws.append(n) or np.eye(n))
+    list(itertools.islice(unitary_candidates(t, cfg), 3))
+    assert draws == list(t.dims)  # one Haar basis drawn, one unitary per leg
+
+
+@pytest.mark.parametrize("label,t", basis_search_corpus())
+def test_support_search_stopped_by_bracket_matches_full_scan(label, t):
+    for theta in (UNIFORM3, ThetaWeights.theta([0.5, 0.25, 0.25])):
+        stopped = support_functional(t, theta, FAST)
+        full = support_functional(t, theta, FAST, compute_gap=False)
+        assert full.bases_scored == FAST.restarts + 2
+        assert 1 <= stopped.bases_scored <= full.bases_scored
+        assert abs(stopped.bits - full.bits) <= 2 * FAST.inner_tol
+        for a, b in zip(stopped.group_factors, full.group_factors):
+            assert np.abs(a - b).max() <= 2 * FAST.inner_tol
+
+
+def test_support_search_stops_at_the_first_basis_meeting_the_bound(w):
+    cert = support_functional(w, UNIFORM3, FAST)
+    assert cert.bases_scored == 1
+    assert abs(cert.value - F_W) <= 1e-6
+
+
+def test_support_search_open_bracket_scores_every_basis():
+    cert = support_functional(gl_w_tensor(), UNIFORM3, FAST)
+    assert cert.bases_scored == FAST.restarts + 2
+    assert cert.gap > 1e-3
+
+
+def test_nm_refinement_runs_only_while_bracket_is_open(w, monkeypatch):
+    calls = []
+    refine = functionals._nm_refine_unitary
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "_nm_refine_unitary", counted)
+    cfg = SearchConfig(restarts=1, nm_budget=20)
+    support_functional(w, UNIFORM3, cfg)
+    assert calls == []
+    t = gl_w_tensor()
+    cert = support_functional(t, UNIFORM3, cfg)
+    assert calls == [t] and cert.bases_scored == cfg.restarts + 2
+
+
 def test_symmetric_functional_examples(w):
     assert abs(symmetric_quantum_functional(make_unit(3, 3)).value - 3) <= 1e-8
     arr = np.zeros((2, 2, 2), dtype=complex)
@@ -366,6 +435,23 @@ def test_minimax_gap_examples(w, matmul222):
 
     rep = minimax_gap(matmul222, L1FromUniform(), FAST)
     assert abs(rep.lhs) <= 1e-6 and abs(rep.gap) <= 1e-6
+
+
+def test_minimax_closed_bracket_converges_and_stops_the_search():
+    t = random_tensor((2, 3, 4), np.random.default_rng(0))
+    rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST)
+    # the descent's window test fails, but its value meets the support bound
+    assert rep.lhs_certificate.converged is False
+    assert rep.converged is True and rep.bases_scored == 1
+    assert abs(rep.gap) <= 1e-6
+
+
+def test_minimax_open_bracket_reports_the_descent_flag():
+    t = random_tensor((2, 3, 4), np.random.default_rng(0))
+    rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST, lhs_max_iter=3)
+    assert rep.lhs - rep.rhs > 1e-6
+    assert rep.converged is rep.lhs_certificate.converged is False
+    assert rep.bases_scored == FAST.restarts + 2
 
 
 def test_minimax_witnesses_are_feasible(w):

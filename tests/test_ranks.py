@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import F_W
+from conftest import F_W, basis_search_corpus, gl_w_tensor
 from spectrumkit import (
     MatrixTuple,
     SearchConfig,
@@ -18,7 +18,9 @@ from spectrumkit import (
     quantum_functional,
 )
 from spectrumkit import ranks
-from spectrumkit.tensors import Tensor, random_tensor
+from spectrumkit.functionals import unitary_candidates
+from spectrumkit.hypergraphs import asymptotic_vertex_cover, hypergraph_of
+from spectrumkit.tensors import Tensor, apply_group, random_tensor
 
 FAST = SearchConfig(restarts=6, nm_budget=0)
 XI1 = ThetaWeights.xi([1, 1, 1])
@@ -128,6 +130,30 @@ def test_theta_route_warns_when_bracket_stays_open(w, monkeypatch):
     rep = asymptotic_slice_rank(w, XI1, FAST)
     assert rep.status == "warn"
     assert any("not closed after 3 cuts" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("label,t", basis_search_corpus())
+def test_cover_route_stopped_by_bracket_matches_full_scan(label, t):
+    rep = asymptotic_slice_rank(t, XI1, FAST)
+    full = min(
+        asymptotic_vertex_cover(hypergraph_of(apply_group(u, t), FAST.eta), XI1, tol=FAST.inner_tol)
+        for u in unitary_candidates(t, FAST)
+    )
+    assert 1 <= rep.details["cover_bases"] <= FAST.restarts + 2
+    assert abs(np.log2(rep.routes["cover_entropy"]) - np.log2(full)) <= 2 * FAST.inner_tol
+
+
+def test_cover_route_stops_at_the_first_basis_meeting_the_bound(w):
+    rep = asymptotic_slice_rank(w, XI1, FAST)
+    assert rep.details["cover_bases"] == 1
+    assert abs(rep.routes["cover_entropy"] - F_W) <= 1e-6
+
+
+def test_cover_route_open_bracket_scores_every_basis():
+    cfg = SearchConfig(restarts=2, nm_budget=0)
+    rep = asymptotic_slice_rank(gl_w_tensor(), XI1, cfg)
+    assert rep.details["cover_bases"] == cfg.restarts + 2
+    assert rep.routes["cover_entropy"] > rep.details["theta_bracket"][1] + 1e-3
 
 
 def test_g_stable_rank_examples(w):
