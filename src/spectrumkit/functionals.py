@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .optim import (
+    JointDistribution,
     MarginalTuple,
     NegSummedEntropy,
     NegWeightedEntropy,
@@ -402,25 +403,21 @@ def support_functional(
          if compute_gap else None)
     stop_bits = q.bits + cfg.inner_tol if q is not None else -np.inf
 
-    def score(u: GroupElement) -> float:
-        s = support(apply_group(u, t), cfg.eta)
-        bits, _ = max_weighted_entropy(s, theta, tol=cfg.inner_tol)
-        return bits
+    def solve(u: GroupElement) -> tuple[float, JointDistribution]:
+        return max_weighted_entropy(support(apply_group(u, t), cfg.eta), theta, tol=cfg.inner_tol)
 
-    best_bits, best_u = np.inf, None
+    bits, best_u, dist = np.inf, None, None
     for scored, u in enumerate(unitary_candidates(t, cfg), 1):
-        b = score(u)
-        if b < best_bits - 1e-15:
-            best_bits, best_u = b, u
-        if best_bits <= stop_bits:
+        b, d = solve(u)
+        if b < bits - 1e-15:
+            bits, best_u, dist = b, u, d
+        if bits <= stop_bits:
             break
-    if cfg.nm_budget > 0 and best_bits > stop_bits:
-        u_ref, b_ref = _nm_refine_unitary(t, best_u, score, cfg.nm_budget)
-        if b_ref < best_bits - 1e-15:
-            best_bits, best_u = b_ref, u_ref
-
-    s = support(apply_group(best_u, t), cfg.eta)
-    bits, dist = max_weighted_entropy(s, theta, tol=cfg.inner_tol)
+    if cfg.nm_budget > 0 and bits > stop_bits:
+        u_ref, b_ref = _nm_refine_unitary(t, best_u, lambda u: solve(u)[0], cfg.nm_budget)
+        if b_ref < bits - 1e-15:
+            best_u = u_ref
+            bits, dist = solve(u_ref)
     value = float(2.0**bits)
     return FunctionalCertificate(
         value=value,

@@ -3,7 +3,10 @@
 HiGHS (Huangfu & Hall, "Parallelizing the dual revised simplex method",
 2018) is deterministic for a fixed input.  scipy is imported on the first
 solve, not with this module, because ``scipy.optimize`` takes about half a
-second to import.
+second to import and adds about 50 MB to the process.  The support-side
+programs solve small LPs whose slack basis is feasible; ``slack_simplex``
+solves those in numpy, so the commands that need no cover LP never import
+scipy.
 """
 
 from __future__ import annotations
@@ -125,3 +128,40 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         y[eq] = res.eqlin.marginals
     x = np.asarray(res.x, dtype=float)
     return LpSolution(value=float(lp.objective @ x), x=x, y=y, iterations=int(res.nit))
+
+
+def slack_simplex(
+    c: np.ndarray, g: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """max c.x subject to g x <= h and x >= 0, for h >= 0 and a bounded optimum.
+
+    Dantzig's tableau simplex from the slack basis, which h >= 0 makes
+    feasible, with Bland's rule (the least improving column enters, the least
+    basic index leaves among tied ratios), which cannot cycle.  Returns x,
+    the row duals y >= 0 (optimal for min h.y subject to g^T y >= c) and the
+    number of pivots.
+    """
+    rows, cols = g.shape
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[:rows, :cols], tab[:rows, cols:-1], tab[:rows, -1] = g, np.eye(rows), h
+    tab[-1, :cols] = -c
+    basis = np.arange(cols, cols + rows)
+    pivots = 0
+    while (tab[-1, :-1] < -1e-12).any():
+        if pivots > 50 * (rows + cols):
+            raise LpError("simplex pivot limit reached")
+        j = int(np.argmax(tab[-1, :-1] < -1e-12))
+        up = np.flatnonzero(tab[:-1, j] > 1e-12)
+        if up.size == 0:
+            raise LpUnbounded("the objective is unbounded on the feasible region")
+        ratios = np.maximum(tab[up, -1], 0.0) / tab[up, j]
+        tied = up[ratios <= ratios.min() + 1e-12]
+        i = tied[np.argmin(basis[tied])]
+        row = tab[i] / tab[i, j]
+        tab -= np.outer(tab[:, j], row)
+        tab[i] = row
+        basis[i] = j
+        pivots += 1
+    x = np.zeros(cols + rows)
+    x[basis] = tab[:-1, -1]
+    return x[:cols], tab[-1, cols:-1].copy(), pivots

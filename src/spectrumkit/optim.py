@@ -2,22 +2,20 @@
 
 Every quantity of interest here is an optimum of a convex (or concave)
 symmetric function of the per-leg marginals of a joint distribution on a
-support set.  A single mirror-descent engine handles all of them:
+support set, and ``min_convex_over_support`` has one exact solver for each:
 
-* weights live on the probability simplex over the support points and are
-  updated multiplicatively (exponentiated gradient) with a backtracking
-  line search, so iterates stay strictly positive;
-* nonsmooth objectives (max / l1 terms) are handled by a sharpness
-  continuation, and every objective reports an affine minorant at the
-  current point, which yields a rigorous bound on the distance to the true
-  optimum (``certified_gap``) without any smoothing-error bookkeeping;
-* optima often sit on faces of the simplex that multiplicative updates only
-  approach, so the iterate is periodically snapped to the faces its large
-  weights span.  For the smooth weighted-entropy objective (the one that
-  reports ``curvature``) each snapped face is solved by active-set Newton on
-  its KKT system, which drops points whose weight reaches 0 and re-admits
-  points outside the face, also those whose weight underflowed to 0; the
-  other objectives re-run the engine on the face.
+* the entropy objectives: active-set Newton on the KKT system of a face of
+  the weight simplex, from the uniform weights.  The affine minorant at the
+  final weights bounds the distance to the optimum (``certified_gap``),
+  pricing coordinates without mass by the entropy's convex conjugate;
+* ``MaxInfNorm`` and ``L1FromUniform``: one HiGHS LP each, whose duality gap
+  is the certified gap.
+
+The max-min entropy behind the asymptotic cover is, by minimax, the least
+weighted-entropy maximum over entropy weights; Kelley cutting planes over
+them, with the Newton solve as the oracle, close a bracket on it.  The
+nonsmooth objectives also offer softmax minorants and smoothed values for
+the moment-side descent in ``functionals``.
 """
 
 from __future__ import annotations
@@ -27,15 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
+from .linprog import EQ, GEQ, LinearProgram, LpSolution, slack_simplex, solve_lp
 from .tensors import InvalidArgumentError, SupportSet
 
 LN2 = float(np.log(2.0))
 
-#: sharpness continuation used for max/min/l1-type objectives
+#: sharpness continuation of the moment descent for the inf-norm and l1 objectives
 SHARPNESS_SCHEDULE = (16.0, 128.0, 1024.0, 8192.0, 65536.0, 2.0**19, 2.0**22)
 
-#: the entropy terms -c H(m) of a minorant, as (c, legs): the mass m is the
-#: mean of the marginals p_j over the legs
+#: the entropy terms -c H(m) of an entropy objective, as (c, legs): the mass m
+#: is the mean of the marginals p_j over the legs
 EntropyTerms = list[tuple[float, tuple[int, ...]]]
 
 
@@ -168,8 +167,8 @@ def _entropy_grad(p: np.ndarray) -> np.ndarray:
     The true one-sided derivative at a zero coordinate is +inf.  A zero
     coordinate that no support point reaches stays zero at every feasible
     point, so the affine minorant is unaffected.  One that a point of weight
-    0 reaches is not: for objectives that report ``entropy_terms`` the
-    engine prices a finite slope there by ``_entropy_conjugate``.
+    0 reaches is not: ``_zero_mass`` prices a finite slope there by
+    ``_entropy_conjugate``.
     """
     g = np.zeros_like(p)
     pos = p > 0
@@ -193,125 +192,49 @@ def _softmax_weights(x: np.ndarray, sharp: float) -> np.ndarray:
     return w / w.sum()
 
 
-class NegWeightedEntropy:
-    """F(p) = -sum_j theta_j H(p_j), in bits.  Smooth and convex."""
+class _EntropyObjective:
+    """F(p) = -sum of c H(m) over the entropy ``terms`` (c, legs), with m the
+    mean of the marginals p_j over the term's legs.  Smooth and convex."""
 
-    sharpness_schedule = (1.0,)  # smooth: no continuation needed
+    terms: EntropyTerms
+
+    def value(self, p: Sequence[np.ndarray]) -> float:
+        return float(-sum(
+            c * shannon_entropy(sum(p[j] for j in legs) / len(legs))
+            for c, legs in self.terms if c > 0
+        ))
+
+    def minorant(self, p: Sequence[np.ndarray]):
+        """The value and the per-leg gradient in marginal space."""
+        grads = [np.zeros_like(np.asarray(pj, dtype=float)) for pj in p]
+        for c, legs in self.terms:
+            if c > 0:
+                g = -c * _entropy_grad(sum(p[j] for j in legs) / len(legs)) / len(legs)
+                for j in legs:
+                    grads[j] = grads[j] + g
+        return self.value(p), grads
+
+
+class NegWeightedEntropy(_EntropyObjective):
+    """F(p) = -sum_j theta_j H(p_j), in bits: one term (theta_j, (j,)) per leg."""
 
     def __init__(self, theta: ThetaWeights):
         if theta.role != "theta":
             raise InvalidArgumentError("entropy weights must have role 'theta'")
         self.theta = theta.values
-
-    def value(self, p: Sequence[np.ndarray]) -> float:
-        return float(-sum(th * shannon_entropy(pj) for th, pj in zip(self.theta, p) if th > 0))
-
-    def minorant(self, p: Sequence[np.ndarray], sharp: float):
-        grads = []
-        for th, pj in zip(self.theta, p):
-            if th > 0:
-                grads.append(-th * _entropy_grad(pj))
-            else:
-                grads.append(np.zeros_like(pj))
-        return self.value(p), grads
-
-    def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
-        return self.value(p)
-
-    def entropy_terms(self, p: Sequence[np.ndarray], sharp: float) -> EntropyTerms:
-        """The terms -c H(p_j) of the minorant, as (c, (j,)): c = theta_j."""
-        return [(float(th), (j,)) for j, th in enumerate(self.theta)]
-
-    def curvature(self, p: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Per-leg diagonal of the Hessian in marginal space, theta_j / (p_j ln 2).
-
-        Infinite at a zero coordinate of a leg with theta_j > 0, where the
-        entropy's slope is unbounded.
-        """
-        out = []
-        for th, pj in zip(self.theta, p):
-            c = np.zeros_like(pj)
-            if th > 0:
-                pos = pj > 0
-                c[~pos] = np.inf
-                c[pos] = th / (np.maximum(pj[pos], np.finfo(float).tiny) * LN2)
-            out.append(c)
-        return out
+        self.terms = [(float(th), (j,)) for j, th in enumerate(self.theta)]
 
 
-class NegMinWeightedEntropy:
-    """F(p) = max_j (-H(p_j) / xi_j), skipping legs with xi_j = 0.
-
-    The negative of the objective whose maximum over the support polytope
-    gives the asymptotic cover exponent.  Convex as a max of convex terms.
-    """
-
-    def __init__(self, xi: ThetaWeights):
-        if xi.role != "xi":
-            raise InvalidArgumentError("cover weights must have role 'xi'")
-        self.xi = xi.values
-        self.active = np.flatnonzero(self.xi > 0)
-        if self.active.size == 0:
-            raise InvalidArgumentError("xi must have a positive entry")
-
-    def _terms(self, p: Sequence[np.ndarray]) -> np.ndarray:
-        return np.array([-shannon_entropy(p[j]) / self.xi[j] for j in self.active])
-
-    def value(self, p: Sequence[np.ndarray]) -> float:
-        return float(self._terms(p).max())
-
-    def minorant(self, p: Sequence[np.ndarray], sharp: float):
-        terms = self._terms(p)
-        s = _softmax_weights(terms, sharp)
-        grads = [np.zeros_like(np.asarray(pj, dtype=float)) for pj in p]
-        for w_i, j, t in zip(s, self.active, terms):
-            grads[j] = w_i * (-_entropy_grad(p[j]) / self.xi[j])
-        return float(s @ terms), grads
-
-    def entropy_terms(self, p: Sequence[np.ndarray], sharp: float) -> EntropyTerms:
-        """The terms -c H(p_j) of the minorant, as (c, (j,)): c is the
-        softmax weight of leg j's term over xi_j; skipped legs have none."""
-        c = _softmax_weights(self._terms(p), sharp) / self.xi[self.active]
-        return [(float(cj), (int(j),)) for cj, j in zip(c, self.active)]
-
-    def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
-        terms = self._terms(p)
-        m = terms.max()
-        return float(m + np.log2(np.exp(sharp * (terms - m) * LN2).sum()) / sharp)
-
-
-class NegSummedEntropy:
+class NegSummedEntropy(_EntropyObjective):
     """F(p) = -H((p_1 + ... + p_d) / d); needs equal leg dimensions.
 
     The support-side objective of the symmetric functional: the summed
     marginal, rescaled to a distribution, replaces the per-leg tuple.
     """
 
-    sharpness_schedule = (1.0,)
-
     def __init__(self, d: int):
         self.d = d
-
-    def _q(self, p: Sequence[np.ndarray]) -> np.ndarray:
-        total = np.zeros_like(np.asarray(p[0], dtype=float))
-        for pj in p:
-            total = total + pj
-        return total / self.d
-
-    def value(self, p: Sequence[np.ndarray]) -> float:
-        return -shannon_entropy(self._q(p))
-
-    def minorant(self, p: Sequence[np.ndarray], sharp: float):
-        q = self._q(p)
-        g = -_entropy_grad(q) / self.d
-        return self.value(p), [g.copy() for _ in p]
-
-    def smooth_value(self, p: Sequence[np.ndarray], sharp: float) -> float:
-        return self.value(p)
-
-    def entropy_terms(self, p: Sequence[np.ndarray], sharp: float) -> EntropyTerms:
-        """The one term -H(q) of the minorant, as (1, all legs)."""
-        return [(1.0, tuple(range(self.d)))]
+        self.terms = [(1.0, tuple(range(d)))]
 
 
 class MaxInfNorm:
@@ -371,12 +294,21 @@ class L1FromUniform:
 
 
 # ---------------------------------------------------------------------------
-# the mirror-descent engine
+# the solvers
+
+
+#: active-set Newton stops here if the certified gap is still above tol
+NEWTON_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
 class SupportOptimum:
-    """Result of minimizing a convex objective over a support polytope."""
+    """An optimum over a support polytope: the value at ``distribution`` and
+    a rigorous bound ``certified_gap`` on its distance to the true optimum.
+
+    ``iterations`` counts the work done: Newton steps, LP iterations, or the
+    oracle solves of a cutting-plane program.
+    """
 
     value: float
     marginals: MarginalTuple
@@ -406,22 +338,21 @@ class _SupportProgram:
 
 
 def _zero_mass(
-    prog: _SupportProgram, objective, p: Sequence[np.ndarray], sharp: float, g: np.ndarray
+    prog: _SupportProgram, objective: _EntropyObjective, p: Sequence[np.ndarray], g: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Points that reach a coordinate without mass, and what certifying them
     costs.
 
-    Each term -c H(m) of the objective's minorant (``entropy_terms``) has a
-    mass m, the mean of p_j over the term's legs: one leg for the per-leg
-    objectives, all legs for the summed one.  The entropy's slope at a
-    coordinate of m without mass is unbounded, so ``g`` (0 there) is no
-    subgradient.  The minorant instead takes there the finite slope that
-    lifts every point reaching it to the cheapest other point, and pays the
-    conjugate offset for it (Fenchel-Young).  A point reaches a coordinate
-    once per leg of the term that lands on it, and each time gains the slope
-    over the number of legs.
+    Each term -c H(m) of the objective has a mass m, the mean of p_j over
+    the term's legs: one leg for the weighted entropy, all legs for the
+    summed one.  The entropy's slope at a coordinate of m without mass is
+    unbounded, so ``g`` (0 there) is no subgradient.  The minorant instead
+    takes there the finite slope that lifts every point reaching it to the
+    cheapest other point, and pays the conjugate offset for it
+    (Fenchel-Young).  A point reaches a coordinate once per leg of the term
+    that lands on it, and each time gains the slope over the number of legs.
     """
-    terms = [(c, legs) for c, legs in objective.entropy_terms(p, sharp) if c > 0]
+    terms = [(c, legs) for c, legs in objective.terms if c > 0]
     zeros = [sum(p[j] for j in legs) == 0 for _, legs in terms]
     hits = np.zeros(g.size, dtype=int)
     for zero, (_, legs) in zip(zeros, terms):
@@ -440,24 +371,164 @@ def _zero_mass(
 
 
 def _assess(
-    prog: _SupportProgram, objective, wvec: np.ndarray, sharp: float
+    prog: _SupportProgram, objective: _EntropyObjective, wvec: np.ndarray
 ) -> tuple[float, float, np.ndarray]:
     """Exact value, rigorous optimality gap, and pulled-back gradient.
 
     The gap comes from the affine minorant:
-    F(w*) >= lin_val + g.(w* - w) >= lin_val + min(g) - g.w,
+    F(w*) >= F(w) + g.(w* - w) >= F(w) + min(g) - g.w,
     with coordinates without mass priced by ``_zero_mass``.
     """
     p = prog.marginals(wvec)
-    exact = objective.value(p)
-    lin_val, grads = objective.minorant(p, sharp)
+    exact, grads = objective.minorant(p)
     g = prog.chain(grads)
     low, offset = float(g.min()), 0.0
-    if hasattr(objective, "entropy_terms") and not wvec.all():
-        blocked, offset = _zero_mass(prog, objective, p, sharp, g)
+    if not wvec.all():
+        blocked, offset = _zero_mass(prog, objective, p, g)
         low = float(g[~blocked].min())
-    gap = (exact - lin_val) + offset + float(g @ wvec) - low
-    return exact, gap, g
+    return exact, offset + float(g @ wvec) - low, g
+
+
+def _hessian(
+    prog: _SupportProgram, objective: _EntropyObjective, p: Sequence[np.ndarray], pts: np.ndarray
+) -> np.ndarray:
+    """The Hessian of the objective in the weights of the points ``pts``.
+
+    A term -c H(m) over L legs adds c / (L^2 ln 2) sum_{j,k} [a_j = b_k] / m[a_j]
+    between points a and b, summed over the legs j, k of the term.  The
+    points of ``pts`` carry weight, so coordinates without mass are reached
+    by none of them and are left out.
+    """
+    hess = np.zeros((pts.size, pts.size))
+    rows = np.arange(pts.size)
+    for c, legs in objective.terms:
+        if c > 0:
+            m = sum(p[j] for j in legs) / len(legs)
+            hits = np.zeros((pts.size, m.size))
+            for j in legs:
+                np.add.at(hits, (rows, prog.leg_index[j][pts]), 1.0)
+            on = m > 0
+            hess += c / (len(legs) ** 2 * LN2) * (hits[:, on] / m[on]) @ hits[:, on].T
+    return hess
+
+
+def _newton(
+    prog: _SupportProgram, objective: _EntropyObjective, tol: float
+) -> tuple[np.ndarray, float, int]:
+    """Active-set Newton on the KKT system of a face of the weight simplex
+    (Boyd & Vandenberghe, Convex Optimization, 10.2), from the uniform weights.
+
+    The certified gap is the spread of g over the face, plus the deficit of
+    the cheapest point outside it, plus the offset paid for points on
+    coordinates without mass.  Each step works on the largest part: a damped
+    Newton step within the face (points whose weight reaches 0 leave it), or
+    re-admitting the cheapest outside point, which also restores weights
+    that are exactly 0.  Returns the weights, their gap and the step count.
+    """
+    m = prog.support.size
+    y = np.full(m, 1.0 / m)
+    exact, gap, g = _assess(prog, objective, y)
+    steps = 0
+    while gap > tol and steps < NEWTON_MAX_STEPS:
+        steps += 1
+        slack = 1e-15 * max(1.0, abs(exact))
+        p_y = prog.marginals(y)
+        face = y > 0
+        blocked, offset = _zero_mass(prog, objective, p_y, g)
+        face_min = float(g[face].min())
+        spread = float(g @ y) - face_min
+        free = ~face & ~blocked
+        deficit = face_min - float(g[free].min()) if free.any() else 0.0
+        if max(offset, deficit) > spread:
+            i = int(np.argmin(np.where(blocked if offset > deficit else free, g, np.inf)))
+
+            # the step along e_i - y where the slope g_z . (e_i - y) turns
+            # nonnegative, bisected over its exponent: on a coordinate
+            # without mass the optimal weight can lie far below 1e-100
+            def along(e2: int):
+                z = (1.0 - 2.0**e2) * y
+                z[i] += 2.0**e2
+                ez, gz, g_z = _assess(prog, objective, z)
+                return z, ez, gz, g_z, bool(g_z[i] > g_z @ y)
+
+            lo, hi = -1022, -1
+            z, ez, gz, g_z, past_min = along(hi)
+            while past_min and hi - lo > 1:
+                mid = (lo + hi) // 2
+                trial = along(mid)
+                if trial[4]:
+                    hi, (z, ez, gz, g_z, _) = mid, trial
+                else:
+                    lo = mid
+            if ez > exact + slack:
+                break
+        else:
+            pts = np.flatnonzero(face)
+            k = pts.size
+            hess = _hessian(prog, objective, p_y, pts)
+            # the Hessian is singular when the face has more points than
+            # marginal coordinates: least squares on the Jacobi-scaled system
+            sc = 1.0 / np.sqrt(np.diag(hess))
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = hess * np.outer(sc, sc)
+            kkt[:k, k] = kkt[k, :k] = sc
+            # g is shifted by its face minimum, which leaves d unchanged
+            # (sum d = 0) but keeps the slope from cancelling out near 0
+            g_face = g[pts] - face_min
+            rhs = np.append(-g_face * sc, 0.0)
+            d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k] * sc
+            slope = float(g_face @ d)
+            if not slope < 0:
+                break
+            neg = np.flatnonzero(d < 0)
+            ratios = -y[pts[neg]] / d[neg]
+            t_max = float(ratios.min()) if neg.size else np.inf
+            # the full step, clipped to the simplex, may drop several points
+            # at once; failing that, the step to the first point to drop
+            t = 1.0
+            for _ in range(40):
+                z = y.copy()
+                z[pts] += t * d
+                if t == t_max:
+                    z[pts[neg[ratios.argmin()]]] = 0.0
+                z = np.clip(z, 0.0, None)
+                z = z / z.sum()
+                ez, gz, g_z = _assess(prog, objective, z)
+                if ez <= exact + 0.25 * t * slope + slack:
+                    break
+                t = t_max if t > t_max else t / 2.0
+            else:
+                break
+        y, exact, gap, g = z, ez, gz, g_z
+    return y, gap, steps
+
+
+def _lp(prog: _SupportProgram, objective) -> tuple[np.ndarray, float, int]:
+    """The inf-norm or l1 program through its LP dual, solved by ``slack_simplex``.
+
+    Both minima equal max t subject to t <= (M^T z)_i at every point i, for
+    z >= 0 in a set Z: M is the incidence matrix of the points over the
+    stacked marginal coordinates divided by alpha, with 1.z <= 1 (inf-norm),
+    or minus the uniform marginals, with z <= 2 (l1).  Every z in Z bounds
+    the minimum from below by min_i (M^T z)_i, and the duals of the point
+    rows are optimal weights.  Returns the weights, their gap to that bound
+    and the pivot count.
+    """
+    a = np.vstack([np.eye(n)[idx].T for idx, n in zip(prog.leg_index, prog.dims)])
+    m, rows = prog.support.size, a.shape[0]
+    if isinstance(objective, MaxInfNorm):
+        mat, cap, top = a / np.repeat(objective.alpha, prog.dims)[:, None], np.ones((1, rows)), 1.0
+    else:
+        u = np.concatenate([np.full(n, 1.0 / n) for n in prog.dims])
+        mat, cap, top = a - u[:, None], np.eye(rows), 2.0
+    g = np.block([[-mat.T, np.ones((m, 1))], [cap, np.zeros((cap.shape[0], 1))]])
+    h = np.append(np.zeros(m), np.full(cap.shape[0], top))
+    z, y, pivots = slack_simplex(np.eye(rows + 1)[-1], g, h)
+    z = np.clip(z[:-1], 0.0, None)
+    z = z / max(1.0, float((cap @ z).max()) / top)  # back into Z, against rounding
+    w = np.clip(y[:m], 0.0, None)
+    w = w / w.sum()
+    return w, max(0.0, objective.value(prog.marginals(w)) - float((mat.T @ z).min())), pivots
 
 
 def min_convex_over_support(
@@ -465,239 +536,50 @@ def min_convex_over_support(
     objective,
     *,
     tol: float = 1e-7,
-    max_iters: int = 8000,
-    start: np.ndarray | None = None,
-    _polish: bool = True,
 ) -> SupportOptimum:
     """Minimize a convex symmetric function of the marginals over all joint
     distributions on the support set.
 
-    The objective must provide ``value``, ``minorant`` and ``smooth_value``
-    (see the classes above).  The returned ``certified_gap`` bounds
-    ``value - true_minimum`` via the affine minorant at the final iterate.
+    The entropy objectives go to ``_newton``, which stops once
+    ``certified_gap <= tol`` or after NEWTON_MAX_STEPS steps, and the
+    inf-norm and l1 objectives to one LP (``_lp``).  Any other objective
+    raises ``InvalidArgumentError``.
     """
     if support.size == 0:
         raise InvalidArgumentError("empty support")
     prog = _SupportProgram(support)
-    m = support.size
-    w = np.full(m, 1.0 / m) if start is None else np.asarray(start, dtype=float)
-    w = np.clip(w, 1e-300, None)
-    w = w / w.sum()
-
-    best_val = np.inf
-    best_w = w.copy()
-    best_gap = np.inf
-    total_iters = 0
-    step = 1.0
-    schedule = list(getattr(objective, "sharpness_schedule", SHARPNESS_SCHEDULE))
-    curvature = getattr(objective, "curvature", None)
-
-    def assess(wvec: np.ndarray, sharp: float) -> tuple[float, float, np.ndarray]:
-        return _assess(prog, objective, wvec, sharp)
-
-    def consider(wvec: np.ndarray, exact: float, gap: float) -> None:
-        nonlocal best_val, best_w, best_gap
-        if exact < best_val - 1e-15 or (exact <= best_val + 1e-15 and gap < best_gap):
-            best_val, best_w, best_gap = exact, wvec.copy(), gap
-
-    def newton_face(wvec: np.ndarray, face: np.ndarray, sharp: float) -> None:
-        # active-set Newton on the KKT system of a face of the simplex
-        # (Boyd & Vandenberghe, Convex Optimization, 10.2), for objectives
-        # with curvature.  The certified gap is the spread of g over the
-        # face, plus the deficit of the cheapest point outside it, plus the
-        # offset paid for points on coordinates without mass.  The largest
-        # part is worked on: a damped Newton step within the face (a point
-        # whose weight reaches 0 leaves it), or re-admitting the cheapest
-        # outside point, which also restores weights that underflowed to 0
-        y = np.where(face, wvec, 0.0)
-        y = y / y.sum()
-        exact, gap, g = assess(y, sharp)
-        for _ in range(50):
-            consider(y, exact, gap)
-            if gap <= tol:
-                return
-            slack = 1e-15 * max(1.0, abs(exact))
-            p_y = prog.marginals(y)
-            c = curvature(p_y)
-            blocked, offset = _zero_mass(prog, objective, p_y, sharp, g)
-            face_min = float(g[face].min())
-            spread = float(g @ y) - face_min
-            free = ~face & ~blocked
-            deficit = face_min - float(g[free].min()) if free.any() else 0.0
-            if max(offset, deficit) > spread:
-                i = int(np.argmin(np.where(blocked if offset > deficit else free, g, np.inf)))
-
-                # the step along e_i - y where the slope g_z . (e_i - y) turns
-                # nonnegative, bisected over its exponent: on a coordinate
-                # without mass the optimal weight can lie far below 1e-100
-                def along(e2: int):
-                    z = (1.0 - 2.0**e2) * y
-                    z[i] += 2.0**e2
-                    ez, gz, g_z = assess(z, sharp)
-                    return z, ez, gz, g_z, bool(g_z[i] > g_z @ y)
-
-                lo, hi = -1022, -1
-                z, ez, gz, g_z, past_min = along(hi)
-                while past_min and hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    trial = along(mid)
-                    if trial[4]:
-                        hi, (z, ez, gz, g_z, _) = mid, trial
-                    else:
-                        lo = mid
-                if ez > exact + slack:
-                    return
-            else:
-                pts = np.flatnonzero(face)
-                k = pts.size
-                hess = np.zeros((k, k))
-                for idx, cj in zip(prog.leg_index, c):
-                    a = idx[pts]
-                    hess += (a[:, None] == a[None, :]) * cj[a]
-                # the Hessian is singular when the face has more points than
-                # marginal coordinates: least squares on the Jacobi-scaled system
-                sc = 1.0 / np.sqrt(np.diag(hess))
-                kkt = np.zeros((k + 1, k + 1))
-                kkt[:k, :k] = hess * np.outer(sc, sc)
-                kkt[:k, k] = kkt[k, :k] = sc
-                # g is shifted by its face minimum, which leaves d unchanged
-                # (sum d = 0) but keeps the slope from cancelling out near 0
-                g_face = g[pts] - face_min
-                rhs = np.append(-g_face * sc, 0.0)
-                d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k] * sc
-                slope = float(g_face @ d)
-                if not slope < 0:
-                    return
-                neg = np.flatnonzero(d < 0)
-                ratios = -y[pts[neg]] / d[neg]
-                t_max = float(ratios.min()) if neg.size else np.inf
-                t = min(1.0, t_max)
-                for _ in range(40):
-                    z = y.copy()
-                    z[pts] += t * d
-                    if t == t_max:
-                        z[pts[neg[ratios.argmin()]]] = 0.0
-                    z = np.clip(z, 0.0, None)
-                    z = z / z.sum()
-                    ez, gz, g_z = assess(z, sharp)
-                    if ez <= exact + 0.25 * t * slope + slack:
-                        break
-                    t /= 2.0
-                else:
-                    return
-            y, exact, gap, g = z, ez, gz, g_z
-            face = y > 0
-        consider(y, exact, gap)
-
-    def face_polish(wvec: np.ndarray, sharp: float) -> None:
-        # optima often sit on faces of the weight simplex that multiplicative
-        # updates only approach; a snapped copy recentered within its face
-        # frequently hits them exactly, where the certificate collapses to ~0
-        if not _polish:
-            return
-        seen: set[tuple[bool, ...]] = set()
-        for cut in (1e-2, 1e-4, 1e-7, 1e-10):
-            mask = wvec > cut * wvec.max()
-            key = tuple(mask)
-            if not mask.any() or key in seen:
-                continue
-            seen.add(key)
-            if curvature is not None:
-                newton_face(wvec, mask, sharp)
-                if best_gap <= tol:
-                    return
-                continue
-            if mask.all():
-                continue
-            y = np.where(mask, wvec, 0.0)
-            y = y / y.sum()
-            if mask.sum() > 1:
-                sub = SupportSet(support.dims, support.points[mask])
-                sub_opt = min_convex_over_support(
-                    sub,
-                    objective,
-                    tol=tol,
-                    max_iters=800,
-                    start=y[mask],
-                    _polish=False,
-                )
-                y = np.zeros_like(y)
-                y[mask] = sub_opt.distribution.weights
-            exact, gap, _ = assess(y, sharp)
-            consider(y, exact, gap)
-
-    done = False
-    patience = 250
-    for sharp in schedule:
-        if done:
-            break
-        stall = 0
-        since_improve = 0
-        for it_in_stage in range(max_iters // len(schedule) + 1):
-            total_iters += 1
-            prev_best = best_val
-            exact, gap, g = assess(w, sharp)
-            consider(w, exact, gap)
-            since_improve = 0 if best_val < prev_best - 1e-14 else since_improve + 1
-            if it_in_stage % 128 == 127:
-                face_polish(w, sharp)
-            if best_gap <= tol:
-                done = True
-                break
-            if since_improve > patience:
-                break
-
-            p = prog.marginals(w)
-            sval = objective.smooth_value(p, sharp)
-            shift = g - g.min()
-
-            def _candidate(eta: float) -> tuple[np.ndarray, float]:
-                y = w * np.exp(-np.minimum(eta * shift, 700.0))
-                y = y / y.sum()
-                return y, objective.smooth_value(prog.marginals(y), sharp)
-
-            eta = min(step, 1e6)
-            y, v_eta = _candidate(eta)
-            improved = v_eta < sval - 1e-15
-            while not improved and eta > 1e-18:
-                eta /= 2.0
-                y, v_eta = _candidate(eta)
-                improved = v_eta < sval - 1e-15
-            if not improved:
-                stall += 1
-                face_polish(w, sharp)
-                if best_gap <= tol:
-                    done = True
-                    break
-                if stall >= 2:
-                    break
-                continue
-            while eta < 1e6:
-                y2, v2 = _candidate(2.0 * eta)
-                if v2 < v_eta - 1e-15:
-                    eta, y, v_eta = 2.0 * eta, y2, v2
-                else:
-                    break
-            step = eta
-            w = y
-            stall = 0
-
-    if not done:
-        face_polish(w, schedule[-1])
-        face_polish(best_w, schedule[-1])
-
-    dist = JointDistribution(support, best_w)
-    return SupportOptimum(
-        value=best_val,
-        marginals=marginals_of(dist),
-        distribution=dist,
-        certified_gap=best_gap,
-        iterations=total_iters,
-    )
+    if isinstance(objective, _EntropyObjective):
+        w, gap, iterations = _newton(prog, objective, tol)
+    elif isinstance(objective, (MaxInfNorm, L1FromUniform)):
+        w, gap, iterations = _lp(prog, objective)
+    else:
+        raise InvalidArgumentError(f"no support-side solver for {type(objective).__name__}")
+    dist = JointDistribution(support, w)
+    p = marginals_of(dist)
+    return SupportOptimum(objective.value(p.probs), p, dist, float(gap), int(iterations))
 
 
 # ---------------------------------------------------------------------------
 # the named entropy programs
+
+
+#: the max-min program stops once its bracket is tol wide, or at this many
+#: oracle solves
+MAX_MIN_CUTS = 60
+
+
+def kelley_master(cuts: np.ndarray, xi: np.ndarray) -> LpSolution:
+    """The master LP of Kelley's cutting planes over entropy weights:
+    min z subject to z >= <theta, h_k> for every cut h_k (a row of ``cuts``),
+    theta >= 0 and <theta, xi> = 1.  ``x`` is (theta, z); the first rows of
+    ``y`` are the cut duals, which sum to 1 when z > 0."""
+    n = len(cuts)
+    return solve_lp(LinearProgram(
+        objective=np.append(np.zeros(xi.size), 1.0),
+        lhs=np.vstack([np.c_[-cuts, np.ones(n)], np.append(xi, 0.0)]),
+        senses=(GEQ,) * n + (EQ,),
+        rhs=np.append(np.zeros(n), 1.0),
+    ))
 
 
 def max_weighted_entropy(
@@ -705,18 +587,14 @@ def max_weighted_entropy(
     theta: ThetaWeights,
     *,
     tol: float = 1e-9,
-    max_iters: int = 20000,
 ) -> tuple[float, JointDistribution]:
     """max over joint distributions P on the support of sum_j theta_j H(p_j), in bits.
 
-    The returned value lies within ``tol`` of the maximum, as certified by
-    the affine-minorant gap (``certified_gap`` of ``min_convex_over_support``).
-    That gap is not returned here, so a solve that stops short of ``tol``
-    (at ``max_iters``) is not flagged.
+    The returned value is within ``tol`` of the maximum unless the Newton
+    solve ran out of steps; ``min_convex_over_support`` with
+    ``NegWeightedEntropy`` returns the same solve with its certified gap.
     """
-    opt = min_convex_over_support(
-        support, NegWeightedEntropy(theta), tol=tol, max_iters=max_iters
-    )
+    opt = min_convex_over_support(support, NegWeightedEntropy(theta), tol=tol)
     return -opt.value, opt.distribution
 
 
@@ -725,16 +603,16 @@ def max_min_weighted_entropy(
     xi: ThetaWeights,
     *,
     tol: float = 1e-7,
-    max_iters: int = 40000,
 ) -> float:
     """max over P of min_j H(p_j)/xi_j in bits; legs with xi_j = 0 are skipped.
 
     A leg with zero weight never participates in the minimum (its formal
     ratio is +infinity), matching the convention that such legs may not be
-    used by covers.
+    used by covers.  The value is the lower end of a bracket at most ``tol``
+    wide unless the cutting planes ran out of cuts;
+    ``max_min_weighted_entropy_witness`` returns the bracket and a witness.
     """
-    value, _ = max_min_weighted_entropy_witness(support, xi, tol=tol, max_iters=max_iters)
-    return value
+    return max_min_weighted_entropy_witness(support, xi, tol=tol).value
 
 
 def max_min_weighted_entropy_witness(
@@ -742,9 +620,50 @@ def max_min_weighted_entropy_witness(
     xi: ThetaWeights,
     *,
     tol: float = 1e-7,
-    max_iters: int = 40000,
-) -> tuple[float, JointDistribution]:
-    opt = min_convex_over_support(
-        support, NegMinWeightedEntropy(xi), tol=tol, max_iters=max_iters
-    )
-    return -opt.value, opt.distribution
+) -> SupportOptimum:
+    """The max-min program by Kelley cutting planes over entropy weights.
+
+    By minimax, max_P min_j H_j / xi_j = min over theta >= 0 with <theta, xi>
+    = 1 of max_P sum_j theta_j H_j, on the legs with xi_j > 0.  An oracle at
+    theta (central first, then the master's) bounds the max-min from above
+    by its value plus its certified gap (hi), and its leg entropies h_k cut
+    ``kelley_master``.  The lower end lo is the best min_j H_j / xi_j at an
+    oracle optimum or at their Dantzig-Wolfe mixture by the master's cut
+    duals, which H's concavity puts at or above the master value.  Stops at
+    hi - lo <= tol or after MAX_MIN_CUTS oracles; returns lo at its witness,
+    ``certified_gap`` hi - lo and ``iterations`` the oracle count.
+    """
+    if xi.role != "xi":
+        raise InvalidArgumentError("cover weights must have role 'xi'")
+    legs = np.flatnonzero(xi.values > 0)
+    xi_legs = xi.values[legs]
+    prog = _SupportProgram(support)
+
+    def ratio(w: np.ndarray) -> float:
+        p = prog.marginals(w)
+        return float(min(shannon_entropy(p[j]) / x for j, x in zip(legs, xi_legs)))
+
+    point = np.full(legs.size, 1.0 / xi_legs.sum())
+    cuts, optima = [], []
+    hi, lo, witness = np.inf, -np.inf, None
+    while True:
+        theta = np.zeros(xi.d)
+        theta[legs] = point / point.sum()
+        opt = min_convex_over_support(
+            support, NegWeightedEntropy(ThetaWeights.theta(theta)), tol=tol / 10
+        )
+        hi = min(hi, point.sum() * (opt.certified_gap - opt.value))
+        cuts.append(opt.marginals.entropies()[legs])
+        optima.append(opt.distribution.weights)
+        lo, witness = max((lo, witness), (ratio(optima[-1]), optima[-1]), key=lambda c: c[0])
+        if hi - lo > tol:
+            sol = kelley_master(np.array(cuts), xi_legs)
+            duals = np.clip(sol.y[: len(cuts)], 0.0, None)
+            if duals.sum() > 0:
+                mix = duals @ np.array(optima) / duals.sum()
+                lo, witness = max((lo, witness), (ratio(mix), mix), key=lambda c: c[0])
+        if hi - lo <= tol or len(cuts) >= MAX_MIN_CUTS:
+            break
+        point = sol.x[:-1]
+    dist = JointDistribution(support, witness)
+    return SupportOptimum(lo, marginals_of(dist), dist, max(0.0, hi - lo), len(cuts))

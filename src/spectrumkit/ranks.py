@@ -34,8 +34,7 @@ from .hypergraphs import (
     fractional_vertex_cover,
     hypergraph_of,
 )
-from .linprog import EQ, GEQ, LinearProgram, solve_lp
-from .optim import L1FromUniform, MaxInfNorm, ThetaWeights
+from .optim import L1FromUniform, MaxInfNorm, ThetaWeights, kelley_master
 from .tensors import (
     InvalidArgumentError,
     MatrixTuple,
@@ -90,14 +89,15 @@ def _slice_rank_theta_route(
 
     bits(theta) = log2 F_theta(t) is the maximum of <theta, h> over reachable
     leg entropies h, so the h_k of any scaling endpoint is a cut: <theta,
-    h_k> <= bits(theta).  The master LP minimizes z >= <theta, h_k> over
-    theta >= 0 with <theta, xi> = 1, on the legs with xi_j > 0 (the others
-    take theta_j = 0).  Its value lo is a lower bound in bits whether or not
-    the runs converged; hi, the least cut model max_k <theta, h_k> at the
-    evaluated thetas, equals a converged run's bits.  From the vertices on,
-    one loose cold-started run at the LP's theta adds a cut until hi - lo <=
-    THETA_BRACKET_BITS or THETA_MAX_CUTS cuts; the best theta is then run at
-    full accuracy.  Returns the value, theta, (lo, hi) and the cut count.
+    h_k> <= bits(theta).  The master LP (``kelley_master``) minimizes z >=
+    <theta, h_k> over theta >= 0 with <theta, xi> = 1, on the legs with
+    xi_j > 0 (the others take theta_j = 0).  Its value lo is a lower bound
+    in bits whether or not the runs converged; hi, the least cut model
+    max_k <theta, h_k> at the evaluated thetas, equals a converged run's
+    bits.  From the vertices on, one loose cold-started run at the LP's theta
+    adds a cut until hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts;
+    the best theta is then run at full accuracy.  Returns the value, theta,
+    (lo, hi) and the cut count.
     """
     legs = np.flatnonzero(xi.values > 0)
 
@@ -120,12 +120,7 @@ def _slice_rank_theta_route(
         h, n = np.array(cuts), len(cuts)
         model = (np.array(points) @ h.T).max(axis=1)
         best = int(np.argmin(model))
-        sol = solve_lp(LinearProgram(
-            objective=np.append(np.zeros(legs.size), 1.0),
-            lhs=np.vstack([np.c_[-h, np.ones(n)], np.append(xi.values[legs], 0.0)]),
-            senses=(GEQ,) * n + (EQ,),
-            rhs=np.append(np.zeros(n), 1.0),
-        ))
+        sol = kelley_master(h, xi.values[legs])
         lo, hi = sol.value, max(sol.value, float(model[best]))
         if hi - lo <= THETA_BRACKET_BITS or n >= THETA_MAX_CUTS:
             break

@@ -405,7 +405,7 @@ def test_symmetric_minimax_variant(w):
 
 
 def test_minimax_gap_examples(w, matmul222):
-    # constant objectives have gap exactly zero
+    # an objective without a support-side solver is rejected
     class Const:
         sharpness_schedule = (1.0,)
 
@@ -418,8 +418,8 @@ def test_minimax_gap_examples(w, matmul222):
         def smooth_value(self, p, sharp):
             return 0.0
 
-    rep = minimax_gap(w, Const(), FAST)
-    assert rep.gap == 0.0
+    with pytest.raises(InvalidArgumentError):
+        minimax_gap(w, Const(), FAST)
 
     rep = minimax_gap(make_unit(2, 3), NegWeightedEntropy(UNIFORM3), FAST)
     assert abs(rep.lhs + 1.0) <= 1e-8 and abs(rep.gap) <= 1e-8

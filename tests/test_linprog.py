@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_lp
 from spectrumkit import LinearProgram, LpInfeasible, LpUnbounded, solve_lp
+from spectrumkit.linprog import slack_simplex
 from spectrumkit.hypergraphs import hypergraph_of
 from spectrumkit import ThetaWeights, fractional_vertex_cover, w_tensor
 
@@ -101,3 +102,25 @@ def test_lp_matches_vertex_enumeration(seed):
         return
     if np.isfinite(oracle):
         assert abs(sol.value - oracle) <= 1e-6 * (1 + abs(oracle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_slack_simplex_matches_highs(seed):
+    # degenerate rows (h = 0) and tied ratios are common in the support programs
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    g = np.vstack([rng.integers(-2, 4, (m, n)), np.ones(n)]).astype(float)
+    h = np.append(rng.integers(0, 3, m), 5.0).astype(float)
+    c = rng.integers(-1, 3, n).astype(float)
+    x, y, _ = slack_simplex(c, g, h)
+    sol = solve_lp(LinearProgram(-c, g, ("<=",) * h.size, h))
+    assert abs(c @ x + sol.value) <= 1e-9
+    assert np.all(g @ x <= h + 1e-9) and np.all(x >= -1e-12)
+    assert np.all(y >= -1e-12) and np.all(g.T @ y >= c - 1e-9)
+    assert abs(h @ y - c @ x) <= 1e-9
+
+
+def test_slack_simplex_unbounded_reported():
+    with pytest.raises(LpUnbounded):
+        slack_simplex(np.array([1.0]), np.array([[-1.0]]), np.array([1.0]))

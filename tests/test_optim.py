@@ -8,24 +8,28 @@ from oracles import grid_max_weighted_entropy, grid_min_convex
 from spectrumkit import (
     InvalidArgumentError,
     JointDistribution,
+    LinearProgram,
     SupportSet,
     ThetaWeights,
+    hypergraph_of,
+    kronecker_power,
     make_unit,
     marginals_of,
     max_min_weighted_entropy,
     max_weighted_entropy,
     min_convex_over_support,
+    solve_lp,
     support,
+    w_tensor,
 )
 from spectrumkit.optim import (
-    SHARPNESS_SCHEDULE,
     L1FromUniform,
     MaxInfNorm,
-    NegMinWeightedEntropy,
     NegSummedEntropy,
     NegWeightedEntropy,
     _assess,
     _SupportProgram,
+    max_min_weighted_entropy_witness,
     shannon_entropy,
 )
 
@@ -173,24 +177,46 @@ def test_certified_gap_is_sound(w):
         assert opt.value - opt.certified_gap <= oracle + 1e-6
 
 
-def test_max_min_certificate_is_sound_at_exact_zeros():
-    # snapped polish copies carry exact zeros; a zero-weight point reaching a
-    # coordinate without mass sees the entropy's slope -inf there, not 0
-    violations = 0
+def test_max_min_bracket_is_sound():
+    # hi bounds every feasible min_j H_j / xi_j from above, and lo is the
+    # value of the returned witness
     for seed in range(150):
         rng = np.random.default_rng(seed)
         s = rand_support(rng, max_points=8)
         theta = rng.dirichlet([1.0] * 3)
-        objective = NegMinWeightedEntropy(ThetaWeights.xi(theta / theta.max()))
+        xi = ThetaWeights.xi(theta / theta.max())
+        opt = max_min_weighted_entropy_witness(s, xi)
         prog = _SupportProgram(s)
-        w = rng.dirichlet(np.ones(s.size))
-        w[rng.choice(s.size, int(rng.integers(1, s.size)), replace=False)] = 0.0
-        exact, gap, _ = _assess(prog, objective, w / w.sum(), SHARPNESS_SCHEDULE[-1])
+
+        def ratio(w):
+            p = prog.marginals(w)
+            return min(shannon_entropy(p[j]) / x for j, x in enumerate(xi.values) if x > 0)
+
         samples = [np.eye(s.size)[i] for i in range(s.size)]
         samples += [rng.dirichlet(np.full(s.size, a)) for a in (1.0, 0.3, 0.1) for _ in range(100)]
-        feasible = min(objective.value(prog.marginals(v)) for v in samples)
-        violations += exact - gap > feasible + 1e-12
-    assert violations == 0
+        feasible = max(ratio(v) for v in samples)
+        assert opt.value + opt.certified_gap >= feasible - 1e-12, seed
+        assert opt.value == ratio(opt.distribution.weights), seed
+        assert opt.certified_gap <= 1e-7, seed
+
+
+def test_max_min_on_a_sparse_support_closes_at_one_bit():
+    # a 5-point support in 3x3x2 on which exponentiated gradient spent
+    # about a minute and stopped short of 1 bit
+    pts = np.array([(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 2, 0), (1, 2, 1)])
+    s = SupportSet((3, 3, 2), pts)
+    assert abs(max_min_weighted_entropy(s, ThetaWeights.xi([1, 1, 1]), tol=1e-8) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("xi", [(1.0, 0.5, 1.0), (1.0, 1.0, 0.25)])
+def test_max_min_bracket_closes_on_w_powers(n, xi):
+    s = kronecker_power(hypergraph_of(w_tensor()), n).as_support()
+    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)
+    assert opt.certified_gap <= 1e-7
+    assert abs(opt.value - min(opt.marginals.entropies() / np.array(xi))) <= 1e-12
+    # at least the value at xi = 1, at most the n bits that leg 0 can carry
+    assert n * H13_BITS <= opt.value <= n
 
 
 def test_summed_entropy_certificate_is_sound_at_exact_zeros():
@@ -205,7 +231,7 @@ def test_summed_entropy_certificate_is_sound_at_exact_zeros():
         prog = _SupportProgram(s)
         w = rng.dirichlet(np.ones(s.size))
         w[rng.choice(s.size, int(rng.integers(1, s.size)), replace=False)] = 0.0
-        exact, gap, _ = _assess(prog, objective, w / w.sum(), 1.0)
+        exact, gap, _ = _assess(prog, objective, w / w.sum())
         samples = [np.eye(s.size)[i] for i in range(s.size)]
         samples += [rng.dirichlet(np.full(s.size, a)) for a in (1.0, 0.3, 0.1) for _ in range(100)]
         feasible = min(objective.value(prog.marginals(v)) for v in samples)
@@ -287,3 +313,58 @@ def test_marginals_of_is_affine(seed, lam):
     p2 = marginals_of(JointDistribution(s, w2))
     for a, b, c in zip(pm.probs, p1.probs, p2.probs):
         assert np.allclose(a, lam * b + (1 - lam) * c, atol=1e-14)
+
+
+#: max H((p_1 + p_2 + p_3) / 3) on the supports of
+#: test_summed_newton_matches_reference, from the exponentiated-gradient engine
+SUMMED_REFERENCE = [
+    1.5849625007211534, 0.9999999999999998, 1.584962500721156, 1.5310103733874247,
+    1.584962500721156, 1.584962500721156, 0.9999999999999998, 1.584962500721156,
+    1.584962500721156, 1.0, 1.584962500721156, 0.9182958340544896,
+]
+
+
+def test_summed_newton_matches_reference():
+    for seed, reference in enumerate(SUMMED_REFERENCE):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 4))
+        s = rand_support(rng, dims=(n, n, n), max_points=8)
+        opt = min_convex_over_support(s, NegSummedEntropy(3), tol=1e-10)
+        assert opt.certified_gap <= 1e-10
+        assert abs(-opt.value - reference) <= 1e-9, seed
+
+
+def test_iterations_count_the_work(w):
+    s = support(w, 0.0)
+    entropy = NegWeightedEntropy(ThetaWeights.theta([0.5, 0.5, 0]))
+    assert min_convex_over_support(s, entropy).iterations > 0
+    assert min_convex_over_support(s, MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))).iterations > 0
+    assert max_min_weighted_entropy_witness(s, ThetaWeights.xi([1, 0.5, 1])).iterations > 1
+
+
+def test_lp_programs_match_primal_lps():
+    # the inf-norm and l1 programs go through their LP duals; compare with
+    # the primal LPs solved by HiGHS
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        s = rand_support(rng, max_points=8)
+        a = np.vstack([np.eye(n)[s.points[:, j]].T for j, n in enumerate(s.dims)])
+        rows, m = a.shape
+        alpha = rng.uniform(0.5, 2.0, size=3)
+        u = np.concatenate([np.full(n, 1.0 / n) for n in s.dims])
+        linf = LinearProgram(
+            np.append(np.zeros(m), 1.0),
+            np.vstack([np.c_[-a, np.repeat(alpha, s.dims)], np.append(np.ones(m), 0.0)]),
+            (">=",) * rows + ("=",), np.append(np.zeros(rows), 1.0),
+        )
+        l1 = LinearProgram(
+            np.append(np.zeros(m), np.ones(rows)),
+            np.vstack([np.c_[-a, np.eye(rows)], np.c_[a, np.eye(rows)],
+                       np.append(np.ones(m), np.zeros(rows))]),
+            (">=",) * (2 * rows) + ("=",), np.concatenate([-u, u, [1.0]]),
+        )
+        linf_objective = MaxInfNorm(ThetaWeights.alpha(alpha))
+        for objective, lp in ((linf_objective, linf), (L1FromUniform(), l1)):
+            opt = min_convex_over_support(s, objective, tol=1e-9)
+            assert abs(opt.value - solve_lp(lp).value) <= 1e-9, seed
+            assert opt.certified_gap <= 1e-9, seed
