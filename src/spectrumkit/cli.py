@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 converged / in-tolerance, 1 input error, 2 finished without
 convergence (result still printed) or a solver failure or size cap on valid
-input (one ``error:`` line, no result), 3 route disagreement above threshold.
+input (one ``error:`` line, no result), 3 route disagreement above threshold
+or an inverted bracket (a scaling iterate above the exact-support bound by
+more than the bracket width; result printed, one ``error:`` line).
 All randomness is derived from --seed (default: $SPECTRUMKIT_SEED, else 0),
 so equal invocations produce byte-identical output.
 """
@@ -27,7 +29,9 @@ import numpy as np
 
 from . import serialize
 from .functionals import (
+    FunctionalCertificate,
     SearchConfig,
+    bracket_width,
     minimax_gap,
     quantum_functional,
     support_functional,
@@ -95,6 +99,20 @@ def _config(args) -> SearchConfig:
     )
 
 
+def _inverted(cert: FunctionalCertificate, cfg: SearchConfig) -> bool:
+    """A scaling iterate above the exact-support bound by more than the
+    bracket width is no value: one of the two sides is wrong.  Says so on
+    stderr."""
+    if cert.bracket is None:
+        return False
+    lo, hi = cert.bracket
+    if lo <= hi + bracket_width(cfg.inner_tol):
+        return False
+    sys.stderr.write(f"error: inverted bracket: scaling iterate {lo!r} bits "
+                     f"above the exact-support bound {hi!r} bits\n")
+    return True
+
+
 def _cmd_functional(args) -> int:
     obj = _load_json(args.tensor)
     t = serialize.tensor_from_json_dict(obj)
@@ -103,7 +121,7 @@ def _cmd_functional(args) -> int:
     cfg = _config(args)
     if args.kind == "quantum":
         theta = _parse_weights(args.theta, t.order, "theta")
-        cert = quantum_functional(t, theta)
+        cert = quantum_functional(t, theta, inner_tol=cfg.inner_tol)
     elif args.kind == "support":
         theta = _parse_weights(args.theta, t.order, "theta")
         cert = support_functional(t, theta, cfg)
@@ -118,7 +136,11 @@ def _cmd_functional(args) -> int:
     ]
     if cert.gap is not None:
         lines.append(f"  gap        {cert.gap:.3e}")
+    if cert.bracket is not None:
+        lines.append(f"  bracket    [{cert.bracket[0]:.10g}, {cert.bracket[1]:.10g}] bits")
     _emit(args, payload, lines)
+    if _inverted(cert, cfg):
+        return EXIT_DISAGREE
     return EXIT_OK if cert.converged else EXIT_NOT_CONVERGED
 
 
@@ -206,6 +228,8 @@ def _cmd_check_minimax(args) -> int:
         f"  gap  {rep.gap:.3e}",
     ]
     _emit(args, payload, lines)
+    if _inverted(rep.lhs_certificate, cfg):
+        return EXIT_DISAGREE
     return EXIT_OK if abs(rep.gap) <= args.bound else EXIT_NOT_CONVERGED
 
 
@@ -225,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "stops once the independent route's bound is met")
         p.add_argument("--nm-budget", type=int, default=0, dest="nm_budget",
                        help="extra local-search evaluations per basis search")
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help="support-program tolerance in bits; cold scaling runs stop "
+                            "once their bracket is 10 times this wide")
         p.add_argument("--jobs", type=int, default=1,
                        help="ignored; basis candidates are scored one after another")
         p.add_argument("--out", type=str, default=None)

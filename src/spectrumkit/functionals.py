@@ -23,15 +23,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .optim import (
-    JointDistribution,
     MarginalTuple,
     NegSummedEntropy,
     NegWeightedEntropy,
     SHARPNESS_SCHEDULE,
+    SupportOptimum,
     ThetaWeights,
-    marginals_of,
     min_convex_over_support,
-    max_weighted_entropy,
     shannon_entropy,
 )
 from .tensors import (
@@ -72,6 +70,7 @@ class ScalingTrace:
     group_factors: tuple[np.ndarray, ...]  # accumulated, rescaled to unit spectral norm
     residual: float
     converged: bool
+    stop: str  # why the run stopped: "bracket", "tol" or "cap"
     final_entries: np.ndarray | None = None  # the scaled tensor, unit norm
 
 
@@ -87,6 +86,7 @@ class FunctionalCertificate:
     converged: bool = True
     gap: float | None = None
     bases_scored: int | None = None  # candidates scored by a basis search
+    bracket: tuple[float, float] | None = None  # (lo, hi) bits of F_theta(t)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +209,22 @@ def entropic_scaling(
     window: int = 50,
     spectrum_tol: float = 1e-8,
     start: np.ndarray | None = None,
+    upper_bits: float | None = None,
+    width: float = 0.0,
 ) -> tuple[FunctionalCertificate, ScalingTrace]:
     """Iterate t <- (rho_1^(-theta_1/2) x ... x rho_d^(-theta_d/2)) t.
 
     Each step renormalizes to unit norm; inverse powers are taken on the
     support of each marginal (eigenvalues below PINV_CUTOFF times the top
     eigenvalue are left at zero).  The objective sum_j theta_j H(spec rho_j)
-    is non-decreasing along the iteration; the run stops when it moves less
-    than ``tol`` over ``window`` iterations and the spectra move less than
-    ``spectrum_tol``, or at ``max_iter`` with ``converged=False``.
+    is non-decreasing along the iteration, and every iterate bounds
+    log2 F_theta(t) from below.  Given an upper bound ``upper_bits`` on
+    log2 F_theta(t), the run stops with ``converged=True`` at the first
+    iterate within ``width`` bits of it, and the certificate's ``bracket``
+    is (iterate bits, upper_bits).  Otherwise the run stops when the
+    objective moves less than ``tol`` over ``window`` iterations and the
+    spectra move less than ``spectrum_tol``, or at ``max_iter`` with
+    ``converged=False``; ``ScalingTrace.stop`` says which rule ended it.
 
     ``start`` may be any tensor in the same group orbit as ``t`` (for
     example the endpoint of a previous run); the computed value does not
@@ -239,7 +246,8 @@ def entropic_scaling(
     acc = views.identity()
     bits_seq: list[float] = []
     prev = np.inf
-    converged, residual = False, np.inf
+    residual, stop = np.inf, "cap"
+    stop_bits = upper_bits - width if upper_bits is not None else np.inf
 
     def weighted_bits(flat: np.ndarray) -> float:
         return float(-(weights * flat * np.log2(np.where(flat > 0.0, flat, 1.0))).sum())
@@ -248,11 +256,14 @@ def entropic_scaling(
         lams, vecs = views.spectra(s)
         flat = np.concatenate([lam.ravel() for lam in lams])
         bits_seq.append(weighted_bits(flat))
+        if bits_seq[-1] >= stop_bits:
+            stop = "bracket"
+            break
         spec_move = float(np.abs(flat - prev).max())
         if len(bits_seq) > window:
             residual = bits_seq[-1] - bits_seq[-1 - window]
             if abs(residual) < tol and spec_move < spectrum_tol:
-                converged = True
+                stop = "tol"
                 break
         if it == max_iter:
             break
@@ -270,6 +281,7 @@ def entropic_scaling(
     lams = views.spectra(s)[0]
     bits = weighted_bits(np.concatenate([lam.ravel() for lam in lams]))
     factors = tuple(f / np.linalg.norm(f, 2) for f in views.per_leg(acc))  # unit spectral norm
+    converged = stop != "cap"
     cert = FunctionalCertificate(
         value=float(2.0**bits),
         bits=bits,
@@ -278,6 +290,7 @@ def entropic_scaling(
         group_factors=factors,
         converged=converged,
         gap=None,
+        bracket=(bits, float(upper_bits)) if upper_bits is not None else None,
     )
     trace = ScalingTrace(
         iterations=len(bits_seq) - 1,
@@ -285,9 +298,37 @@ def entropic_scaling(
         group_factors=factors,
         residual=float(residual if np.isfinite(residual) else np.inf),
         converged=converged,
+        stop=stop,
         final_entries=s,
     )
     return cert, trace
+
+
+def bracket_width(inner_tol: float) -> float:
+    """The bracket width, in bits, at which a cold scaling run stops: ten
+    times the support programs' tolerance (``SearchConfig.inner_tol``)."""
+    return 10.0 * inner_tol
+
+
+def exact_support_bound(
+    t: Tensor, theta: ThetaWeights, inner_tol: float
+) -> tuple[float, SupportOptimum]:
+    """An upper bound in bits on log2 F_theta(t): the entropy program on the
+    exact support (eta = 0; a thresholded support bounds nothing) plus its
+    certified gap.  Also returns the solve."""
+    opt = min_convex_over_support(support(t, 0.0), NegWeightedEntropy(theta), tol=inner_tol)
+    return opt.certified_gap - opt.value, opt
+
+
+def _bracketed_scaling(
+    t: Tensor, theta: ThetaWeights, *, tol: float, max_iter: int, inner_tol: float
+) -> tuple[FunctionalCertificate, SupportOptimum]:
+    """A cold scaling run that stops once its bracket against the exact-support
+    bound is ``bracket_width(inner_tol)`` wide; also returns the bound's solve."""
+    hi, opt = exact_support_bound(t, theta, inner_tol)
+    cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter,
+                               upper_bits=hi, width=bracket_width(inner_tol))
+    return cert, opt
 
 
 def quantum_functional(
@@ -296,10 +337,19 @@ def quantum_functional(
     *,
     tol: float = 1e-10,
     max_iter: int = 200_000,
+    inner_tol: float = 1e-8,
 ) -> FunctionalCertificate:
-    """max of 2^(sum_j theta_j H(p_j)) over the marginal-spectra polytope of t."""
-    cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter)
-    return cert
+    """max of 2^(sum_j theta_j H(p_j)) over the marginal-spectra polytope of t.
+
+    The entropy program on the exact support of t (eta = 0, solved to
+    ``inner_tol``) plus its certified gap bounds the value from above, and
+    every scaling iterate bounds it from below.  The run stops once that
+    bracket is ``bracket_width(inner_tol)`` = 10 inner_tol bits wide, else
+    by the residual rule of ``entropic_scaling``.  ``bits`` is the last
+    iterate, which the witness and group factors attain; ``bracket`` holds
+    (bits, upper bound).
+    """
+    return _bracketed_scaling(t, theta, tol=tol, max_iter=max_iter, inner_tol=inner_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +425,18 @@ def _nm_refine_unitary(
     return to_unitary(best_x), float(min(res.fun, objective(x0)))
 
 
+def _candidate_solve(
+    ut: Tensor, objective, cfg: SearchConfig, exact: SupportOptimum | None
+) -> SupportOptimum:
+    """The support program of a rotated tensor on its ``cfg.eta`` support;
+    ``exact``, the same program's solve on the exact support, when the two
+    supports agree."""
+    s = support(ut, cfg.eta)
+    if exact is not None and np.array_equal(s.points, exact.distribution.support.points):
+        return exact
+    return min_convex_over_support(s, objective, tol=cfg.inner_tol)
+
+
 def support_functional(
     t: Tensor,
     theta: ThetaWeights,
@@ -387,47 +449,54 @@ def support_functional(
     Always an upper bound on the infimum over all bases.  The gap field
     reports (this value) - (quantum functional value); by the equality of
     the two functionals it should be nonnegative and small whenever the
-    search found an optimal basis.  The scaling run comes first: its value
-    bounds every basis from below, so the search stops at the first basis
-    within ``cfg.inner_tol`` bits of it, and Nelder-Mead refines the best
-    basis only while the bracket is open.  ``compute_gap=False`` skips the
-    scaling run when the caller compares against its own quantum value; the
-    search then scores every candidate.
+    search found an optimal basis.  The bracketed scaling run of
+    ``quantum_functional`` comes first: its value bounds every basis from
+    below, so the search stops at the first basis within
+    ``bracket_width(cfg.inner_tol)`` bits of it, and Nelder-Mead refines the
+    best basis only while the bracket is open.  ``bracket`` is the scaling
+    run's (lo, hi); this value lies inside it.  A candidate whose support is
+    the exact one reuses the solve that gave hi.  ``compute_gap=False``
+    skips the scaling run when the caller compares against its own quantum
+    value; the search then scores every candidate.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
     if theta.d != t.order:
         raise InvalidArgumentError("one theta weight per leg required")
+    objective = NegWeightedEntropy(theta)
 
-    q = (quantum_functional(t, theta, tol=cfg.scaling_tol, max_iter=cfg.scaling_max_iter)
-         if compute_gap else None)
-    stop_bits = q.bits + cfg.inner_tol if q is not None else -np.inf
+    q, exact = None, None
+    if compute_gap:
+        q, exact = _bracketed_scaling(t, theta, tol=cfg.scaling_tol,
+                                      max_iter=cfg.scaling_max_iter, inner_tol=cfg.inner_tol)
+    stop_bits = q.bits + bracket_width(cfg.inner_tol) if q is not None else -np.inf
 
-    def solve(u: GroupElement) -> tuple[float, JointDistribution]:
-        return max_weighted_entropy(support(apply_group(u, t), cfg.eta), theta, tol=cfg.inner_tol)
+    def solve(u: GroupElement) -> SupportOptimum:
+        return _candidate_solve(apply_group(u, t), objective, cfg, exact)
 
-    bits, best_u, dist = np.inf, None, None
+    bits, best_u, best = np.inf, None, None
     for scored, u in enumerate(unitary_candidates(t, cfg), 1):
-        b, d = solve(u)
-        if b < bits - 1e-15:
-            bits, best_u, dist = b, u, d
+        opt = solve(u)
+        if -opt.value < bits - 1e-15:
+            bits, best_u, best = -opt.value, u, opt
         if bits <= stop_bits:
             break
     if cfg.nm_budget > 0 and bits > stop_bits:
-        u_ref, b_ref = _nm_refine_unitary(t, best_u, lambda u: solve(u)[0], cfg.nm_budget)
+        u_ref, b_ref = _nm_refine_unitary(t, best_u, lambda u: -solve(u).value, cfg.nm_budget)
         if b_ref < bits - 1e-15:
-            best_u = u_ref
-            bits, dist = solve(u_ref)
+            best_u, best = u_ref, solve(u_ref)
+            bits = -best.value
     value = float(2.0**bits)
     return FunctionalCertificate(
         value=value,
         bits=float(bits),
-        witness=marginals_of(dist),
+        witness=best.marginals,
         theta=theta.values.copy(),
         group_factors=tuple(best_u.factors),
         converged=q.converged if q is not None else True,
         gap=value - q.value if q is not None else None,
         bases_scored=scored,
+        bracket=q.bracket if q is not None else None,
     )
 
 
@@ -671,17 +740,28 @@ def minimax_gap(
     below, so the basis search stops once that bracket closes to within
     ``cfg.inner_tol``.  A bracket closed to max(10 inner_tol, 1e-6) reports
     ``converged=True``; an open one reports the lhs solver's own flag.
+
+    For a negated weighted entropy the scaling run is the bracketed run of
+    ``quantum_functional``: it stops once its iterate is within
+    ``bracket_width(cfg.inner_tol)`` bits of the exact-support bound, so the
+    lhs may sit that far above the true value and the basis search allows
+    the same slack.  ``lhs_certificate.bracket`` holds the run's (lo, hi) in
+    bits of F_theta(t), and a candidate whose support is the exact one
+    reuses the solve that gave hi.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
 
+    exact, slack = None, cfg.inner_tol
     if isinstance(objective, NegWeightedEntropy):
-        q, _ = entropic_scaling(
+        q, exact = _bracketed_scaling(
             t,
             ThetaWeights.theta(objective.theta),
             tol=cfg.scaling_tol,
             max_iter=cfg.scaling_max_iter,
+            inner_tol=cfg.inner_tol,
         )
+        slack = bracket_width(cfg.inner_tol)
         lhs = -q.bits
         lhs_cert = FunctionalCertificate(
             value=lhs,
@@ -691,6 +771,7 @@ def minimax_gap(
             group_factors=q.group_factors,
             converged=q.converged,
             gap=None,
+            bracket=q.bracket,
         )
         lhs_converged = q.converged
     else:
@@ -709,11 +790,10 @@ def minimax_gap(
 
     best = None
     for scored, u in enumerate(unitary_candidates(t, cfg), 1):
-        s = support(apply_group(u, t), cfg.eta)
-        opt = min_convex_over_support(s, objective, tol=cfg.inner_tol)
+        opt = _candidate_solve(apply_group(u, t), objective, cfg, exact)
         if best is None or opt.value > best[0] + 1e-15:
             best = (opt.value, u, opt)
-        if best[0] - best[2].certified_gap >= lhs - cfg.inner_tol:
+        if best[0] - best[2].certified_gap >= lhs - slack:
             break
     rhs, best_u, rhs_opt = best
     closed_tol = max(cfg.inner_tol * 10, 1e-6)

@@ -22,7 +22,9 @@ import numpy as np
 
 from .functionals import (
     SearchConfig,
+    bracket_width,
     entropic_scaling,
+    exact_support_bound,
     minimize_over_moment_polytope,
     unitary_candidates,
 )
@@ -96,7 +98,9 @@ def _slice_rank_theta_route(
     max_k <theta, h_k> at the evaluated thetas, equals a converged run's
     bits.  From the vertices on, one loose cold-started run at the LP's theta
     adds a cut until hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts;
-    the best theta is then run at full accuracy.  Returns the value, theta,
+    the best theta is then run at full accuracy, stopped once it is within
+    ``bracket_width(cfg.inner_tol)`` bits of ``exact_support_bound`` at that
+    theta.  Returns the value, theta,
     (lo, hi) and the cut count.
     """
     legs = np.flatnonzero(xi.values > 0)
@@ -104,14 +108,14 @@ def _slice_rank_theta_route(
     def run(point: np.ndarray, loose: bool = True):
         theta = np.zeros(t.order)
         theta[legs] = point / point.sum()
-        return entropic_scaling(
-            t,
-            ThetaWeights.theta(theta),
-            tol=1e-9 if loose else cfg.scaling_tol,
-            max_iter=1500 if loose else min(cfg.scaling_max_iter, 30_000),
-            window=30 if loose else 50,
-            spectrum_tol=1e-6 if loose else 1e-8,
-        )[0]
+        weights = ThetaWeights.theta(theta)
+        if loose:
+            return entropic_scaling(t, weights, tol=1e-9, max_iter=1500, window=30,
+                                    spectrum_tol=1e-6)[0]
+        hi, _ = exact_support_bound(t, weights, cfg.inner_tol)
+        return entropic_scaling(t, weights, tol=cfg.scaling_tol,
+                                max_iter=min(cfg.scaling_max_iter, 30_000),
+                                upper_bits=hi, width=bracket_width(cfg.inner_tol))[0]
 
     # the evaluated points, scaled to <theta, xi> = 1, and their cuts
     points = list(np.diag(1.0 / xi.values[legs]))

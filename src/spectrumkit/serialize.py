@@ -148,6 +148,7 @@ def certificate_to_json_dict(cert: FunctionalCertificate) -> dict:
         else None
     )
     out["gap"] = float(cert.gap) if cert.gap is not None else None
+    out["bracket"] = [float(x) for x in cert.bracket] if cert.bracket is not None else None
     return out
 
 

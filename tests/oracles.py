@@ -23,11 +23,15 @@ def entropy_bits(p: np.ndarray) -> float:
 
 
 def simplex_grid(m: int, steps: int) -> np.ndarray:
-    """All weight vectors with entries k/steps summing to 1, shape (G, m)."""
-    out = []
-    for comp in itertools.combinations_with_replacement(range(m), steps):
-        out.append(np.bincount(comp, minlength=m) / steps)
-    return np.array(out)
+    """All weight vectors with entries k/steps summing to 1, shape (G, m).
+
+    Stars and bars: m - 1 bars among steps + m - 1 slots; the counts are the
+    runs of stars between consecutive bars."""
+    slots = steps + m - 1
+    combos = list(itertools.combinations(range(slots), m - 1))
+    bars = np.array(combos, dtype=int).reshape(len(combos), m - 1)
+    ends = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)])
+    return (np.diff(ends, axis=1) - 1) / steps
 
 
 def _marginal_table(points: np.ndarray, dims, weights: np.ndarray) -> list[np.ndarray]:

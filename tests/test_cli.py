@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import spectrumkit
-from spectrumkit import MatrixTuple, hypergraphs, make_unit, w_tensor
+from conftest import sparse_tensor
+from spectrumkit import MatrixTuple, functionals, hypergraphs, make_unit, w_tensor
 from spectrumkit import serialize as ser
 from spectrumkit.cli import main
 from spectrumkit.linprog import LpError
@@ -151,6 +152,51 @@ def test_check_minimax_unit2_linf(files, capsys):
     payload = json.loads(out)
     assert abs(payload["lhs"] - 0.5) <= 1e-6
     assert abs(payload["gap"]) <= 1e-6
+
+
+def test_bracket_in_the_output(files, capsys):
+    code, out = run(capsys, "functional", "quantum", files["w"], "--theta", "3/5,2/5,0")
+    payload = json.loads(out)
+    lo, hi = payload["bracket"]
+    assert code == 0 and payload["bits"] == lo
+    assert hi == 1.0 and 0.0 <= hi - lo <= 1e-7
+    code, out = run(capsys, "functional", "support", files["w"], "--theta", "3/5,2/5,0")
+    payload = json.loads(out)
+    assert code == 0 and payload["bracket"] == [lo, hi]
+    assert lo <= payload["bits"] <= hi
+    code, out = run(capsys, "functional", "symmetric", files["w"])
+    assert code == 0 and json.loads(out)["bracket"] is None
+
+
+def test_tol_sets_the_bracket_width(tmp_path, capsys):
+    # a sparse 3x3x2 tensor whose run closes its bracket before the residual rule
+    p = tmp_path / "sparse.json"
+    p.write_text(json.dumps(ser.tensor_to_json_dict(sparse_tensor((3, 3, 2), 8, 5))))
+    for tol, width in (("1e-8", 1e-7), ("1e-10", 1e-9)):
+        code, out = run(capsys, "functional", "quantum", str(p), "--theta", "3/5,2/5,0", "--tol", tol)
+        lo, hi = json.loads(out)["bracket"]
+        assert code == 0 and 0.0 <= hi - lo <= width
+
+
+def test_inverted_bracket_exit_3(files, capsys, monkeypatch):
+    # an upper bound half a bit too low: every iterate lies above it
+    bound = functionals.exact_support_bound
+
+    def low(*args):
+        hi, opt = bound(*args)
+        return hi - 0.5, opt
+
+    monkeypatch.setattr(functionals, "exact_support_bound", low)
+    for argv in (
+        ("functional", "quantum", files["w"], "--theta", "3/5,2/5,0"),
+        ("functional", "support", files["w"], "--theta", "3/5,2/5,0"),
+        ("check-minimax", files["w"], "--objective", "neg-entropy:3/5,2/5,0"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: inverted bracket") and captured.err.count("\n") == 1
+        assert captured.out  # the result is still printed
 
 
 def test_output_deterministic(files, tmp_path, capsys):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import F_W, basis_search_corpus, gl_w_tensor, symmetric_corpus
+from conftest import F_W, basis_search_corpus, gl_w_tensor, sparse_tensor, symmetric_corpus
 from oracles import descent_step, scaling_step
 from spectrumkit import (
     GroupElement,
@@ -22,9 +22,15 @@ from spectrumkit import (
     symmetric_quantum_functional,
     symmetric_support_functional,
     torus_moment_map,
+    w_tensor,
 )
 from spectrumkit import functionals
-from spectrumkit.functionals import minimize_over_moment_polytope, unitary_candidates
+from spectrumkit.functionals import (
+    bracket_width,
+    exact_support_bound,
+    minimize_over_moment_polytope,
+    unitary_candidates,
+)
 from spectrumkit.optim import L1FromUniform, MaxInfNorm, NegWeightedEntropy
 from spectrumkit.tensors import (
     direct_sum,
@@ -157,6 +163,49 @@ def test_scaling_nonconvergence_flagged(w):
     cert, trace = entropic_scaling(w, ThetaWeights.theta([0.6, 0.2, 0.2]), max_iter=3)
     assert not cert.converged
     assert not trace.converged
+    assert trace.stop == "cap"
+    assert entropic_scaling(w, UNIFORM3)[1].stop == "tol"
+
+
+TAIL_THETA = ThetaWeights.theta([0.6, 0.4, 0.0])
+
+
+def _tail_cases() -> list[tuple[str, Tensor]]:
+    """Inputs whose scaling runs at TAIL_THETA approach a boundary optimum
+    slowly: the residual rule ends them after about 10,000 and 8,000
+    iterations.  The exact supports give 1 bit and log2 3."""
+    return [("w", w_tensor()), ("sparse332-8", sparse_tensor((3, 3, 2), 8, 0))]
+
+
+@pytest.mark.parametrize("label, t", _tail_cases(), ids=[c[0] for c in _tail_cases()])
+def test_bracket_stops_the_scaling_tail(label, t):
+    hi, _ = exact_support_bound(t, TAIL_THETA, FAST.inner_tol)
+    assert abs(hi - {"w": 1.0, "sparse332-8": np.log2(3)}[label]) <= FAST.inner_tol
+    cert, trace = entropic_scaling(t, TAIL_THETA, upper_bits=hi, width=bracket_width(FAST.inner_tol))
+    assert trace.stop == "bracket" and cert.converged and trace.iterations <= 3000
+    lo, up = cert.bracket
+    assert (lo, up) == (cert.bits, hi)
+    assert lo <= up and up - lo <= 1e-7
+    q = quantum_functional(t, TAIL_THETA, inner_tol=FAST.inner_tol)
+    assert q.bracket == cert.bracket and q.bits == cert.bits
+
+
+def test_bracket_stopped_factors_witness_the_endpoint(w):
+    cert = quantum_functional(w, TAIL_THETA)
+    assert cert.bracket[1] - cert.bracket[0] <= bracket_width(1e-8)
+    _assert_factors_witness(cert.group_factors, w, cert.witness)
+
+
+def test_bracket_on_a_full_support_generic_tensor():
+    rng = np.random.default_rng(17)
+    for dims, theta in (((2, 3, 4), [0.5, 0.25, 0.25]), ((2, 2, 2), [0.6, 0.4, 0.0])):
+        t = random_tensor(dims, rng)
+        cert = quantum_functional(t, ThetaWeights.theta(theta))
+        lo, hi = cert.bracket
+        assert cert.converged and lo == cert.bits and lo <= hi
+        # the full support attains every product of uniform marginals
+        assert abs(hi - sum(th * np.log2(n) for th, n in zip(theta, dims))) <= 1e-8
+
 
 
 def _act(factors, t: Tensor) -> Tensor:
@@ -350,6 +399,25 @@ def test_support_search_stops_at_the_first_basis_meeting_the_bound(w):
     cert = support_functional(w, UNIFORM3, FAST)
     assert cert.bases_scored == 1
     assert abs(cert.value - F_W) <= 1e-6
+    # the run stops up to the bracket width below the support value
+    for label, t in _tail_cases():
+        cert = support_functional(t, TAIL_THETA, FAST)
+        lo, hi = cert.bracket
+        assert cert.bases_scored == 1 and lo <= cert.bits <= hi
+        assert 0.0 <= cert.bits - lo <= bracket_width(FAST.inner_tol)
+
+
+def test_support_search_reuses_the_exact_support_solve(w, monkeypatch):
+    solves = []
+    solve = functionals.min_convex_over_support
+    monkeypatch.setattr(functionals, "min_convex_over_support",
+                        lambda s, *a, **k: solves.append(s.size) or solve(s, *a, **k))
+    cert = support_functional(w, TAIL_THETA, FAST)
+    assert solves == [3] and cert.bases_scored == 1
+    solves.clear()
+    rep = minimax_gap(w, NegWeightedEntropy(TAIL_THETA), FAST)
+    assert solves == [3] and rep.bases_scored == 1
+    assert rep.lhs_certificate.bracket[0] == -rep.lhs
 
 
 def test_support_search_open_bracket_scores_every_basis():

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import F_W, H13_BITS
-from oracles import grid_max_weighted_entropy, grid_min_convex
+from oracles import grid_max_weighted_entropy, grid_min_convex, simplex_grid
 from spectrumkit import (
     InvalidArgumentError,
     JointDistribution,
@@ -78,6 +80,15 @@ def test_max_weighted_entropy_unit_tensors():
         bits, dist = max_weighted_entropy(s, ThetaWeights.uniform(3))
         assert abs(2.0**bits - r) <= 1e-8 * r
         assert abs(dist.weights.sum() - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("m, steps", [(3, 40), (4, 12), (2, 7), (5, 6)])
+def test_simplex_grid_rows_match_the_multiset_enumeration(m, steps):
+    grid = simplex_grid(m, steps)
+    ref = {tuple(np.bincount(c, minlength=m) / steps)
+           for c in itertools.combinations_with_replacement(range(m), steps)}
+    assert grid.shape == (len(ref), m)
+    assert {tuple(row) for row in grid} == ref
 
 
 def test_max_weighted_entropy_w_equals_grid_oracle(w):
