@@ -4,8 +4,9 @@
 Usage: python3 scripts/bench_orbit_kernels.py [--repeats N] [--src DIR] [--json]
 
 Each case is one call of ``entropic_scaling`` or ``minimize_over_moment_polytope``
-at its library defaults (the descent at the cap that ``g_stable_rank`` and
-``ncrank_moment`` use).  It prints the iterations, the CPU seconds (median over
+at its library defaults (the descent at a 6000-iteration cap and with no
+bound, so it runs on past the point where ``g_stable_rank`` and ``ncrank``
+stop it at their route bracket).  It prints the iterations, the CPU seconds (median over
 ``--repeats`` runs) and the CPU microseconds per iteration, so that a change in
 the cost of one iteration can be told apart from a change in the number of
 iterations.  ``--src`` runs the same cases against another checkout's ``src``

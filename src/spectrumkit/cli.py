@@ -40,7 +40,7 @@ from .functionals import (
 from .hypergraphs import ResourceLimitError
 from .linprog import LpError
 from .optim import L1FromUniform, MaxInfNorm, NegWeightedEntropy, ThetaWeights
-from .ranks import asymptotic_slice_rank, g_stable_rank, ncrank
+from .ranks import ROUTE_TOL, asymptotic_slice_rank, g_stable_rank, ncrank
 from .tensors import InvalidArgumentError, Tensor
 
 EXIT_OK = 0
@@ -168,7 +168,7 @@ def _cmd_rank(args) -> int:
                 if args.alpha
                 else ThetaWeights.alpha(np.ones(t.order))
             )
-            rep = g_stable_rank(t, alpha, cfg)
+            rep = g_stable_rank(t, alpha, cfg, route_tol=args.route_tol)
             if args.dump_lp:
                 from .hypergraphs import build_cover_lp, hypergraph_of
 
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="tensor or matrix-tuple JSON file")
     p.add_argument("--xi", type=str, default=None, help="cover weights (slice)")
     p.add_argument("--alpha", type=str, default=None, help="cover weights (gstable)")
-    p.add_argument("--route-tol", type=float, default=5e-3, dest="route_tol")
+    p.add_argument("--route-tol", type=float, default=ROUTE_TOL, dest="route_tol")
     p.add_argument("--dump-lp", type=str, default=None, dest="dump_lp",
                    help="write the identity-basis cover LP as debug JSON (gstable)")
     common(p)

@@ -511,6 +511,7 @@ class MomentDescentResult:
     group_factors: tuple[np.ndarray, ...]
     iterations: int
     converged: bool
+    stop: str  # why the descent stopped: "bracket", "tol" or "cap"
 
 
 def minimize_over_moment_polytope(
@@ -521,6 +522,7 @@ def minimize_over_moment_polytope(
     max_iter: int = 4000,
     tol: float = 1e-9,
     window: int = 60,
+    bound: float | None = None,
 ) -> MomentDescentResult:
     """Minimize a convex symmetric spectral function over marginal spectra
     reachable along the (active-leg) group orbit of t.
@@ -529,7 +531,10 @@ def minimize_over_moment_polytope(
     sorted spectrum; the step multiplies each active leg by
     exp(-eta/2 * U diag(grad) U^dag) with a backtracking line search on the
     smoothed objective.  Every iterate yields a feasible point, so the best
-    exact value seen is reported.
+    exact value seen is reported.  With ``bound`` (a value that an
+    independent route shows to be close enough to the minimum), the descent
+    stops, converged, as soon as the best exact value is at or below it,
+    the starting value included; ``iterations`` then counts the steps taken.
     """
     t.require_nonzero()
     legs = list(range(t.order)) if active_legs is None else list(active_legs)
@@ -546,17 +551,23 @@ def minimize_over_moment_polytope(
     step, total, history = 1.0, 0, [best_val]
     schedule = list(getattr(objective, "sharpness_schedule", SHARPNESS_SCHEDULE))
     iters_per = max_iter // len(schedule) + 1
+    met = bound is not None and best_val <= bound
 
     for sharp in schedule:
+        if met:
+            break
         stall = 0
         for _ in range(iters_per):
-            total += 1
             lam_stacks, vecs = views.spectra(s)
             lams = [lam[::-1] for lam in views.per_leg(lam_stacks)]
             exact = objective.value(lams)
             if exact < best_val - 1e-15:
                 best_val, best_wit, best_acc = exact, lams, acc
             history.append(exact)
+            met = bound is not None and best_val <= bound
+            if met:
+                break
+            total += 1
             _, grads = objective.minorant(lams, sharp)
             # h_j = V diag(grad_j) V^dag is diagonal in the marginal eigenbasis,
             # so exp(-eta/2 h_j) = V diag(exp(-eta/2 grad_j)) V^dag; the gradients
@@ -591,13 +602,14 @@ def minimize_over_moment_polytope(
             stall = 0
 
     tail = history[-window:]
-    converged = len(history) >= window and (max(tail) - min(tail) < max(tol, 1e-12) * 10)
+    converged = met or len(history) >= window and (max(tail) - min(tail) < max(tol, 1e-12) * 10)
     return MomentDescentResult(
         value=float(best_val),
         witness=MarginalTuple(tuple(w / w.sum() for w in best_wit)),
         group_factors=tuple(f / np.linalg.norm(f, 2) for f in views.per_leg(best_acc)),
         iterations=total,
         converged=bool(converged),
+        stop="bracket" if met else "tol" if converged else "cap",
     )
 
 

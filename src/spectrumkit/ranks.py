@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import (
+    MomentDescentResult,
     SearchConfig,
     bracket_width,
     entropic_scaling,
@@ -67,11 +68,27 @@ class RankReport:
         }
 
 
+#: routes within this distance of each other count as agreeing, and a
+#: moment descent stops once its route is this close to the other route
+ROUTE_TOL = 5e-3
+
+
 def _route_gap(routes: dict[str, float]) -> float:
     vals = [v for v in routes.values() if np.isfinite(v)]
     if len(vals) < 2:
         return 0.0
     return float(max(vals) - min(vals))
+
+
+def _descent_bound(meets, guess: float) -> float:
+    """The descent bound for a stop test ``meets(value)`` that holds at and
+    below some value near ``guess``: ``guess``, lowered ulp by ulp until the
+    test holds in floating point.  The test must be monotone (it holds below
+    every value at which it holds), so any descent value at or below the
+    bound passes the same test that the report applies."""
+    while not meets(guess):
+        guess = float(np.nextafter(guess, -np.inf))
+    return guess
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +195,7 @@ def asymptotic_slice_rank(
         value=float(val_a),
         routes=routes,
         gap=gap,
-        status="ok" if gap <= 5e-3 and not notes else "warn",
+        status="ok" if gap <= ROUTE_TOL and not notes else "warn",
         notes=notes,
         details={"theta": best_theta, "basis": best_u,
                  "theta_bracket": (float(2**lo), float(2**hi)), "scaling_runs": cuts + 1,
@@ -194,9 +211,17 @@ def g_stable_rank(
     t: Tensor,
     alpha: ThetaWeights | None = None,
     cfg: SearchConfig | None = None,
+    *,
+    route_tol: float = ROUTE_TOL,
 ) -> RankReport:
     """The G-stable rank by the cover LP over sampled bases ("cover_lp") and
-    by the reciprocal inf-norm program over marginal spectra ("moment_linf")."""
+    by the reciprocal inf-norm program over marginal spectra ("moment_linf").
+
+    Every cover LP is an upper end and every descent point's 1 / value a
+    lower end, so the descent stops once cover_lp - 1 / value <= route_tol;
+    ``details["descent_iterations"]`` and ``details["descent_stop"]`` say
+    how it ended.  A moment route above the cover route by more than
+    route_tol is an inverted bracket: a note and status "warn"."""
     t.require_nonzero()
     cfg = cfg or SearchConfig()
     alpha = alpha or ThetaWeights.alpha(np.ones(t.order))
@@ -214,20 +239,29 @@ def g_stable_rank(
         if cover_of[h] < val_a - 1e-15:
             val_a, best_u = cover_of[h], u
 
+    val_a = float(val_a)
+    bound = None
+    if val_a > route_tol:
+        bound = _descent_bound(lambda v: val_a - 1.0 / v <= route_tol, 1.0 / (val_a - route_tol))
     descent = minimize_over_moment_polytope(
-        t, MaxInfNorm(alpha), max_iter=6000
+        t, MaxInfNorm(alpha), max_iter=6000, bound=bound
     )
     val_b = 1.0 / descent.value
 
-    routes = {"cover_lp": float(val_a), "moment_linf": float(val_b)}
+    routes = {"cover_lp": val_a, "moment_linf": float(val_b)}
     gap = _route_gap(routes)
+    notes = ()
+    if val_b - val_a > route_tol:
+        notes = (f"inverted bracket: moment_linf {val_b:.6f} above cover_lp {val_a:.6f}",)
     return RankReport(
         quantity="g_stable_rank",
-        value=float(val_a),
+        value=val_a,
         routes=routes,
         gap=gap,
-        status="ok" if gap <= 5e-3 else "warn",
-        details={"basis": best_u, "witness": descent.witness},
+        status="ok" if gap <= route_tol and not notes else "warn",
+        notes=notes,
+        details={"basis": best_u, "witness": descent.witness,
+                 "descent_iterations": descent.iterations, "descent_stop": descent.stop},
     )
 
 
@@ -305,31 +339,46 @@ def ncrank_blowup(
     return best
 
 
+def _moment_raw(n: int, value: float) -> float:
+    return n - 0.5 * n * value
+
+
 def ncrank_moment(
     a: MatrixTuple,
     cfg: SearchConfig | None = None,
     *,
     max_iter: int = 6000,
-) -> tuple[float, int]:
+    upper: float | None = None,
+) -> tuple[float, int, MomentDescentResult]:
     """Marginal-uniformity route: ncrk = n - (n/2) * min over the left-right
     orbit of ||p_1 - 1/n||_1 + ||p_2 - 1/n||_1, where p_1, p_2 are the row
-    and column marginal spectra.  Returns the raw value and its rounding."""
+    and column marginal spectra.  Every orbit point gives a lower end, so
+    with an upper end ``upper`` (a cover number) the descent stops once
+    upper - raw <= ROUTE_TOL.  Returns the raw value, its rounding and the
+    descent."""
     cfg = cfg or SearchConfig()
     t = a.as_tensor()
+    bound = None
+    if upper is not None:
+        bound = _descent_bound(lambda v: upper - _moment_raw(a.n, v) <= ROUTE_TOL,
+                               2.0 * (a.n - upper + ROUTE_TOL) / a.n)
     res = minimize_over_moment_polytope(
-        t, L1FromUniform(), active_legs=(0, 1), max_iter=max_iter
+        t, L1FromUniform(), active_legs=(0, 1), max_iter=max_iter, bound=bound
     )
-    raw = a.n - 0.5 * a.n * res.value
-    return float(raw), int(np.floor(raw + 0.5))
+    raw = _moment_raw(a.n, res.value)
+    return float(raw), int(np.floor(raw + 0.5)), res
 
 
 def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
-    """All three noncommutative rank routes with exact-agreement status."""
+    """All three noncommutative rank routes with exact-agreement status.  The
+    moment descent stops once its raw value is within ROUTE_TOL of the
+    bipartite cover; a raw value above the cover by more than 0.25 is an
+    inverted bracket (a note and status "warn")."""
     cfg = cfg or SearchConfig(restarts=40)
     notes = _tuple_degeneracy_notes(a)
     fr, fr_cert = ncrank_fr(a, cfg)
     blow = ncrank_blowup(a, seed=cfg.seed)
-    raw, rounded = ncrank_moment(a, cfg)
+    raw, rounded, descent = ncrank_moment(a, cfg, upper=float(fr))
     routes = {
         "fortin_reutenauer": float(fr),
         "blowup": float(blow),
@@ -342,6 +391,9 @@ def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
     if abs(raw - rounded) > 0.25:
         status = "warn"
         notes = notes + (f"moment route rounds {raw:.4f} -> {rounded}",)
+    if raw - fr > 0.25:
+        status = "warn"
+        notes = notes + (f"inverted bracket: moment raw {raw:.4f} above fortin_reutenauer {fr}",)
     return RankReport(
         quantity="ncrank",
         value=float(fr),
@@ -349,5 +401,6 @@ def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
         gap=gap,
         status=status,
         notes=notes,
-        details={"moment_raw": raw, "fr_certificate": fr_cert},
+        details={"moment_raw": raw, "fr_certificate": fr_cert,
+                 "descent_iterations": descent.iterations, "descent_stop": descent.stop},
     )

@@ -102,6 +102,19 @@ def test_rank_gstable_w(files, capsys):
     assert abs(payload["value"] - 1.5) <= 1e-3
 
 
+def test_rank_gstable_route_tol_sets_the_descent_stop(tmp_path, capsys):
+    # the descent on W x W ends 7.1e-4 below the cover LP's 3 when it runs to
+    # its cap; --route-tol 1e-3 stops it earlier, within 1e-3
+    p = tmp_path / "ww.json"
+    p.write_text(json.dumps(ser.tensor_to_json_dict(spectrumkit.tensor_product(w_tensor(), w_tensor()))))
+    for tol, expected in (("1e-3", 0), ("1e-4", 3)):
+        code, out = run(capsys, "rank", "gstable", str(p), "--restarts", "4", "--route-tol", tol)
+        payload = json.loads(out)
+        assert code == expected
+        assert payload["value"] == 3.0
+        assert (payload["gap"] <= float(tol)) == (expected == 0)
+
+
 def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
     def failing(lp):
         raise LpError("iteration limit reached")
@@ -166,6 +179,15 @@ def test_bracket_in_the_output(files, capsys):
     assert lo <= payload["bits"] <= hi
     code, out = run(capsys, "functional", "symmetric", files["w"])
     assert code == 0 and json.loads(out)["bracket"] is None
+
+
+def test_bracket_ordered_up_to_rounding(files, capsys):
+    # on unit3 the first iterate lies one ulp above the exact-support bound,
+    # which is inside the bracket width, so no inverted-bracket exit
+    code, out = run(capsys, "functional", "quantum", files["unit3"], "--theta", "1/3,1/3,1/3")
+    lo, hi = json.loads(out)["bracket"]
+    assert code == 0
+    assert lo <= hi + 1e-7
 
 
 def test_tol_sets_the_bracket_width(tmp_path, capsys):

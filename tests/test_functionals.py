@@ -246,7 +246,38 @@ def test_descent_at_iteration_cap_is_not_converged(w):
     ww = tensor_product(w, w)
     res = minimize_over_moment_polytope(ww, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), max_iter=14)
     assert res.iterations >= 14
-    assert not res.converged
+    assert not res.converged and res.stop == "cap"
+
+
+def test_unbounded_descent_on_ww_runs_to_the_cap(w):
+    res = minimize_over_moment_polytope(
+        tensor_product(w, w), MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), max_iter=6000
+    )
+    assert res.iterations == 4443
+    assert res.stop == "cap" and not res.converged
+
+
+def test_descent_bound_never_met_leaves_the_run_unchanged():
+    t = random_tensor((2, 3, 4), np.random.default_rng(0))
+    objective = MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))
+    free = minimize_over_moment_polytope(t, objective, max_iter=200)
+    bounded = minimize_over_moment_polytope(t, objective, max_iter=200, bound=0.0)
+    assert (bounded.value, bounded.iterations, bounded.stop) == (free.value, free.iterations, free.stop)
+    assert all(np.array_equal(f, g) for f, g in zip(bounded.group_factors, free.group_factors))
+
+
+def test_descent_stops_at_the_bound():
+    t = random_tensor((2, 3, 4), np.random.default_rng(0))
+    objective = MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))
+    res = minimize_over_moment_polytope(t, objective, bound=np.inf)  # met at the start
+    assert (res.iterations, res.stop, res.converged) == (0, "bracket", True)
+    start = res.value
+    free = minimize_over_moment_polytope(t, objective, max_iter=200)
+    target = 0.5 * (start + free.value)
+    res = minimize_over_moment_polytope(t, objective, max_iter=200, bound=target)
+    assert res.stop == "bracket" and res.converged
+    assert res.value <= target and 0 < res.iterations < free.iterations
+    _assert_factors_witness(res.group_factors, t, res.witness)
 
 
 def _kernel_cases() -> list[tuple[str, Tensor]]:

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from spectrumkit import (
 from spectrumkit import ranks
 from spectrumkit.functionals import unitary_candidates
 from spectrumkit.hypergraphs import asymptotic_vertex_cover, hypergraph_of
-from spectrumkit.tensors import Tensor, apply_group, random_tensor
+from spectrumkit.tensors import Tensor, apply_group, random_tensor, tensor_product
 
 FAST = SearchConfig(restarts=6, nm_budget=0)
 XI1 = ThetaWeights.xi([1, 1, 1])
@@ -171,6 +172,25 @@ def test_g_stable_rank_examples(w):
         assert abs(v - 1.0) <= 1e-6
 
 
+def test_g_stable_descent_stops_at_the_bracket(w):
+    rep = g_stable_rank(tensor_product(w, w), AL1, FAST)
+    assert rep.details["descent_stop"] == "bracket"
+    assert rep.details["descent_iterations"] <= 200
+    assert rep.value == 3.0 and rep.routes["cover_lp"] == 3.0
+    assert rep.gap <= ranks.ROUTE_TOL and rep.status == "ok"
+    rep = g_stable_rank(w, AL1, FAST)
+    assert (rep.details["descent_iterations"], rep.details["descent_stop"]) == (0, "bracket")
+
+
+def test_g_stable_inverted_bracket_warns(w, monkeypatch):
+    # a cover route 0.5 below the moment route's 1.5 on W
+    monkeypatch.setattr(ranks, "fractional_vertex_cover", lambda h, alpha: SimpleNamespace(value=1.0))
+    rep = g_stable_rank(w, AL1, FAST)
+    assert rep.status == "warn"
+    assert [n for n in rep.notes if n.startswith("inverted bracket: ")]
+    assert rep.routes["moment_linf"] - rep.routes["cover_lp"] > ranks.ROUTE_TOL
+
+
 def test_g_stable_below_slice_rank(w):
     # fractional covers sit below entropic covers, pointwise in the basis
     for t in (w, make_unit(2, 3)):
@@ -203,6 +223,36 @@ def test_ncrank_skew_basis():
     assert rep.status == "ok"
 
 
+@pytest.mark.parametrize("label", ["identity", "row_pencil", "skew"])
+def test_ncrank_moment_stops_at_the_start(label):
+    a = {"identity": MatrixTuple(np.eye(3)[None, :, :]), "row_pencil": row_pencil(),
+         "skew": skew_basis3()}[label]
+    rep = ncrank(a, FAST)
+    assert (rep.details["descent_iterations"], rep.details["descent_stop"]) == (0, "bracket")
+    assert rep.value - rep.details["moment_raw"] <= ranks.ROUTE_TOL
+
+
+def test_ncrank_moment_stops_within_route_tol_of_the_cover():
+    rng = np.random.default_rng(4)
+    a = MatrixTuple(rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6)))
+    rep = ncrank(a, FAST)
+    assert rep.value == 6.0 and rep.status == "ok"
+    assert rep.details["descent_stop"] == "bracket"
+    assert 0.0 <= rep.value - rep.details["moment_raw"] <= ranks.ROUTE_TOL
+    raw, rounded, res = ncrank_moment(a)  # no upper end: the descent runs on
+    assert rounded == 6 and res.stop != "bracket"
+    assert res.iterations > rep.details["descent_iterations"]
+
+
+def test_ncrank_inverted_bracket_warns(monkeypatch):
+    # a cover route of 1 on the 3x3 identity, whose moment route gives 3
+    monkeypatch.setattr(ranks, "ncrank_fr", lambda a, cfg: (1, {}))
+    rep = ncrank(MatrixTuple(np.eye(3)[None, :, :]), FAST)
+    assert rep.status == "warn"
+    assert [n for n in rep.notes if n.startswith("inverted bracket: ")]
+    assert rep.details["moment_raw"] - rep.value > 0.25
+
+
 def test_ncrank_blowup_needs_size_two_for_skew():
     a = skew_basis3()
     assert ncrank_blowup(a, max_size=1) == 2  # odd skew pencils drop rank at size 1
@@ -220,7 +270,7 @@ def test_ncrank_rank_deficient_block_tuple():
     fr, _ = ncrank_fr(a, FAST)
     assert fr == 2
     assert ncrank_blowup(a) == 2
-    raw, rounded = ncrank_moment(a)
+    raw, rounded, _ = ncrank_moment(a)
     assert rounded == 2 and abs(raw - 2) <= 0.1
 
 
