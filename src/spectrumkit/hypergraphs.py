@@ -1,13 +1,17 @@
 """d-partite hypergraph covers: exact, fractional, asymptotic, and bipartite.
 
 The exact weighted cover is a branch-and-bound over "which vertex covers the
-first uncovered edge"; the fractional cover is a linear program solved with
-HiGHS; the asymptotic cover is the entropy program over the edge set viewed
-as a support set; the bipartite cover comes from a Hopcroft-Karp matching.
+first uncovered edge", run from an explicit stack; it stops as soon as its
+best cover costs no more than a certified lower bound, the dual fractional
+matching of the unit-weight cover LP on the edges projected onto the usable
+parts.  The fractional cover is a linear program solved with HiGHS; the
+asymptotic cover is the entropy program over the edge set viewed as a
+support set; the bipartite cover comes from a Hopcroft-Karp matching.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,31 +124,60 @@ def kronecker_power(h: Hypergraph, n: int, *, edge_cap: int = KRONECKER_EDGE_CAP
 class CoverResult:
     value: float
     cover: tuple[tuple[int, int], ...]  # (part, vertex) 0-based
+    lower_bound: float = 0.0  # certified: no cover costs less
+    nodes: int = 0  # branch-and-bound nodes visited
 
 
-def _greedy_matching_bound(edges: Sequence[tuple[int, ...]], covered: np.ndarray) -> int:
-    """Number of pairwise disjoint uncovered edges: a lower bound on extra cover vertices."""
-    used_parts: list[set[int]] | None = None
+def _greedy_matching_bound(edges: Sequence[tuple[int, ...]], uncovered: np.ndarray) -> int:
+    """Number of pairwise disjoint edges among the uncovered ones: a lower
+    bound on the extra cover vertices they need."""
+    used: list[set[int]] = [set() for _ in edges[0]]
     count = 0
-    for k, e in enumerate(edges):
-        if covered[k]:
+    for k in uncovered.tolist():
+        e = edges[k]
+        if any(v in u for v, u in zip(e, used)):
             continue
-        if used_parts is None:
-            used_parts = [set() for _ in e]
-        if any(e[j] in used_parts[j] for j in range(len(e))):
-            continue
-        for j in range(len(e)):
-            used_parts[j].add(e[j])
+        for v, u in zip(e, used):
+            u.add(v)
         count += 1
     return count
+
+
+def _cover_lower_bound(h: Hypergraph, allowed: Sequence[int], xi: ThetaWeights) -> float:
+    """A certified lower bound on the cost of every cover that uses only the
+    allowed parts.
+
+    Such a cover costs sum_j r_j^(1/xi_j) >= sum_j r_j, since xi <= 1, and
+    its vertices cover the edges projected onto the allowed parts, so it
+    costs at least the unit-weight fractional cover of that projection.  Its
+    dual matching y, scaled down by its largest vertex load, is feasible
+    whatever rounding the LP solver left in it, so sum(y) / load is a bound
+    by weak duality.  With every allowed xi_j = 1 the cost is an integer.
+    """
+    projected = Hypergraph(
+        tuple(h.parts[j] for j in allowed), tuple({tuple(e[j] for j in allowed) for e in h.edges})
+    )
+    matching = fractional_vertex_cover(projected, ThetaWeights.alpha(np.ones(len(allowed)))).matching
+    load: dict[tuple[int, int], float] = {}
+    for e, y in matching.items():
+        for j, v in enumerate(e):
+            load[(j, v)] = load.get((j, v), 0.0) + y
+    lo = sum(matching.values()) / max(1.0, max(load.values(), default=0.0))
+    if all(xi.values[j] == 1.0 for j in allowed):
+        lo = math.ceil(lo - 1e-9)
+    return float(lo)
 
 
 def vertex_cover(h: Hypergraph, xi: ThetaWeights) -> CoverResult:
     """Exact weighted vertex cover: minimize sum_i r_i^(1/xi_i) over 0/1 covers.
 
     r_i is the number of chosen vertices in part i.  Parts with xi_i = 0 may
-    not be used at all.  Branch and bound: branch on which vertex of the
-    first uncovered edge joins the cover, pruned with a disjoint-edge bound.
+    not be used at all.  Branch and bound, depth first from an explicit
+    stack: branch on which vertex of the first uncovered edge joins the
+    cover, pruned with a bound from edges disjoint on the allowed parts, and
+    stopped once the best cover meets the certified lower bound of
+    ``_cover_lower_bound``.  The incumbent changes only on a strict
+    improvement, so the stop changes neither the value nor the cover.
     """
     if xi.role != "xi":
         raise InvalidArgumentError("vertex_cover expects weights with role 'xi'")
@@ -157,6 +190,7 @@ def vertex_cover(h: Hypergraph, xi: ThetaWeights) -> CoverResult:
         return CoverResult(0.0, ())
     edges = list(h.edges)
     exponents = {j: 1.0 / xi.values[j] for j in allowed}
+    lower = _cover_lower_bound(h, allowed, xi)
 
     # deterministic branching order: vertices of the edge sorted by
     # decreasing degree, then by (part, vertex)
@@ -165,41 +199,64 @@ def vertex_cover(h: Hypergraph, xi: ThetaWeights) -> CoverResult:
         for j in allowed:
             degree[(j, e[j])] = degree.get((j, e[j]), 0) + 1
 
+    # vertices of zero-weight parts are never chosen, so only the allowed
+    # parts can make two uncovered edges need one vertex between them
+    projected = [tuple(e[j] for j in allowed) for e in edges]
     edge_arr = np.array(edges, dtype=np.int64)
+    covered = np.zeros(len(edges), dtype=bool)
+    counts = [0] * h.d
+    chosen: set[tuple[int, int]] = set()
     best_val = np.inf
     best_cover: list[tuple[int, int]] = []
+    nodes = 0
 
-    def cost(counts: dict[int, int]) -> float:
-        return sum(c ** exponents[j] for j, c in counts.items() if c > 0)
+    def cost() -> float:
+        return sum(counts[j] ** exponents[j] for j in allowed if counts[j] > 0)
 
-    def recurse(chosen: set[tuple[int, int]], counts: dict[int, int], covered: np.ndarray):
-        nonlocal best_val, best_cover
-        if covered.all():
-            val = cost(counts)
+    def visit() -> list[tuple[int, int]] | None:
+        """Enter the current node: keep a strictly better cover at a leaf,
+        and return the branching options of an inner node the bound keeps."""
+        nonlocal best_val, best_cover, nodes
+        nodes += 1
+        uncovered = np.flatnonzero(~covered)
+        if uncovered.size == 0:
+            val = cost()
             if val < best_val - 1e-12:
                 best_val = val
                 best_cover = sorted(chosen)
-            return
-        bound = cost(counts) + _greedy_matching_bound(edges, covered)
-        if bound >= best_val - 1e-12:
-            return
-        k = int(np.flatnonzero(~covered)[0])
-        e = edges[k]
-        options = sorted(allowed, key=lambda j: (-degree[(j, e[j])], j))
-        for j in options:
-            v = (j, e[j])
-            chosen.add(v)
-            counts[j] = counts.get(j, 0) + 1
-            newly = edge_arr[:, j] == e[j]
-            delta = newly & ~covered
-            covered[delta] = True
-            recurse(chosen, counts, covered)
+            return None
+        if cost() + _greedy_matching_bound(projected, uncovered) >= best_val - 1e-12:
+            return None
+        e = edges[uncovered[0]]
+        return [(j, e[j]) for j in sorted(allowed, key=lambda j: (-degree[(j, e[j])], j))]
+
+    # a frame holds a node's options, the index of the next one, and the
+    # edges that the option taken last newly covered
+    stack: list[list] = []
+    options = visit()
+    if options:
+        stack.append([options, 0, None])
+    while stack and best_val > lower + 1e-12:
+        frame = stack[-1]
+        options, pos, delta = frame
+        if delta is not None:
+            j, v = options[pos - 1]
             covered[delta] = False
             counts[j] -= 1
-            chosen.discard(v)
-
-    recurse(set(), {}, np.zeros(len(edges), dtype=bool))
-    return CoverResult(float(best_val), tuple(best_cover))
+            chosen.discard((j, v))
+        if pos == len(options):
+            stack.pop()
+            continue
+        j, v = options[pos]
+        delta = (edge_arr[:, j] == v) & ~covered
+        covered[delta] = True
+        counts[j] += 1
+        chosen.add((j, v))
+        frame[1], frame[2] = pos + 1, delta
+        options = visit()
+        if options:
+            stack.append([options, 0, None])
+    return CoverResult(float(best_val), tuple(best_cover), lower, nodes)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the package solvers: entropy programs
 are checked by dense grids over the weight simplex, linear programs by
-enumerating basic feasible points, and covers by exhausting vertex subsets.
+enumerating basic feasible points, and covers, plain and weighted, by
+exhausting vertex subsets.
 The orbit-loop steps at the end are built leg by leg from
 ``tensors.marginal``, ``np.linalg.eigh`` and ``tensors.apply_factor``.
 """
@@ -120,6 +121,21 @@ def brute_force_vertex_cover(parts, edges) -> int:
             if all(any((j, e[j]) in chosen for j in range(len(parts))) for e in edges):
                 return size
     return len(vertices)
+
+
+def brute_force_weighted_cover(parts, edges, xi) -> float:
+    """Least cost sum_j r_j^(1/xi_j) of a vertex set hitting every edge, with
+    r_j the chosen vertices of part j and the parts of xi_j = 0 excluded, by
+    subset enumeration."""
+    vertices = [(j, v) for j, n in enumerate(parts) if xi[j] > 0 for v in range(n)]
+    best = np.inf
+    for size in range(len(vertices) + 1):
+        for combo in itertools.combinations(vertices, size):
+            chosen = set(combo)
+            if all(any((j, e[j]) in chosen for j in range(len(parts))) for e in edges):
+                counts = [sum(1 for j, _ in combo if j == k) for k in range(len(parts))]
+                best = min(best, sum(c ** (1.0 / xi[k]) for k, c in enumerate(counts) if c > 0))
+    return float(best)
 
 
 def _sorted_spectra(t: Tensor, legs) -> tuple[list[np.ndarray], list[np.ndarray]]:

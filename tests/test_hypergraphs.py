@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import F_W
-from oracles import brute_force_vertex_cover
+from oracles import brute_force_vertex_cover, brute_force_weighted_cover
 from spectrumkit import (
     BipartiteGraph,
     Hypergraph,
@@ -110,6 +110,49 @@ def test_vertex_cover_matches_brute_force_random():
     for _ in range(10):
         h = rand_hypergraph(rng, max_edges=6)
         assert vertex_cover(h, XI1).value == brute_force_vertex_cover(h.parts, h.edges)
+
+
+@pytest.mark.parametrize("xi", [(1.0, 1.0, 0.0), (1.0, 0.5, 1.0), (0.5, 1.0, 1.0)])
+def test_vertex_cover_matches_weighted_brute_force_random(xi):
+    rng = np.random.default_rng(11)
+    for _ in range(15):
+        h = rand_hypergraph(rng, max_edges=7)
+        res = vertex_cover(h, ThetaWeights.xi(xi))
+        best = brute_force_weighted_cover(h.parts, h.edges, xi)
+        assert abs(res.value - best) <= 1e-9, (h, res.value, best)
+        assert res.lower_bound <= best + 1e-9
+        chosen = set(res.cover)
+        assert all(xi[j] > 0 for j, _ in chosen)
+        assert all(any((j, e[j]) in chosen for j in range(3)) for e in h.edges)
+
+
+def test_vertex_cover_stops_only_once_the_best_cover_meets_the_bound():
+    # the first cover found costs 31 and the certified bound is 9, so a
+    # search stopped short of the bound returns more than the optimum 11
+    h = kronecker_power(hypergraph_of(w_tensor()), 4)
+    res = vertex_cover(h, ThetaWeights.xi([1.0, 0.5, 1.0]))
+    assert res.value == 11 and res.lower_bound == 9
+
+
+def test_vertex_cover_stops_at_the_lower_bound():
+    # the optimum 16 is found at node 17 and meets the bound; without the
+    # stop the search needs 65,537 nodes to prove it.  Part 0 keeps the vertices of
+    # at most two 1-bits, part 1 those of at most one.
+    h = kronecker_power(hypergraph_of(w_tensor()), 4)
+    res = vertex_cover(h, ThetaWeights.xi([1.0, 1.0, 0.0]))
+    assert res.value == 16 and res.lower_bound == 16
+    assert res.nodes <= 20
+    assert res.cover == tuple((0, v) for v in (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12)) + tuple(
+        (1, v) for v in (0, 1, 2, 4, 8)
+    )
+
+
+def test_vertex_cover_of_many_disjoint_edges():
+    # one branching level per edge: deeper than the recursion limit
+    n = 1100
+    h = Hypergraph((n, n, n), tuple((i, i, i) for i in range(n)))
+    res = vertex_cover(h, XI1)
+    assert res.value == n and len(res.cover) == n
 
 
 def test_fractional_cover_examples():
