@@ -1,24 +1,34 @@
 #!/usr/bin/env python3
-"""Time one basis search: the support functional, the slice-rank cover route
-and the minimax check.
+"""Time the basis searches: the support functional, the slice-rank and
+G-stable cover routes, the minimax check, the symmetric support functional
+and the matrix-pair search of ``ncrank_fr``.
 
 Usage: python3 scripts/bench_basis_search.py [--repeats N] [--src DIR] [--json]
 
 Each case is one library call at the command line's defaults (20 Haar
-restarts, no Nelder-Mead refinement, seed 0) on a named tensor.  It prints
-the bases scored, the CPU seconds of the basis search (from the first
-candidate drawn to the end of the scan) and the CPU seconds of the whole
-call, which adds the independent route (scaling, cutting planes or moment
-descent); times are medians over ``--repeats`` runs, after one untimed run
-of every case that pays for scipy's lazy imports.  The bases are counted
-by wrapping ``unitary_candidates`` where the searches call it, so the
-numbers mean the same on a checkout whose searches score every candidate.
-``--src`` runs the same cases against another checkout's ``src`` directory;
+restarts, seed 0; 40 restarts for ``ncrank_fr``) on a named tensor or
+matrix tuple.  It prints the bases scored, the CPU seconds of the basis
+search (from the first candidate drawn to the end of the scan), the CPU
+seconds of the whole call, which adds the independent route (scaling,
+cutting planes or moment descent), and a digest of the result; times are
+medians over ``--repeats`` runs, after one untimed run of every case that
+pays for scipy's lazy imports.  The bases are counted by wrapping
+``unitary_candidates`` where the searches call it, or, for the two searches
+that draw their own candidates and are the whole call, the function that
+scores each candidate once; so the numbers mean the same on a checkout
+whose searches score every candidate.  The digest hashes every value,
+array and basis of the result except the counts of bases scored, so two
+checkouts whose searches pick the same bases print the same digests.
+``--src`` runs the same cases against another checkout's ``src``
+directory; a checkout whose ``SearchConfig`` has a local-search budget
+(``*_budget``) runs with it at 0, the command line's default there.
 ``--json`` prints one JSON object in place of the table.  BLAS is pinned to
 one thread.
 """
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import statistics
@@ -27,6 +37,40 @@ import time
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
+
+import numpy as np  # noqa: E402  (after the BLAS thread pin)
+
+#: result fields that count the bases scored; not every checkout reports them
+COUNTS = {"bases_scored", "pairs_scored", "cover_bases"}
+
+
+def _feed(h, x) -> None:
+    if dataclasses.is_dataclass(x):
+        h.update(type(x).__name__.encode())
+        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        for k in sorted(set(x) - COUNTS):
+            h.update(str(k).encode())
+            _feed(h, x[k])
+    elif isinstance(x, (list, tuple)):
+        h.update(b"[")
+        for y in x:
+            _feed(h, y)
+        h.update(b"]")
+    elif isinstance(x, np.ndarray):
+        h.update(repr((x.dtype.str, x.shape)).encode())
+        h.update(np.ascontiguousarray(x).tobytes())
+    elif x is None or isinstance(x, (bool, int, float, str, np.generic)):
+        h.update(repr(x).encode())
+    else:
+        raise TypeError(f"cannot digest {type(x).__name__}")
+
+
+def digest(result) -> str:
+    """A sha256 prefix of ``result`` without its counts of bases scored."""
+    h = hashlib.sha256()
+    _feed(h, result)
+    return h.hexdigest()[:16]
 
 
 class SearchProbe:
@@ -48,8 +92,23 @@ class SearchProbe:
             self.search_s += time.process_time() - start
 
 
-def cases(sk, np):
-    """(name, call) for every case."""
+class CallCounter:
+    """Counts the calls of a function that scores each candidate once."""
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.func(*args, **kwargs)
+
+
+def cases(sk):
+    """(name, call, scorer) for every case: ``scorer`` is None for a search
+    over ``unitary_candidates``, else the (module, name) of the function
+    that scores each candidate of a search that is the whole call."""
+    from spectrumkit import functionals, ranks
     from spectrumkit.optim import MaxInfNorm, ThetaWeights
     from spectrumkit.tensors import Tensor, direct_sum, random_tensor
 
@@ -64,15 +123,32 @@ def cases(sk, np):
         # W under a Gaussian GL element: no candidate meets the bound
         "GL.W": Tensor(np.einsum("ai,bj,ck,ijk->abc", *mats, w.entries)),
     }
-    cfg = sk.SearchConfig(nm_budget=0)
+    budgets = {f.name: 0 for f in dataclasses.fields(sk.SearchConfig) if f.name.endswith("_budget")}
+    cfg = sk.SearchConfig(**budgets)
     theta = ThetaWeights.uniform(3)
     xi = ThetaWeights.xi([1, 1, 1])
-    linf = MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))
+    alpha = ThetaWeights.alpha([1, 1, 1])
+    linf = MaxInfNorm(alpha)
+    symmetric = (functionals, "min_convex_over_support")
     out = []
     for name, t in tensors.items():
-        out.append((f"support {name}", lambda t=t: sk.support_functional(t, theta, cfg)))
-        out.append((f"slice cover {name}", lambda t=t: sk.asymptotic_slice_rank(t, xi, cfg)))
-        out.append((f"minimax linf {name}", lambda t=t: sk.minimax_gap(t, linf, cfg)))
+        out.append((f"support {name}", lambda t=t: sk.support_functional(t, theta, cfg), None))
+        out.append((f"slice cover {name}", lambda t=t: sk.asymptotic_slice_rank(t, xi, cfg), None))
+        out.append((f"minimax linf {name}", lambda t=t: sk.minimax_gap(t, linf, cfg), None))
+        out.append((f"g_stable {name}", lambda t=t: sk.g_stable_rank(t, alpha, cfg), None))
+        if len(set(t.dims)) == 1:
+            out.append((f"symmetric {name}",
+                        lambda t=t: sk.symmetric_support_functional(t, cfg), symmetric))
+    pencils = {"skew3": np.zeros((3, 3, 3), dtype=complex)}
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        pencils["skew3"][k][i, j], pencils["skew3"][k][j, i] = 1, -1
+    rng = np.random.default_rng(5)
+    pencils["rand4x2"] = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    pair_cfg = sk.SearchConfig(restarts=40, **budgets)
+    for name, m in pencils.items():
+        a = sk.MatrixTuple(m)
+        out.append((f"ncrank_fr {name}", lambda a=a: sk.ncrank_fr(a, pair_cfg),
+                    (ranks, "bipartite_vertex_cover")))
     return out
 
 
@@ -83,40 +159,45 @@ def main() -> int:
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    import numpy as np
-
     import spectrumkit as sk
     from spectrumkit import functionals, ranks
 
-    todo = cases(sk, np)
-    for _, call in todo:
+    todo = cases(sk)
+    for _, call, _ in todo:
         call()
     rows = []
-    for name, call in todo:
+    for name, call, scorer in todo:
         bases, search, total = [], [], []
         for _ in range(max(1, args.repeats)):
             probe = SearchProbe(functionals.unitary_candidates)
             functionals.unitary_candidates = ranks.unitary_candidates = probe
+            if scorer is not None:
+                counter = CallCounter(getattr(*scorer))
+                setattr(scorer[0], scorer[1], counter)
             try:
                 start = time.process_time()
-                call()
+                result = call()
                 total.append(time.process_time() - start)
             finally:
                 functionals.unitary_candidates = ranks.unitary_candidates = probe.candidates
-            bases.append(probe.bases)
-            search.append(probe.search_s)
+                if scorer is not None:
+                    setattr(scorer[0], scorer[1], counter.func)
+            bases.append(probe.bases if scorer is None else counter.calls)
+            search.append(probe.search_s if scorer is None else total[-1])
         rows.append({
             "case": name,
             "bases": bases[0],
             "search_cpu_s": round(statistics.median(search), 4),
             "call_cpu_s": round(statistics.median(total), 4),
+            "digest": digest(result),
         })
     if args.json:
         print(json.dumps({"repeats": args.repeats, "cases": rows}))
         return 0
-    print(f"{'case':28s} {'bases':>5s} {'search_s':>9s} {'call_s':>8s}")
+    print(f"{'case':28s} {'bases':>5s} {'search_s':>9s} {'call_s':>8s}  digest")
     for r in rows:
-        print(f"{r['case']:28s} {r['bases']:5d} {r['search_cpu_s']:9.4f} {r['call_cpu_s']:8.4f}")
+        print(f"{r['case']:28s} {r['bases']:5d} {r['search_cpu_s']:9.4f} {r['call_cpu_s']:8.4f}  "
+              f"{r['digest']}")
     return 0
 
 

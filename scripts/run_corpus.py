@@ -34,7 +34,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--restarts", type=int, default=10)
     args = ap.parse_args()
-    cfg = SearchConfig(restarts=args.restarts, nm_budget=0, seed=args.seed)
+    cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
     rng = np.random.default_rng(args.seed)
 
     corpus = [

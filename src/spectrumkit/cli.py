@@ -92,7 +92,6 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
 def _config(args) -> SearchConfig:
     return SearchConfig(
         restarts=args.restarts,
-        nm_budget=args.nm_budget,
         seed=args.seed,
         eta=args.eta,
         inner_tol=args.tol,
@@ -126,7 +125,7 @@ def _cmd_functional(args) -> int:
         theta = _parse_weights(args.theta, t.order, "theta")
         cert = support_functional(t, theta, cfg)
     else:
-        cert = symmetric_quantum_functional(t, cfg)
+        cert = symmetric_quantum_functional(t)
     payload = serialize.certificate_to_json_dict(cert)
     lines = [
         f"{args.kind} functional",
@@ -247,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=20,
                        help="the most Haar-random bases scored per basis search; scoring "
                             "stops once the independent route's bound is met")
-        p.add_argument("--nm-budget", type=int, default=0, dest="nm_budget",
-                       help="extra local-search evaluations per basis search")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="support-program tolerance in bits; cold scaling runs stop "
                             "once their bracket is 10 times this wide")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from .tensors import (
     support,
 )
 
+_C = TypeVar("_C")  # a basis-search candidate
+_P = TypeVar("_P")  # what scoring a candidate yields besides its value
+
 #: eigenvalues below this fraction of the largest are treated as exactly
 #: zero when taking inverse powers of marginals
 PINV_CUTOFF = 1e-13
@@ -53,7 +56,6 @@ class SearchConfig:
     """Budgets and seeds for every search over basis changes."""
 
     restarts: int = 20
-    nm_budget: int = 2000
     seed: int = 0
     eta: float = DEFAULT_ETA
     scaling_tol: float = 1e-10
@@ -365,76 +367,66 @@ def _eigenbasis_unitary(t: Tensor) -> GroupElement:
     return GroupElement(tuple(factors), unitary=True)
 
 
+def _basis_search(
+    candidates: Iterable[_C],
+    score: Callable[[_C], tuple[float, _P]],
+    stop: Callable[[float, _P], bool] | None = None,
+) -> tuple[float, _C, _P, int]:
+    """The least score over ``candidates``, drawn lazily: (value, candidate,
+    payload, candidates scored), where ``score`` maps a candidate to (value,
+    payload).  The first candidate is taken; a later one replaces the best
+    only when its value is lower by more than 1e-15, so ties keep the
+    earlier.  The scan ends after the first candidate at which
+    ``stop(best value, best payload)`` holds.  A search that maximizes
+    scores the negated value: -v < -b - 1e-15 is the same floating-point
+    test as v > b + 1e-15.
+    """
+    best, best_c, best_p, scored = np.inf, None, None, 0
+    for scored, c in enumerate(candidates, 1):
+        v, p = score(c)
+        if scored == 1 or v < best - 1e-15:
+            best, best_c, best_p = v, c, p
+        if stop is not None and stop(best, best_p):
+            break
+    return best, best_c, best_p, scored
+
+
+def _restart_rngs(cfg: SearchConfig, offset: int = 0) -> Iterator[np.random.Generator]:
+    """The generators of one search's ``cfg.restarts`` Haar restarts, the k-th
+    seeded by the stream ``(cfg.seed, offset + k)``.  Each search draws
+    from its own offset: 0 for ``unitary_candidates``, 5000 for the
+    symmetric search and 7000 for the matrix-pair search of ``ncrank_fr``."""
+    for k in range(cfg.restarts):
+        yield np.random.default_rng(np.random.SeedSequence((cfg.seed, offset + k)))
+
+
 def unitary_candidates(t: Tensor, cfg: SearchConfig) -> Iterator[GroupElement]:
     """Yield the identity, the marginal eigenbasis, then ``cfg.restarts``
-    Haar-random unitaries, the k-th drawn from ``SeedSequence((cfg.seed, k))``.
+    Haar-random unitaries, the k-th drawn from the seed stream ``(cfg.seed, k)``.
 
     A lazy generator: each basis is computed when the caller asks for it, so
     a search that stops once its bracket closes draws none of the rest.
     """
     yield GroupElement.identity(t.dims)
     yield _eigenbasis_unitary(t)
-    for k in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
+    for rng in _restart_rngs(cfg):
         yield GroupElement(tuple(random_unitary(n, rng) for n in t.dims), unitary=True)
 
 
-def _herm_from_params(x: np.ndarray, n: int) -> np.ndarray:
-    re = x[: n * n].reshape(n, n)
-    im = x[n * n :].reshape(n, n)
-    z = re + 1j * im
-    return 0.5 * (z + z.conj().T)
+def _support_score(t: Tensor, objective, cfg: SearchConfig, exact: SupportOptimum | None):
+    """The basis-search score of a basis change u: the negated value of the
+    support program of u.t on its ``cfg.eta`` support, and the solve.
+    ``exact``, the same program's solve on the exact support, stands in for
+    the solve when the two supports agree."""
 
+    def score(u: GroupElement) -> tuple[float, SupportOptimum]:
+        s = support(apply_group(u, t), cfg.eta)
+        if exact is not None and np.array_equal(s.points, exact.distribution.support.points):
+            return -exact.value, exact
+        opt = min_convex_over_support(s, objective, tol=cfg.inner_tol)
+        return -opt.value, opt
 
-def _unitary_exp(h: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(h)
-    return (vec * np.exp(1j * lam)) @ vec.conj().T
-
-
-def _nm_refine_unitary(
-    t: Tensor,
-    u0: GroupElement,
-    score: Callable[[GroupElement], float],
-    budget: int,
-) -> tuple[GroupElement, float]:
-    """Nelder-Mead over the chart u0 * exp(i H) with 2 n_j^2 reals per leg."""
-    from scipy.optimize import minimize
-
-    dims = t.dims
-    sizes = [2 * n * n for n in dims]
-    splits = np.cumsum(sizes)[:-1]
-
-    def to_unitary(x: np.ndarray) -> GroupElement:
-        chunks = np.split(x, splits)
-        factors = []
-        for u, n, c in zip(u0.factors, dims, chunks):
-            factors.append(u @ _unitary_exp(_herm_from_params(c, n)))
-        return GroupElement(tuple(factors), unitary=False)  # skip strict re-check
-
-    def objective(x: np.ndarray) -> float:
-        return score(to_unitary(x))
-
-    x0 = np.zeros(sum(sizes))
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-10},
-    )
-    best_x = res.x if res.fun <= objective(x0) else x0
-    return to_unitary(best_x), float(min(res.fun, objective(x0)))
-
-
-def _candidate_solve(
-    ut: Tensor, objective, cfg: SearchConfig, exact: SupportOptimum | None
-) -> SupportOptimum:
-    """The support program of a rotated tensor on its ``cfg.eta`` support;
-    ``exact``, the same program's solve on the exact support, when the two
-    supports agree."""
-    s = support(ut, cfg.eta)
-    if exact is not None and np.array_equal(s.points, exact.distribution.support.points):
-        return exact
-    return min_convex_over_support(s, objective, tol=cfg.inner_tol)
+    return score
 
 
 def support_functional(
@@ -452,40 +444,28 @@ def support_functional(
     search found an optimal basis.  The bracketed scaling run of
     ``quantum_functional`` comes first: its value bounds every basis from
     below, so the search stops at the first basis within
-    ``bracket_width(cfg.inner_tol)`` bits of it, and Nelder-Mead refines the
-    best basis only while the bracket is open.  ``bracket`` is the scaling
+    ``bracket_width(cfg.inner_tol)`` bits of it; ``bases_scored`` counts the
+    bases drawn.  Ties keep the earlier basis.  ``bracket`` is the scaling
     run's (lo, hi); this value lies inside it.  A candidate whose support is
     the exact one reuses the solve that gave hi.  ``compute_gap=False``
     skips the scaling run when the caller compares against its own quantum
-    value; the search then scores every candidate.
+    value; the search then scores all ``cfg.restarts + 2`` candidates.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
     if theta.d != t.order:
         raise InvalidArgumentError("one theta weight per leg required")
-    objective = NegWeightedEntropy(theta)
 
     q, exact = None, None
     if compute_gap:
         q, exact = _bracketed_scaling(t, theta, tol=cfg.scaling_tol,
                                       max_iter=cfg.scaling_max_iter, inner_tol=cfg.inner_tol)
     stop_bits = q.bits + bracket_width(cfg.inner_tol) if q is not None else -np.inf
-
-    def solve(u: GroupElement) -> SupportOptimum:
-        return _candidate_solve(apply_group(u, t), objective, cfg, exact)
-
-    bits, best_u, best = np.inf, None, None
-    for scored, u in enumerate(unitary_candidates(t, cfg), 1):
-        opt = solve(u)
-        if -opt.value < bits - 1e-15:
-            bits, best_u, best = -opt.value, u, opt
-        if bits <= stop_bits:
-            break
-    if cfg.nm_budget > 0 and bits > stop_bits:
-        u_ref, b_ref = _nm_refine_unitary(t, best_u, lambda u: -solve(u).value, cfg.nm_budget)
-        if b_ref < bits - 1e-15:
-            best_u, best = u_ref, solve(u_ref)
-            bits = -best.value
+    bits, best_u, best, scored = _basis_search(
+        unitary_candidates(t, cfg),
+        _support_score(t, NegWeightedEntropy(theta), cfg, exact),
+        lambda b, _: b <= stop_bits,
+    )
     value = float(2.0**bits)
     return FunctionalCertificate(
         value=value,
@@ -619,7 +599,6 @@ def minimize_over_moment_polytope(
 
 def symmetric_quantum_functional(
     t: Tensor,
-    cfg: SearchConfig | None = None,
     *,
     tol: float = 1e-10,
     max_iter: int = 200_000,
@@ -684,30 +663,25 @@ def symmetric_support_functional(
 ) -> FunctionalCertificate:
     """min over sampled single unitaries u (acting on every leg) of the max
     of 2^(H(q/d)) over the support of u^(x d) . t, where q sums the per-leg
-    marginals.  The support-side counterpart of the symmetric functional."""
+    marginals.  The support-side counterpart of the symmetric functional.
+
+    The candidates are the identity, the eigenbasis of the summed marginal
+    and ``cfg.restarts`` Haar-random unitaries drawn from their own seed
+    streams; all are scored, and ``bases_scored`` counts them."""
     cfg = cfg or SearchConfig()
     t.require_nonzero()
     d = t.order
     n = t.dims[0]
     if any(m != n for m in t.dims):
         raise InvalidArgumentError(f"symmetric functional needs equal dims, got {t.dims}")
-    objective = NegSummedEntropy(d)
 
+    # no stop, so every candidate is drawn up front: one batch of draws is
+    # faster than draws between the solves
     _, vec = _sorted_eigh(_LegViews(t.dims, range(d)).summed_marginal(t.entries))
     singles = [np.eye(n, dtype=complex), vec.conj().T]
-    for k in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5000 + k)))
-        singles.append(random_unitary(n, rng))
-
-    best = None
-    for u in singles:
-        g = GroupElement((u,) * d, unitary=False)
-        s = support(apply_group(g, t), cfg.eta)
-        opt = min_convex_over_support(s, objective, tol=cfg.inner_tol)
-        if best is None or opt.value > best[0] + 1e-15:
-            best = (opt.value, u, opt)
-    val, u, opt = best
-    bits = -val
+    singles += [random_unitary(n, rng) for rng in _restart_rngs(cfg, 5000)]
+    score = _support_score(t, NegSummedEntropy(d), cfg, None)
+    bits, u, opt, scored = _basis_search(singles, lambda u: score(GroupElement((u,) * d)))
     return FunctionalCertificate(
         value=float(2.0**bits),
         bits=float(bits),
@@ -716,6 +690,7 @@ def symmetric_support_functional(
         group_factors=(u,),
         converged=opt.certified_gap <= max(cfg.inner_tol * 10, 1e-6),
         gap=None,
+        bases_scored=scored,
     )
 
 
@@ -800,14 +775,12 @@ def minimax_gap(
         )
         lhs_converged = res.converged
 
-    best = None
-    for scored, u in enumerate(unitary_candidates(t, cfg), 1):
-        opt = _candidate_solve(apply_group(u, t), objective, cfg, exact)
-        if best is None or opt.value > best[0] + 1e-15:
-            best = (opt.value, u, opt)
-        if best[0] - best[2].certified_gap >= lhs - slack:
-            break
-    rhs, best_u, rhs_opt = best
+    neg_rhs, best_u, rhs_opt, scored = _basis_search(
+        unitary_candidates(t, cfg),
+        _support_score(t, objective, cfg, exact),
+        lambda neg, opt: -neg - opt.certified_gap >= lhs - slack,
+    )
+    rhs = -neg_rhs
     closed_tol = max(cfg.inner_tol * 10, 1e-6)
     rhs_cert = FunctionalCertificate(
         value=float(rhs),

@@ -23,6 +23,9 @@ import numpy as np
 from .functionals import (
     MomentDescentResult,
     SearchConfig,
+    _basis_search,
+    _eigenbasis_unitary,
+    _restart_rngs,
     bracket_width,
     entropic_scaling,
     exact_support_bound,
@@ -179,14 +182,12 @@ def asymptotic_slice_rank(
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
-    val_b, best_u = np.inf, None
-    for scored, u in enumerate(unitary_candidates(t, cfg), 1):
-        h = hypergraph_of(apply_group(u, t), cfg.eta)
-        v = asymptotic_vertex_cover(h, xi, tol=cfg.inner_tol)
-        if v < val_b - 1e-15:
-            val_b, best_u = v, u
-        if np.log2(val_b) <= hi + cfg.inner_tol:
-            break
+    def cover(u):
+        return asymptotic_vertex_cover(hypergraph_of(apply_group(u, t), cfg.eta), xi,
+                                       tol=cfg.inner_tol), None
+
+    val_b, best_u, _, scored = _basis_search(unitary_candidates(t, cfg), cover,
+                                             lambda v, _: np.log2(v) <= hi + cfg.inner_tol)
 
     routes = {"quantum_theta_min": float(val_a), "cover_entropy": float(val_b)}
     gap = _route_gap(routes)
@@ -221,7 +222,9 @@ def g_stable_rank(
     lower end, so the descent stops once cover_lp - 1 / value <= route_tol;
     ``details["descent_iterations"]`` and ``details["descent_stop"]`` say
     how it ended.  A moment route above the cover route by more than
-    route_tol is an inverted bracket: a note and status "warn"."""
+    route_tol is an inverted bracket: a note and status "warn".  The cover
+    route scores every candidate basis; ``details["cover_bases"]`` counts
+    them."""
     t.require_nonzero()
     cfg = cfg or SearchConfig()
     alpha = alpha or ThetaWeights.alpha(np.ones(t.order))
@@ -231,14 +234,14 @@ def g_stable_rank(
     # the candidates share few distinct supports, and equal supports have
     # equal covers: one LP per support, and the first basis reaching it
     cover_of: dict[Hypergraph, float] = {}
-    val_a, best_u = np.inf, None
-    for u in unitary_candidates(t, cfg):
+
+    def cover(u):
         h = hypergraph_of(apply_group(u, t), cfg.eta)
         if h not in cover_of:
             cover_of[h] = fractional_vertex_cover(h, alpha).value
-        if cover_of[h] < val_a - 1e-15:
-            val_a, best_u = cover_of[h], u
+        return cover_of[h], None
 
+    val_a, best_u, _, scored = _basis_search(unitary_candidates(t, cfg), cover)
     val_a = float(val_a)
     bound = None
     if val_a > route_tol:
@@ -260,7 +263,7 @@ def g_stable_rank(
         gap=gap,
         status="ok" if gap <= route_tol and not notes else "warn",
         notes=notes,
-        details={"basis": best_u, "witness": descent.witness,
+        details={"basis": best_u, "witness": descent.witness, "cover_bases": scored,
                  "descent_iterations": descent.iterations, "descent_stop": descent.stop},
     )
 
@@ -293,26 +296,28 @@ def _support_bigraph(a: MatrixTuple, u: np.ndarray, v: np.ndarray, eta: float) -
 def ncrank_fr(a: MatrixTuple, cfg: SearchConfig | None = None) -> tuple[int, dict]:
     """Cover-minimization route: min over sampled unitary pairs (u, v) of the
     bipartite cover number of the support of (u A_k v^T).  Upper bound on the
-    noncommutative rank; equal to it at an optimal pair."""
+    noncommutative rank; equal to it at an optimal pair.  The certificate
+    holds the best pair, its cover and ``pairs_scored``: the identity, the
+    marginal eigenbases and ``cfg.restarts`` Haar-random pairs, all scored."""
     cfg = cfg or SearchConfig(restarts=40)
-    t = a.as_tensor()
-    # structured candidates: identity and the eigenbases of both marginals
-    from .functionals import _eigenbasis_unitary
 
-    eig = _eigenbasis_unitary(t)
+    # structured candidates: identity and the eigenbases of both marginals;
+    # no stop, so every pair is drawn up front: one batch of draws is faster
+    # than draws between the covers
+    eig = _eigenbasis_unitary(a.as_tensor())
     pairs = [
         (np.eye(a.n, dtype=complex), np.eye(a.n, dtype=complex)),
         (eig.factors[0], eig.factors[1].conj()),
     ]
-    for k in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7000 + k)))
-        pairs.append((random_unitary(a.n, rng), random_unitary(a.n, rng)))
-    best, best_pair, best_cover = None, None, None
-    for u, v in pairs:
-        res = bipartite_vertex_cover(_support_bigraph(a, u, v, cfg.eta))
-        if best is None or res.value < best:
-            best, best_pair, best_cover = res.value, (u, v), res.cover
-    return int(best), {"pair": best_pair, "cover": best_cover}
+    pairs += [(random_unitary(a.n, rng), random_unitary(a.n, rng))
+              for rng in _restart_rngs(cfg, 7000)]
+
+    def cover(pair):
+        res = bipartite_vertex_cover(_support_bigraph(a, *pair, cfg.eta))
+        return res.value, res.cover
+
+    best, pair, cover_set, scored = _basis_search(pairs, cover)
+    return int(best), {"pair": pair, "cover": cover_set, "pairs_scored": scored}
 
 
 def ncrank_blowup(

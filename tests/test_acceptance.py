@@ -48,8 +48,8 @@ from spectrumkit.tensors import direct_sum, random_tensor
 
 SCALING_LOG: list[tuple[str, np.ndarray]] = []
 
-SEARCH20 = SearchConfig(restarts=20, nm_budget=0)
-FAST = SearchConfig(restarts=3, nm_budget=0)
+SEARCH20 = SearchConfig(restarts=20)
+FAST = SearchConfig(restarts=3)
 
 
 def run_scaling(tag: str, t, theta: ThetaWeights, **kw):
@@ -286,7 +286,7 @@ def test_criterion_11_ncrank_triple_agreement():
         mats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
         cases.append((f"rand{k}(n={n},m={m})", MatrixTuple(mats)))
 
-    cfg = SearchConfig(restarts=40, nm_budget=0)
+    cfg = SearchConfig(restarts=40)
     for name, a in cases:
         fr, _ = ncrank_fr(a, cfg)
         blow = ncrank_blowup(a, seed=cfg.seed)
@@ -315,7 +315,7 @@ def test_criterion_12_symmetric_functional():
         fb = symmetric_quantum_functional(b).value
         fab = symmetric_quantum_functional(tensor_product(a, b)).value
         assert fab <= fa * fb + 1e-3, (n1, n2, fab, fa * fb)
-    cfg = SearchConfig(restarts=8, nm_budget=0)
+    cfg = SearchConfig(restarts=8)
     for name, t in corpus:
         q = symmetric_quantum_functional(t).value
         z = symmetric_support_functional(t, cfg).value

@@ -15,6 +15,7 @@ from spectrumkit import (
     entropic_scaling,
     kempf_ness_value,
     make_unit,
+    matmul_tensor,
     minimax_gap,
     moment_map,
     quantum_functional,
@@ -40,7 +41,7 @@ from spectrumkit.tensors import (
     tensor_product,
 )
 
-FAST = SearchConfig(restarts=6, nm_budget=0)
+FAST = SearchConfig(restarts=6)
 UNIFORM3 = ThetaWeights.uniform(3)
 
 
@@ -389,12 +390,6 @@ def test_support_upper_bounds_quantum_weak_duality():
         assert z >= q - 1e-3
 
 
-def test_support_functional_nm_refinement_runs(w):
-    cfg = SearchConfig(restarts=2, nm_budget=40)
-    cert = support_functional(w, UNIFORM3, cfg)
-    assert abs(cert.value - F_W) <= 1e-6
-
-
 def test_unitary_candidates_are_the_seeded_list_drawn_lazily(monkeypatch):
     t = random_tensor((2, 3, 4), np.random.default_rng(1))
     cfg = SearchConfig(restarts=4, seed=9)
@@ -412,6 +407,55 @@ def test_unitary_candidates_are_the_seeded_list_drawn_lazily(monkeypatch):
     monkeypatch.setattr(functionals, "random_unitary", lambda n, rng: draws.append(n) or np.eye(n))
     list(itertools.islice(unitary_candidates(t, cfg), 3))
     assert draws == list(t.dims)  # one Haar basis drawn, one unitary per leg
+
+
+def test_basis_search_ties_keep_the_earlier_candidate():
+    values = {"a": 1.0, "b": 1.0, "c": 1.0 - 1e-16, "e": 1.0 - 1e-15, "d": 0.5}
+    found = functionals._basis_search("abce", lambda c: (values[c], c.upper()))
+    assert found == (1.0, "a", "A", 4)
+    assert functionals._basis_search("abcd", lambda c: (values[c], None))[:2] == (0.5, "d")
+    # a maximizing search scores the negated value, with the same tie rule
+    neg = {"a": -1.0, "b": -1.0 - 1e-16, "c": -2.0}
+    assert functionals._basis_search("abc", lambda c: (neg[c], None))[:2] == (-2.0, "c")
+    assert functionals._basis_search("ab", lambda c: (neg[c], None))[:2] == (-1.0, "a")
+
+
+def test_basis_search_stops_after_the_candidate_that_meets_the_stop():
+    drawn, stops = [], []
+
+    def candidates():
+        for k in range(8):
+            drawn.append(k)
+            yield k
+
+    values = [5.0, 4.0, 4.5, 2.0, 1.0, 0.0, 0.0, 0.0]
+    found = functionals._basis_search(
+        candidates(), lambda k: (values[k], 10 * k),
+        lambda v, p: stops.append((v, p)) or v <= 2.0)
+    assert found == (2.0, 3, 30, 4)
+    assert drawn == [0, 1, 2, 3]
+    # the stop sees the best so far, not the candidate just scored
+    assert stops == [(5.0, 0), (4.0, 10), (4.0, 10), (2.0, 30)]
+
+
+def test_basis_search_counts_the_candidates_drawn():
+    drawn = []
+    found = functionals._basis_search(iter(range(5)), lambda k: drawn.append(k) or (-k, None))
+    assert found == (-4, 4, None, 5) and drawn == list(range(5))
+    found = functionals._basis_search(iter(range(5)), lambda k: (-k, None), lambda v, _: False)
+    assert found[3] == 5
+    assert functionals._basis_search([], lambda k: (k, None)) == (np.inf, None, None, 0)
+
+
+@pytest.mark.parametrize("offset", [0, 5000, 7000])
+def test_restart_streams_are_the_seeded_sequences(offset):
+    cfg = SearchConfig(restarts=3, seed=11)
+    rngs = list(functionals._restart_rngs(cfg, offset))
+    assert len(rngs) == cfg.restarts
+    for k, rng in enumerate(rngs):
+        ref = np.random.default_rng(np.random.SeedSequence((cfg.seed, offset + k)))
+        assert np.array_equal(random_unitary(3, rng), random_unitary(3, ref))
+        assert np.array_equal(random_unitary(2, rng), random_unitary(2, ref))
 
 
 @pytest.mark.parametrize("label,t", basis_search_corpus())
@@ -457,23 +501,6 @@ def test_support_search_open_bracket_scores_every_basis():
     assert cert.gap > 1e-3
 
 
-def test_nm_refinement_runs_only_while_bracket_is_open(w, monkeypatch):
-    calls = []
-    refine = functionals._nm_refine_unitary
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return refine(*args, **kwargs)
-
-    monkeypatch.setattr(functionals, "_nm_refine_unitary", counted)
-    cfg = SearchConfig(restarts=1, nm_budget=20)
-    support_functional(w, UNIFORM3, cfg)
-    assert calls == []
-    t = gl_w_tensor()
-    cert = support_functional(t, UNIFORM3, cfg)
-    assert calls == [t] and cert.bases_scored == cfg.restarts + 2
-
-
 def test_symmetric_functional_examples(w):
     assert abs(symmetric_quantum_functional(make_unit(3, 3)).value - 3) <= 1e-8
     arr = np.zeros((2, 2, 2), dtype=complex)
@@ -501,6 +528,33 @@ def test_symmetric_minimax_variant(w):
     q = symmetric_quantum_functional(w).value
     z = symmetric_support_functional(w, FAST).value
     assert abs(q - z) <= 1e-3
+
+
+@pytest.mark.parametrize("label,bits", [("unit3", np.log2(3)), ("w", 0.9182958340544896),
+                                        ("matmul222", 2.0)])
+def test_symmetric_support_functional_meets_the_quantum_side(label, bits):
+    t = {"unit3": make_unit(3, 3), "w": w_tensor(), "matmul222": matmul_tensor(2, 2, 2)}[label]
+    q = symmetric_quantum_functional(t)
+    for cfg in (SearchConfig(), SearchConfig(restarts=0)):
+        z = symmetric_support_functional(t, cfg)
+        assert abs(z.bits - q.bits) <= 1e-15 and abs(z.bits - bits) <= 1e-12
+        assert z.bases_scored == cfg.restarts + 2 and z.converged
+        assert len(z.group_factors) == 1
+
+
+def test_symmetric_support_search_draws_its_seed_stream(w, monkeypatch):
+    scored = []
+    apply = functionals.apply_group
+    monkeypatch.setattr(functionals, "apply_group",
+                        lambda g, t: scored.append(g.factors) or apply(g, t))
+    cfg = SearchConfig(restarts=3, seed=4)
+    cert = symmetric_support_functional(w, cfg)
+    assert cert.bases_scored == len(scored) == cfg.restarts + 2
+    assert all(np.array_equal(f, fs[0]) for fs in scored for f in fs)  # one unitary on every leg
+    assert np.array_equal(scored[0][0], np.eye(2))
+    for k, fs in enumerate(scored[2:]):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5000 + k)))
+        assert np.array_equal(fs[0], random_unitary(2, rng))
 
 
 def test_minimax_gap_examples(w, matmul222):

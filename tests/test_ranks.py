@@ -21,9 +21,9 @@ from spectrumkit import (
 from spectrumkit import ranks
 from spectrumkit.functionals import unitary_candidates
 from spectrumkit.hypergraphs import asymptotic_vertex_cover, hypergraph_of
-from spectrumkit.tensors import Tensor, apply_group, random_tensor, tensor_product
+from spectrumkit.tensors import Tensor, apply_group, random_tensor, random_unitary, tensor_product
 
-FAST = SearchConfig(restarts=6, nm_budget=0)
+FAST = SearchConfig(restarts=6)
 XI1 = ThetaWeights.xi([1, 1, 1])
 AL1 = ThetaWeights.alpha([1, 1, 1])
 
@@ -78,7 +78,7 @@ def sparse332() -> Tensor:
 
 def test_slice_rank_w_unequal_xi_beats_grid(w):
     # a tight scaling run at the route's theta confirms 1.998284; the old
-    # 153-point grid plus Nelder-Mead stopped at 1.999998
+    # 153-point grid plus a local simplex search over theta stopped at 1.999998
     rep = asymptotic_slice_rank(w, ThetaWeights.xi([1, 1, 0.25]), FAST)
     value = rep.routes["quantum_theta_min"]
     lo, hi = rep.details["theta_bracket"]
@@ -151,7 +151,7 @@ def test_cover_route_stops_at_the_first_basis_meeting_the_bound(w):
 
 
 def test_cover_route_open_bracket_scores_every_basis():
-    cfg = SearchConfig(restarts=2, nm_budget=0)
+    cfg = SearchConfig(restarts=2)
     rep = asymptotic_slice_rank(gl_w_tensor(), XI1, cfg)
     assert rep.details["cover_bases"] == cfg.restarts + 2
     assert rep.routes["cover_entropy"] > rep.details["theta_bracket"][1] + 1e-3
@@ -170,6 +170,17 @@ def test_g_stable_rank_examples(w):
     rep = g_stable_rank(Tensor(arr), AL1, FAST)
     for v in rep.routes.values():
         assert abs(v - 1.0) <= 1e-6
+
+
+def test_g_stable_cover_route_scores_every_basis(w, monkeypatch):
+    assert g_stable_rank(w, AL1, FAST).details["cover_bases"] == FAST.restarts + 2
+    seen = []
+    cover = ranks.fractional_vertex_cover
+    monkeypatch.setattr(ranks, "fractional_vertex_cover",
+                        lambda h, a: seen.append(h) or cover(h, a))
+    rep = g_stable_rank(gl_w_tensor(), AL1, FAST)
+    assert rep.details["cover_bases"] == FAST.restarts + 2
+    assert len(seen) == len(set(seen)) <= FAST.restarts + 2  # one LP per distinct support
 
 
 def test_g_stable_descent_stops_at_the_bracket(w):
@@ -251,6 +262,22 @@ def test_ncrank_inverted_bracket_warns(monkeypatch):
     assert rep.status == "warn"
     assert [n for n in rep.notes if n.startswith("inverted bracket: ")]
     assert rep.details["moment_raw"] - rep.value > 0.25
+
+
+def test_ncrank_fr_scores_every_pair_from_its_seed_stream(monkeypatch):
+    pairs = []
+    bigraph = ranks._support_bigraph
+    monkeypatch.setattr(ranks, "_support_bigraph",
+                        lambda a, u, v, eta: pairs.append((u, v)) or bigraph(a, u, v, eta))
+    cfg = SearchConfig(restarts=3, seed=2)
+    value, cert = ncrank_fr(skew_basis3(), cfg)
+    assert value == 3 and cert["pairs_scored"] == len(pairs) == cfg.restarts + 2
+    for u in pairs[0]:
+        assert np.array_equal(u, np.eye(3))
+    for k, (u, v) in enumerate(pairs[2:]):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7000 + k)))
+        assert np.array_equal(u, random_unitary(3, rng))  # two draws per generator
+        assert np.array_equal(v, random_unitary(3, rng))
 
 
 def test_ncrank_blowup_needs_size_two_for_skew():
