@@ -13,7 +13,10 @@ an older engine's descent iterations), the value, its certified gap
 and the CPU seconds of the call, the median over ``--repeats`` runs after one
 untimed run of each case that pays for scipy's lazy imports.  The counts are
 taken by wrapping both functions where ``spectrumkit.optim`` calls them, so
-they mean the same on an older checkout.  ``--src`` runs the same cases
+they mean the same on an older checkout, except in the max-min case: its
+warm-started oracles call the Newton solver directly, so it counts 0
+solves and 0 iterations here (``bench_max_min.py`` counts them).  ``--src``
+runs the same cases
 against another checkout's ``src`` directory; ``--json`` prints one JSON
 object in place of the table.  BLAS is pinned to one thread.
 """

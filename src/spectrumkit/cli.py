@@ -8,7 +8,8 @@ Subcommands:
 * ``check-minimax``: compare both sides of the minimax identity for a
   built-in objective.
 
-Exit codes: 0 converged / in-tolerance, 1 input error, 2 finished without
+Exit codes: 0 converged / in-tolerance (and ``--help``), 1 input error
+(also an argparse usage error, such as an unknown flag), 2 finished without
 convergence (result still printed) or a solver failure or size cap on valid
 input (one ``error:`` line, no result), 3 route disagreement above threshold
 or an inverted bracket (a scaling iterate above the exact-support bound by
@@ -284,7 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed its usage error (exit 2) or the --help text (exit 0)
+        return EXIT_OK if e.code == 0 else EXIT_INPUT
     if args.command == "functional" and args.kind != "symmetric" and not args.theta:
         sys.stderr.write("error: --theta is required for this functional\n")
         return EXIT_INPUT

@@ -225,7 +225,11 @@ def vertex_cover(h: Hypergraph, xi: ThetaWeights) -> CoverResult:
                 best_val = val
                 best_cover = sorted(chosen)
             return None
-        if cost() + _greedy_matching_bound(projected, uncovered) >= best_val - 1e-12:
+        # until a first cover is found no bound can prune, so the first dive
+        # skips the walk over the uncovered edges
+        if best_val < np.inf and (
+            cost() + _greedy_matching_bound(projected, uncovered) >= best_val - 1e-12
+        ):
             return None
         e = edges[uncovered[0]]
         return [(j, e[j]) for j in sorted(allowed, key=lambda j: (-degree[(j, e[j])], j))]

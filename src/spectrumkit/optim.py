@@ -5,7 +5,8 @@ symmetric function of the per-leg marginals of a joint distribution on a
 support set, and ``min_convex_over_support`` has one exact solver for each:
 
 * the entropy objectives: active-set Newton on the KKT system of a face of
-  the weight simplex, from the uniform weights.  The affine minorant at the
+  the weight simplex, from the uniform weights (or, within the max-min
+  program, from the previous oracle's optimum).  The affine minorant at the
   final weights bounds the distance to the optimum (``certified_gap``),
   pricing coordinates without mass by the entropy's convex conjugate;
 * ``MaxInfNorm`` and ``L1FromUniform``: one HiGHS LP each, whose duality gap
@@ -413,10 +414,14 @@ def _hessian(
 
 
 def _newton(
-    prog: _SupportProgram, objective: _EntropyObjective, tol: float
+    prog: _SupportProgram,
+    objective: _EntropyObjective,
+    tol: float,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Active-set Newton on the KKT system of a face of the weight simplex
-    (Boyd & Vandenberghe, Convex Optimization, 10.2), from the uniform weights.
+    (Boyd & Vandenberghe, Convex Optimization, 10.2), from ``start`` (weights
+    on the simplex) or else from the uniform weights.
 
     The certified gap is the spread of g over the face, plus the deficit of
     the cheapest point outside it, plus the offset paid for points on
@@ -426,7 +431,7 @@ def _newton(
     that are exactly 0.  Returns the weights, their gap and the step count.
     """
     m = prog.support.size
-    y = np.full(m, 1.0 / m)
+    y = np.full(m, 1.0 / m) if start is None else start
     exact, gap, g = _assess(prog, objective, y)
     steps = 0
     while gap > tol and steps < NEWTON_MAX_STEPS:
@@ -567,6 +572,10 @@ def min_convex_over_support(
 #: oracle solves
 MAX_MIN_CUTS = 60
 
+#: each max-min oracle after the first starts from the previous oracle's
+#: optimum blended this far toward the uniform weights
+WARM_START_BLEND = 1e-6
+
 
 def kelley_master(cuts: np.ndarray, xi: np.ndarray) -> LpSolution:
     """The master LP of Kelley's cutting planes over entropy weights:
@@ -632,6 +641,17 @@ def max_min_weighted_entropy_witness(
     duals, which H's concavity puts at or above the master value.  Stops at
     hi - lo <= tol or after MAX_MIN_CUTS oracles; returns lo at its witness,
     ``certified_gap`` hi - lo and ``iterations`` the oracle count.
+
+    Successive oracles are close in theta, so each one after the first (at
+    the central theta, from the uniform weights) starts its Newton solve
+    from the previous optimum w blended toward uniform, (1 - eps) w + eps/m
+    with eps = WARM_START_BLEND.  The blend gives every point weight, and
+    the clipped Newton step drops the unused ones again within a few steps.
+    From w itself, each of its exact zeros that the next optimum uses would
+    have to be re-admitted by an exponent bisection, which costs more than
+    the cold solve.  The start changes neither end of the bracket's
+    soundness: hi adds the gap certified where Newton ends, wherever it
+    began.
     """
     if xi.role != "xi":
         raise InvalidArgumentError("cover weights must have role 'xi'")
@@ -645,16 +665,17 @@ def max_min_weighted_entropy_witness(
 
     point = np.full(legs.size, 1.0 / xi_legs.sum())
     cuts, optima = [], []
-    hi, lo, witness = np.inf, -np.inf, None
+    hi, lo, witness, start = np.inf, -np.inf, None, None
     while True:
         theta = np.zeros(xi.d)
         theta[legs] = point / point.sum()
-        opt = min_convex_over_support(
-            support, NegWeightedEntropy(ThetaWeights.theta(theta)), tol=tol / 10
-        )
-        hi = min(hi, point.sum() * (opt.certified_gap - opt.value))
-        cuts.append(opt.marginals.entropies()[legs])
-        optima.append(opt.distribution.weights)
+        objective = NegWeightedEntropy(ThetaWeights.theta(theta))
+        w, gap, _ = _newton(prog, objective, tol / 10, start)
+        p = prog.marginals(w)
+        hi = min(hi, point.sum() * (gap - objective.value(p)))
+        cuts.append(np.array([shannon_entropy(p[j]) for j in legs]))
+        optima.append(w)
+        start = (1.0 - WARM_START_BLEND) * w + WARM_START_BLEND / w.size
         lo, witness = max((lo, witness), (ratio(optima[-1]), optima[-1]), key=lambda c: c[0])
         if hi - lo > tol:
             sol = kelley_master(np.array(cuts), xi_legs)

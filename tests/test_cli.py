@@ -78,6 +78,23 @@ def test_bad_theta_exit_1(files, capsys):
     assert code == 1
 
 
+def test_unknown_flag_exit_1(files, capsys):
+    # --nm-budget was deleted; a usage error is an input error, not exit 2
+    code = main(["functional", "support", files["w"], "--theta", "1/2,1/4,1/4",
+                 "--nm-budget", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "unrecognized arguments: --nm-budget" in captured.err
+
+
+def test_help_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: spectrumkit" in capsys.readouterr().out
+    assert main(["rank", "--help"]) == 0
+    assert "--route-tol" in capsys.readouterr().out
+
+
 def test_rank_slice_w(files, capsys):
     code, out = run(
         capsys, "rank", "slice", files["w"], "--xi", "1,1,1", "--restarts", "4",

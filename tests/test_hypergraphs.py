@@ -153,6 +153,32 @@ def test_vertex_cover_of_many_disjoint_edges():
     h = Hypergraph((n, n, n), tuple((i, i, i) for i in range(n)))
     res = vertex_cover(h, XI1)
     assert res.value == n and len(res.cover) == n
+    # one node per level and the leaf: the bound is never met on the way
+    assert res.nodes == n + 1
+
+
+#: (nodes, value, cover) of vertex_cover on the W^3 and W^4 jobs of the
+#: covers benchmark.  The disjoint-edge bound can prune nothing before the
+#: first cover is found, so skipping it there must change none of them.
+W_POWER_COVERS = {
+    (3, (1.0, 1.0, 1.0)): (34, 6.0, ((0, 0), (0, 1), (0, 2), (0, 4), (1, 0), (2, 0))),
+    (3, (1.0, 0.5, 1.0)): (31, 6.0, ((0, 0), (0, 1), (0, 2), (0, 4), (1, 0), (2, 0))),
+    (3, (1.0, 1.0, 0.0)): (9, 8.0, ((0, 0), (0, 1), (0, 2), (0, 4), (1, 0), (1, 1), (1, 2),
+                                     (1, 4))),
+    (4, (1.0, 1.0, 1.0)): (781, 11.0, ((0, 0), (0, 1), (0, 2), (0, 4), (0, 8), (1, 0), (1, 1),
+                                        (1, 2), (1, 4), (1, 8), (2, 0))),
+    (4, (1.0, 0.5, 1.0)): (352, 11.0, ((0, 0), (0, 1), (0, 2), (0, 4), (0, 8), (1, 0), (2, 0),
+                                        (2, 1), (2, 2), (2, 4), (2, 8))),
+    (4, (1.0, 1.0, 0.0)): (17, 16.0, ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+                                       (0, 8), (0, 9), (0, 10), (0, 12), (1, 0), (1, 1), (1, 2),
+                                       (1, 4), (1, 8))),
+}
+
+
+@pytest.mark.parametrize("n, xi", sorted(W_POWER_COVERS))
+def test_vertex_cover_nodes_on_w_powers(n, xi):
+    res = vertex_cover(kronecker_power(hypergraph_of(w_tensor()), n), ThetaWeights.xi(xi))
+    assert (res.nodes, res.value, res.cover) == W_POWER_COVERS[(n, xi)]
 
 
 def test_fractional_cover_examples():

@@ -24,12 +24,14 @@ from spectrumkit import (
     support,
     w_tensor,
 )
+from spectrumkit import optim
 from spectrumkit.optim import (
     L1FromUniform,
     MaxInfNorm,
     NegSummedEntropy,
     NegWeightedEntropy,
     _assess,
+    _newton,
     _SupportProgram,
     max_min_weighted_entropy_witness,
     shannon_entropy,
@@ -228,6 +230,64 @@ def test_max_min_bracket_closes_on_w_powers(n, xi):
     assert abs(opt.value - min(opt.marginals.entropies() / np.array(xi))) <= 1e-12
     # at least the value at xi = 1, at most the n bits that leg 0 can carry
     assert n * H13_BITS <= opt.value <= n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("xi", [(1.0, 0.5, 1.0), (1.0, 1.0, 0.25)])
+def test_warm_oracles_match_cold_oracles(n, xi, monkeypatch):
+    # every oracle after the first starts from the previous optimum blended
+    # toward uniform; the reference makes the same solves from uniform
+    s = kronecker_power(hypergraph_of(w_tensor()), n).as_support()
+    newton = optim._newton
+    steps = []
+
+    def counted(prog, objective, tol, start=None):
+        w, gap, k = newton(prog, objective, tol, start)
+        steps[-1] += k
+        return w, gap, k
+
+    def cold(prog, objective, tol, start=None):
+        return counted(prog, objective, tol)
+
+    runs = []
+    for solver in (counted, cold):
+        monkeypatch.setattr(optim, "_newton", solver)
+        steps.append(0)
+        runs.append(max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7))
+    warm, reference = runs
+    assert abs(warm.value - reference.value) <= 1e-7
+    assert warm.certified_gap <= 1e-7
+    assert warm.iterations <= reference.iterations
+    assert steps[0] < steps[1]
+
+
+def test_newton_from_a_start_point_certifies_the_same_optimum():
+    # interior starts, starts on proper faces whose exact zeros the optimum
+    # uses, and vertices all end within tol of the solve from uniform
+    cases = [(kronecker_power(hypergraph_of(w_tensor()), 3).as_support(), theta)
+             for theta in ([0.5, 0.3, 0.2], [0.5, 0.5, 0.0], [0.2, 0.2, 0.6])]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        cases.append((rand_support(rng, max_points=8), rng.dirichlet([1.0] * 3)))
+    rng = np.random.default_rng(1)
+    for s, theta in cases:
+        prog = _SupportProgram(s)
+        objective = NegWeightedEntropy(ThetaWeights.theta(theta))
+        w0, gap0, _ = _newton(prog, objective, 1e-9)
+        value0 = objective.value(prog.marginals(w0))
+        # a face without the optimum's heaviest point and about half the others
+        top = int(np.argmax(w0))
+        face = rng.dirichlet(np.ones(s.size))
+        face[top] = 0.0
+        face[rng.choice(np.delete(np.arange(s.size), top), (s.size - 2) // 2, replace=False)] = 0.0
+        starts = [rng.dirichlet(np.ones(s.size)), face / face.sum(), np.eye(s.size)[np.argmin(w0)]]
+        for start in starts:
+            w, gap, _ = _newton(prog, objective, 1e-9, start)
+            value = objective.value(prog.marginals(w))
+            assert gap <= 1e-9
+            assert abs(value - value0) <= 1e-9
+            # each certificate also bounds the other solve's value
+            assert value - gap <= value0 + 1e-12 and value0 - gap0 <= value + 1e-12
 
 
 def test_summed_entropy_certificate_is_sound_at_exact_zeros():
