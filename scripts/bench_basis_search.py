@@ -5,12 +5,12 @@ and the matrix-pair search of ``ncrank_fr``.
 
 Usage: python3 scripts/bench_basis_search.py [--repeats N] [--src DIR] [--json]
 
-Each case is one library call at the command line's defaults (20 Haar
-restarts, seed 0; 40 restarts for ``ncrank_fr``) on a named tensor or
-matrix tuple.  It prints the bases scored, the CPU seconds of the basis
-search (from the first candidate drawn to the end of the scan), the CPU
-seconds of the whole call, which adds the independent route (scaling,
-cutting planes or moment descent), and a digest of the result; times are
+Each case is one library call at ``SearchConfig()``, the command line's
+defaults (``ncrank_fr`` at its own default), on a named tensor or matrix
+tuple.  It prints the bases scored, the CPU seconds of the basis search
+(from the first candidate drawn to the end of the scan), the CPU seconds of
+the whole call, which adds the independent route (scaling, cutting planes
+or moment descent), and a digest of the result; times are
 medians over ``--repeats`` runs, after one untimed run of every case that
 pays for scipy's lazy imports.  The bases are counted by wrapping
 ``unitary_candidates`` where the searches call it, or, for the two searches
@@ -20,8 +20,7 @@ whose searches score every candidate.  The digest hashes every value,
 array and basis of the result except the counts of bases scored, so two
 checkouts whose searches pick the same bases print the same digests.
 ``--src`` runs the same cases against another checkout's ``src``
-directory; a checkout whose ``SearchConfig`` has a local-search budget
-(``*_budget``) runs with it at 0, the command line's default there.
+directory.
 ``--json`` prints one JSON object in place of the table.  BLAS is pinned to
 one thread.
 """
@@ -82,10 +81,10 @@ class SearchProbe:
         self.bases = 0
         self.search_s = 0.0
 
-    def __call__(self, t, cfg):
+    def __call__(self, t, *cfg):  # a checkout with Haar restarts also passes its config
         start = time.process_time()
         try:
-            for u in self.candidates(t, cfg):
+            for u in self.candidates(t, *cfg):
                 self.bases += 1
                 yield u
         finally:  # exhausted, or closed when the search stops early
@@ -123,8 +122,7 @@ def cases(sk):
         # W under a Gaussian GL element: no candidate meets the bound
         "GL.W": Tensor(np.einsum("ai,bj,ck,ijk->abc", *mats, w.entries)),
     }
-    budgets = {f.name: 0 for f in dataclasses.fields(sk.SearchConfig) if f.name.endswith("_budget")}
-    cfg = sk.SearchConfig(**budgets)
+    cfg = sk.SearchConfig()
     theta = ThetaWeights.uniform(3)
     xi = ThetaWeights.xi([1, 1, 1])
     alpha = ThetaWeights.alpha([1, 1, 1])
@@ -144,10 +142,9 @@ def cases(sk):
         pencils["skew3"][k][i, j], pencils["skew3"][k][j, i] = 1, -1
     rng = np.random.default_rng(5)
     pencils["rand4x2"] = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
-    pair_cfg = sk.SearchConfig(restarts=40, **budgets)
     for name, m in pencils.items():
         a = sk.MatrixTuple(m)
-        out.append((f"ncrank_fr {name}", lambda a=a: sk.ncrank_fr(a, pair_cfg),
+        out.append((f"ncrank_fr {name}", lambda a=a: sk.ncrank_fr(a),
                     (ranks, "bipartite_vertex_cover")))
     return out
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Evaluate every functional and rank on a small named corpus and print a table.
 
-Usage: python3 scripts/run_corpus.py [--seed N] [--restarts K]
+Usage: python3 scripts/run_corpus.py [--seed N]
 """
 
 import argparse
@@ -32,9 +32,8 @@ from spectrumkit.tensors import direct_sum, random_tensor
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--restarts", type=int, default=10)
     args = ap.parse_args()
-    cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
+    cfg = SearchConfig(seed=args.seed)
     rng = np.random.default_rng(args.seed)
 
     corpus = [

@@ -92,7 +92,6 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
 
 def _config(args) -> SearchConfig:
     return SearchConfig(
-        restarts=args.restarts,
         seed=args.seed,
         eta=args.eta,
         inner_tol=args.tol,
@@ -243,10 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--eta", type=float, default=1e-9, help="relative support threshold")
-        p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--restarts", type=int, default=20,
-                       help="the most Haar-random bases scored per basis search; scoring "
-                            "stops once the independent route's bound is met")
+        p.add_argument("--seed", type=int, default=default_seed,
+                       help="seed of the random blow-ups of rank ncrank; basis searches "
+                            "score the identity and the marginal eigenbasis, with no draws")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="support-program tolerance in bits; cold scaling runs stop "
                             "once their bracket is 10 times this wide")

@@ -3,9 +3,9 @@
 The quantum side computes maxima of entropy-type objectives over spectra of
 quantum marginals along a group orbit; the iteration multiplies each leg by
 a fractional inverse power of its marginal and renormalizes.  The support
-side minimizes, over sampled unitary basis changes, entropy programs on the
-rotated support; the two sides bound each other and agree in the limit, so
-each call reports the gap it actually achieved.
+side minimizes entropy programs on the support rotated to the identity basis
+or the marginal eigenbasis; the two sides bound each other and agree in the
+limit, so each call reports the gap it actually achieved.
 
 The orbit loops (entropic scaling, the symmetric scaling and the moment
 descent) view leg j of the flat tensor as (before, n_j, after): a marginal is
@@ -39,7 +39,6 @@ from .tensors import (
     Tensor,
     apply_group,
     marginal,
-    random_unitary,
     support,
 )
 
@@ -53,13 +52,11 @@ PINV_CUTOFF = 1e-13
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and seeds for every search over basis changes."""
+    """The seed, support threshold and support-program tolerance of every
+    search over basis changes."""
 
-    restarts: int = 20
     seed: int = 0
     eta: float = DEFAULT_ETA
-    scaling_tol: float = 1e-10
-    scaling_max_iter: int = 200_000
     inner_tol: float = 1e-8
 
 
@@ -73,7 +70,6 @@ class ScalingTrace:
     residual: float
     converged: bool
     stop: str  # why the run stopped: "bracket", "tol" or "cap"
-    final_entries: np.ndarray | None = None  # the scaled tensor, unit norm
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,6 @@ def entropic_scaling(
     max_iter: int = 200_000,
     window: int = 50,
     spectrum_tol: float = 1e-8,
-    start: np.ndarray | None = None,
     upper_bits: float | None = None,
     width: float = 0.0,
 ) -> tuple[FunctionalCertificate, ScalingTrace]:
@@ -227,10 +222,6 @@ def entropic_scaling(
     objective moves less than ``tol`` over ``window`` iterations and the
     spectra move less than ``spectrum_tol``, or at ``max_iter`` with
     ``converged=False``; ``ScalingTrace.stop`` says which rule ended it.
-
-    ``start`` may be any tensor in the same group orbit as ``t`` (for
-    example the endpoint of a previous run); the computed value does not
-    depend on the representative.
     """
     t.require_nonzero()
     if theta.role != "theta":
@@ -244,7 +235,7 @@ def entropic_scaling(
     powers = [-th[ix][:, None] / 2.0 for ix in views.groups]
     idle = [np.flatnonzero(th[ix] == 0.0) for ix in views.groups]
     weights = np.concatenate([np.repeat(th[ix], n) for n, ix in zip(views.sizes, views.groups)])
-    s = _arr_unit(start if start is not None else t.entries)
+    s = _arr_unit(t.entries)
     acc = views.identity()
     bits_seq: list[float] = []
     prev = np.inf
@@ -301,7 +292,6 @@ def entropic_scaling(
         residual=float(residual if np.isfinite(residual) else np.inf),
         converged=converged,
         stop=stop,
-        final_entries=s,
     )
     return cert, trace
 
@@ -323,7 +313,8 @@ def exact_support_bound(
 
 
 def _bracketed_scaling(
-    t: Tensor, theta: ThetaWeights, *, tol: float, max_iter: int, inner_tol: float
+    t: Tensor, theta: ThetaWeights, *, inner_tol: float, tol: float = 1e-10,
+    max_iter: int = 200_000,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
     """A cold scaling run that stops once its bracket against the exact-support
     bound is ``bracket_width(inner_tol)`` wide; also returns the bound's solve."""
@@ -355,7 +346,7 @@ def quantum_functional(
 
 
 # ---------------------------------------------------------------------------
-# unitary basis search for the support side
+# basis search for the support side
 
 
 def _eigenbasis_unitary(t: Tensor) -> GroupElement:
@@ -391,26 +382,18 @@ def _basis_search(
     return best, best_c, best_p, scored
 
 
-def _restart_rngs(cfg: SearchConfig, offset: int = 0) -> Iterator[np.random.Generator]:
-    """The generators of one search's ``cfg.restarts`` Haar restarts, the k-th
-    seeded by the stream ``(cfg.seed, offset + k)``.  Each search draws
-    from its own offset: 0 for ``unitary_candidates``, 5000 for the
-    symmetric search and 7000 for the matrix-pair search of ``ncrank_fr``."""
-    for k in range(cfg.restarts):
-        yield np.random.default_rng(np.random.SeedSequence((cfg.seed, offset + k)))
+def unitary_candidates(t: Tensor) -> Iterator[GroupElement]:
+    """Yield the identity, then the marginal eigenbasis.
 
-
-def unitary_candidates(t: Tensor, cfg: SearchConfig) -> Iterator[GroupElement]:
-    """Yield the identity, the marginal eigenbasis, then ``cfg.restarts``
-    Haar-random unitaries, the k-th drawn from the seed stream ``(cfg.seed, k)``.
-
-    A lazy generator: each basis is computed when the caller asks for it, so
-    a search that stops once its bracket closes draws none of the rest.
+    No other basis is tried: every entry of u.t is a polynomial in u, so an
+    entry that is nonzero at u = I is nonzero at almost every u, and a
+    random basis only adds support points.  Every score of a basis search
+    is monotone in the support, so such a basis never beats the identity.
+    A lazy generator: a search that stops at the identity never computes
+    the eigenbasis.
     """
     yield GroupElement.identity(t.dims)
     yield _eigenbasis_unitary(t)
-    for rng in _restart_rngs(cfg):
-        yield GroupElement(tuple(random_unitary(n, rng) for n in t.dims), unitary=True)
 
 
 def _support_score(t: Tensor, objective, cfg: SearchConfig, exact: SupportOptimum | None):
@@ -436,7 +419,8 @@ def support_functional(
     *,
     compute_gap: bool = True,
 ) -> FunctionalCertificate:
-    """min over sampled unitaries u of the entropy maximum on supp(u.t).
+    """min over the identity and the marginal eigenbasis u of the entropy
+    maximum on supp(u.t).
 
     Always an upper bound on the infimum over all bases.  The gap field
     reports (this value) - (quantum functional value); by the equality of
@@ -449,7 +433,7 @@ def support_functional(
     run's (lo, hi); this value lies inside it.  A candidate whose support is
     the exact one reuses the solve that gave hi.  ``compute_gap=False``
     skips the scaling run when the caller compares against its own quantum
-    value; the search then scores all ``cfg.restarts + 2`` candidates.
+    value; the search then scores both candidates.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
@@ -458,11 +442,10 @@ def support_functional(
 
     q, exact = None, None
     if compute_gap:
-        q, exact = _bracketed_scaling(t, theta, tol=cfg.scaling_tol,
-                                      max_iter=cfg.scaling_max_iter, inner_tol=cfg.inner_tol)
+        q, exact = _bracketed_scaling(t, theta, inner_tol=cfg.inner_tol)
     stop_bits = q.bits + bracket_width(cfg.inner_tol) if q is not None else -np.inf
     bits, best_u, best, scored = _basis_search(
-        unitary_candidates(t, cfg),
+        unitary_candidates(t),
         _support_score(t, NegWeightedEntropy(theta), cfg, exact),
         lambda b, _: b <= stop_bits,
     )
@@ -491,7 +474,7 @@ class MomentDescentResult:
     group_factors: tuple[np.ndarray, ...]
     iterations: int
     converged: bool
-    stop: str  # why the descent stopped: "bracket", "tol" or "cap"
+    stop: str  # why the descent stopped: "bracket", "tol", "stall" or "cap"
 
 
 def minimize_over_moment_polytope(
@@ -515,6 +498,11 @@ def minimize_over_moment_polytope(
     independent route shows to be close enough to the minimum), the descent
     stops, converged, as soon as the best exact value is at or below it,
     the starting value included; ``iterations`` then counts the steps taken.
+    Each sharpness level gets an equal share of ``max_iter`` and ends early
+    after two steps in a row that find no descent.  ``stop`` is "bracket"
+    for a met bound, "tol" for a flat tail of ``window`` values, and else
+    "stall" when the last level ended early or "cap" when it used its
+    whole share.
     """
     t.require_nonzero()
     legs = list(range(t.order)) if active_legs is None else list(active_legs)
@@ -589,7 +577,7 @@ def minimize_over_moment_polytope(
         group_factors=tuple(f / np.linalg.norm(f, 2) for f in views.per_leg(best_acc)),
         iterations=total,
         converged=bool(converged),
-        stop="bracket" if met else "tol" if converged else "cap",
+        stop="bracket" if met else "tol" if converged else "stall" if stall >= 2 else "cap",
     )
 
 
@@ -661,13 +649,12 @@ def symmetric_support_functional(
     t: Tensor,
     cfg: SearchConfig | None = None,
 ) -> FunctionalCertificate:
-    """min over sampled single unitaries u (acting on every leg) of the max
-    of 2^(H(q/d)) over the support of u^(x d) . t, where q sums the per-leg
+    """min over single unitaries u (acting on every leg) of the max of
+    2^(H(q/d)) over the support of u^(x d) . t, where q sums the per-leg
     marginals.  The support-side counterpart of the symmetric functional.
 
-    The candidates are the identity, the eigenbasis of the summed marginal
-    and ``cfg.restarts`` Haar-random unitaries drawn from their own seed
-    streams; all are scored, and ``bases_scored`` counts them."""
+    The candidates are the identity and the eigenbasis of the summed
+    marginal; both are scored, and ``bases_scored`` counts them."""
     cfg = cfg or SearchConfig()
     t.require_nonzero()
     d = t.order
@@ -675,11 +662,8 @@ def symmetric_support_functional(
     if any(m != n for m in t.dims):
         raise InvalidArgumentError(f"symmetric functional needs equal dims, got {t.dims}")
 
-    # no stop, so every candidate is drawn up front: one batch of draws is
-    # faster than draws between the solves
     _, vec = _sorted_eigh(_LegViews(t.dims, range(d)).summed_marginal(t.entries))
     singles = [np.eye(n, dtype=complex), vec.conj().T]
-    singles += [random_unitary(n, rng) for rng in _restart_rngs(cfg, 5000)]
     score = _support_score(t, NegSummedEntropy(d), cfg, None)
     bits, u, opt, scored = _basis_search(singles, lambda u: score(GroupElement((u,) * d)))
     return FunctionalCertificate(
@@ -717,8 +701,8 @@ def minimax_gap(
     lhs_max_iter: int = 4000,
 ) -> MinimaxReport:
     """Compare min of a convex symmetric F over marginal spectra along the
-    orbit (lhs) with the max over sampled bases of the min of F over the
-    rotated support polytope (rhs).
+    orbit (lhs) with the max over the identity and the marginal eigenbasis
+    of the min of F over the rotated support polytope (rhs).
 
     The two agree in exact arithmetic; ``gap = lhs - rhs`` is reported
     signed.  The lhs is computed by entropic scaling when F is a negated
@@ -741,13 +725,8 @@ def minimax_gap(
 
     exact, slack = None, cfg.inner_tol
     if isinstance(objective, NegWeightedEntropy):
-        q, exact = _bracketed_scaling(
-            t,
-            ThetaWeights.theta(objective.theta),
-            tol=cfg.scaling_tol,
-            max_iter=cfg.scaling_max_iter,
-            inner_tol=cfg.inner_tol,
-        )
+        q, exact = _bracketed_scaling(t, ThetaWeights.theta(objective.theta),
+                                      inner_tol=cfg.inner_tol)
         slack = bracket_width(cfg.inner_tol)
         lhs = -q.bits
         lhs_cert = FunctionalCertificate(
@@ -776,7 +755,7 @@ def minimax_gap(
         lhs_converged = res.converged
 
     neg_rhs, best_u, rhs_opt, scored = _basis_search(
-        unitary_candidates(t, cfg),
+        unitary_candidates(t),
         _support_score(t, objective, cfg, exact),
         lambda neg, opt: -neg - opt.certified_gap >= lhs - slack,
     )

@@ -3,10 +3,11 @@
 Each rank is computed by independent routes that bound or equal each other:
 
 * slice rank: minimize the quantum functional over entropy weights, vs. the
-  asymptotic cover number of the support hypergraph over sampled bases;
-* G-stable rank: the fractional-cover LP over sampled bases, vs. the
+  asymptotic cover number of the support hypergraph in the identity basis
+  and the marginal eigenbasis;
+* G-stable rank: the fractional-cover LP in the same two bases, vs. the
   reciprocal of an inf-norm minimization over marginal spectra;
-* ncrank: bipartite cover search over basis pairs (an upper bound), random
+* ncrank: bipartite cover of two basis pairs (an upper bound), random
   blow-up ranks (a lower bound), and the l1 distance of the left-right
   marginals from uniform.
 
@@ -25,7 +26,6 @@ from .functionals import (
     SearchConfig,
     _basis_search,
     _eigenbasis_unitary,
-    _restart_rngs,
     bracket_width,
     entropic_scaling,
     exact_support_bound,
@@ -46,7 +46,6 @@ from .tensors import (
     MatrixTuple,
     Tensor,
     apply_group,
-    random_unitary,
 )
 
 
@@ -120,7 +119,7 @@ def _slice_rank_theta_route(
     adds a cut until hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts;
     the best theta is then run at full accuracy, stopped once it is within
     ``bracket_width(cfg.inner_tol)`` bits of ``exact_support_bound`` at that
-    theta.  Returns the value, theta,
+    theta or at 30,000 iterations.  Returns the value, theta,
     (lo, hi) and the cut count.
     """
     legs = np.flatnonzero(xi.values > 0)
@@ -133,8 +132,7 @@ def _slice_rank_theta_route(
             return entropic_scaling(t, weights, tol=1e-9, max_iter=1500, window=30,
                                     spectrum_tol=1e-6)[0]
         hi, _ = exact_support_bound(t, weights, cfg.inner_tol)
-        return entropic_scaling(t, weights, tol=cfg.scaling_tol,
-                                max_iter=min(cfg.scaling_max_iter, 30_000),
+        return entropic_scaling(t, weights, max_iter=30_000,
                                 upper_bits=hi, width=bracket_width(cfg.inner_tol))[0]
 
     # the evaluated points, scaled to <theta, xi> = 1, and their cuts
@@ -165,11 +163,12 @@ def asymptotic_slice_rank(
     Route "quantum_theta_min" minimizes the quantum functional over entropy
     weights by cutting planes, with bracket ``details["theta_bracket"]`` and
     ``details["scaling_runs"]`` runs; a bracket left open at THETA_MAX_CUTS
-    cuts adds a note and status "warn".  Route "cover_entropy" minimizes the
-    asymptotic cover number of the rotated support hypergraph over sampled
-    unitary bases.  Every cover is at least 2^lo, so the search stops at the
-    first basis whose cover is within ``cfg.inner_tol`` bits of 2^hi: no later
-    basis could lower the route by more than hi - lo + inner_tol bits.
+    cuts adds a note and status "warn".  Route "cover_entropy" is the least
+    asymptotic cover number of the rotated support hypergraph over the
+    identity and the marginal eigenbasis (``unitary_candidates``).  Every
+    cover is at least 2^lo, so the search stops at the identity when its
+    cover is within ``cfg.inner_tol`` bits of 2^hi: the eigenbasis could not
+    lower the route by more than hi - lo + inner_tol bits.
     ``details["cover_bases"]`` counts the bases scored.
     """
     t.require_nonzero()
@@ -186,7 +185,7 @@ def asymptotic_slice_rank(
         return asymptotic_vertex_cover(hypergraph_of(apply_group(u, t), cfg.eta), xi,
                                        tol=cfg.inner_tol), None
 
-    val_b, best_u, _, scored = _basis_search(unitary_candidates(t, cfg), cover,
+    val_b, best_u, _, scored = _basis_search(unitary_candidates(t), cover,
                                              lambda v, _: np.log2(v) <= hi + cfg.inner_tol)
 
     routes = {"quantum_theta_min": float(val_a), "cover_entropy": float(val_b)}
@@ -215,24 +214,24 @@ def g_stable_rank(
     *,
     route_tol: float = ROUTE_TOL,
 ) -> RankReport:
-    """The G-stable rank by the cover LP over sampled bases ("cover_lp") and
-    by the reciprocal inf-norm program over marginal spectra ("moment_linf").
+    """The G-stable rank by the least cover LP over the identity and the
+    marginal eigenbasis ("cover_lp", ``unitary_candidates``) and by the
+    reciprocal inf-norm program over marginal spectra ("moment_linf").
 
     Every cover LP is an upper end and every descent point's 1 / value a
     lower end, so the descent stops once cover_lp - 1 / value <= route_tol;
     ``details["descent_iterations"]`` and ``details["descent_stop"]`` say
     how it ended.  A moment route above the cover route by more than
     route_tol is an inverted bracket: a note and status "warn".  The cover
-    route scores every candidate basis; ``details["cover_bases"]`` counts
-    them."""
+    route scores both bases; ``details["cover_bases"]`` counts them."""
     t.require_nonzero()
     cfg = cfg or SearchConfig()
     alpha = alpha or ThetaWeights.alpha(np.ones(t.order))
     if alpha.role != "alpha":
         raise InvalidArgumentError("G-stable rank expects weights with role 'alpha'")
 
-    # the candidates share few distinct supports, and equal supports have
-    # equal covers: one LP per support, and the first basis reaching it
+    # equal supports have equal covers: one LP per support, and the first
+    # basis reaching it
     cover_of: dict[Hypergraph, float] = {}
 
     def cover(u):
@@ -241,7 +240,7 @@ def g_stable_rank(
             cover_of[h] = fractional_vertex_cover(h, alpha).value
         return cover_of[h], None
 
-    val_a, best_u, _, scored = _basis_search(unitary_candidates(t, cfg), cover)
+    val_a, best_u, _, scored = _basis_search(unitary_candidates(t), cover)
     val_a = float(val_a)
     bound = None
     if val_a > route_tol:
@@ -294,23 +293,17 @@ def _support_bigraph(a: MatrixTuple, u: np.ndarray, v: np.ndarray, eta: float) -
 
 
 def ncrank_fr(a: MatrixTuple, cfg: SearchConfig | None = None) -> tuple[int, dict]:
-    """Cover-minimization route: min over sampled unitary pairs (u, v) of the
-    bipartite cover number of the support of (u A_k v^T).  Upper bound on the
-    noncommutative rank; equal to it at an optimal pair.  The certificate
-    holds the best pair, its cover and ``pairs_scored``: the identity, the
-    marginal eigenbases and ``cfg.restarts`` Haar-random pairs, all scored."""
-    cfg = cfg or SearchConfig(restarts=40)
-
-    # structured candidates: identity and the eigenbases of both marginals;
-    # no stop, so every pair is drawn up front: one batch of draws is faster
-    # than draws between the covers
+    """Cover-minimization route: min over two unitary pairs (u, v), the
+    identity and the eigenbases of both marginals, of the bipartite cover
+    number of the support of (u A_k v^T).  Upper bound on the noncommutative
+    rank; equal to it at an optimal pair.  The certificate holds the best
+    pair, its cover and ``pairs_scored``: both pairs are scored."""
+    cfg = cfg or SearchConfig()
     eig = _eigenbasis_unitary(a.as_tensor())
     pairs = [
         (np.eye(a.n, dtype=complex), np.eye(a.n, dtype=complex)),
         (eig.factors[0], eig.factors[1].conj()),
     ]
-    pairs += [(random_unitary(a.n, rng), random_unitary(a.n, rng))
-              for rng in _restart_rngs(cfg, 7000)]
 
     def cover(pair):
         res = bipartite_vertex_cover(_support_bigraph(a, *pair, cfg.eta))
@@ -379,7 +372,7 @@ def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
     moment descent stops once its raw value is within ROUTE_TOL of the
     bipartite cover; a raw value above the cover by more than 0.25 is an
     inverted bracket (a note and status "warn")."""
-    cfg = cfg or SearchConfig(restarts=40)
+    cfg = cfg or SearchConfig()
     notes = _tuple_degeneracy_notes(a)
     fr, fr_cert = ncrank_fr(a, cfg)
     blow = ncrank_blowup(a, seed=cfg.seed)

@@ -48,8 +48,7 @@ from spectrumkit.tensors import direct_sum, random_tensor
 
 SCALING_LOG: list[tuple[str, np.ndarray]] = []
 
-SEARCH20 = SearchConfig(restarts=20)
-FAST = SearchConfig(restarts=3)
+CFG = SearchConfig()
 
 
 def run_scaling(tag: str, t, theta: ThetaWeights, **kw):
@@ -79,7 +78,7 @@ def test_criterion_01_unit_normalization():
             for theta in thetas:
                 cert = run_scaling(f"unit{r}d{d}", t, theta)
                 assert abs(cert.value - r) <= 1e-6, (r, d, theta.values, cert.value)
-            z = support_functional(t, thetas[0], FAST, compute_gap=False)
+            z = support_functional(t, thetas[0], CFG, compute_gap=False)
             assert z.value - r <= 1e-3, (r, d, z.value)
     elapsed = time.time() - start
     assert elapsed < 5.0, f"criterion 1 took {elapsed:.1f}s"
@@ -97,7 +96,7 @@ def test_criterion_02_support_equals_quantum_on_corpus():
         ]
         for k, theta in enumerate(thetas):
             q = run_scaling(f"c2:{name}", t, theta)
-            z = support_functional(t, theta, SEARCH20, compute_gap=False)
+            z = support_functional(t, theta, CFG, compute_gap=False)
             gap = z.value - q.value
             assert -1e-3 <= gap <= 2e-3, (name, k, gap)
             if gap > worst[0]:
@@ -123,11 +122,11 @@ def test_criterion_03_w_tensor_values():
     assert abs(f.value - 1.88988) <= 1e-4
     assert abs(f.value - 2.0**oracle_bits) <= 1e-4
 
-    sr = asymptotic_slice_rank(w, ThetaWeights.xi([1, 1, 1]), SEARCH20)
+    sr = asymptotic_slice_rank(w, ThetaWeights.xi([1, 1, 1]), CFG)
     for route, v in sr.routes.items():
         assert abs(v - 1.88988) <= 2e-3, (route, v)
 
-    gs = g_stable_rank(w, ThetaWeights.alpha([1, 1, 1]), SEARCH20)
+    gs = g_stable_rank(w, ThetaWeights.alpha([1, 1, 1]), CFG)
     for route, v in gs.routes.items():
         assert abs(v - 1.5) <= 1e-3, (route, v)
 
@@ -142,7 +141,7 @@ def test_criterion_04_matmul_tensor():
     for theta in theta_grid_10(3):
         cert = run_scaling("c4:matmul", t, theta)
         assert abs(cert.value - 4.0) <= 1e-4, (theta.values, cert.value)
-    sr = asymptotic_slice_rank(t, ThetaWeights.xi([1, 1, 1]), SEARCH20)
+    sr = asymptotic_slice_rank(t, ThetaWeights.xi([1, 1, 1]), CFG)
     for route, v in sr.routes.items():
         assert abs(v - 4.0) <= 2e-3, (route, v)
     print("\nACCEPTANCE 04 PASS: matmul <2,2,2> has F = 4 on the theta grid and slice rank 4")
@@ -163,7 +162,7 @@ def test_criterion_05_minimax_on_corpus():
             ("l1-uniform", L1FromUniform()),
         ]
         for fname, objective in objectives:
-            rep = minimax_gap(t, objective, SEARCH20)
+            rep = minimax_gap(t, objective, CFG)
             assert abs(rep.gap) <= 1e-3, (name, fname, rep.lhs, rep.rhs)
             worst = max(worst, abs(rep.gap))
     elapsed = time.time() - start
@@ -286,7 +285,7 @@ def test_criterion_11_ncrank_triple_agreement():
         mats = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
         cases.append((f"rand{k}(n={n},m={m})", MatrixTuple(mats)))
 
-    cfg = SearchConfig(restarts=40)
+    cfg = SearchConfig()
     for name, a in cases:
         fr, _ = ncrank_fr(a, cfg)
         blow = ncrank_blowup(a, seed=cfg.seed)
@@ -315,10 +314,9 @@ def test_criterion_12_symmetric_functional():
         fb = symmetric_quantum_functional(b).value
         fab = symmetric_quantum_functional(tensor_product(a, b)).value
         assert fab <= fa * fb + 1e-3, (n1, n2, fab, fa * fb)
-    cfg = SearchConfig(restarts=8)
     for name, t in corpus:
         q = symmetric_quantum_functional(t).value
-        z = symmetric_support_functional(t, cfg).value
+        z = symmetric_support_functional(t).value
         assert abs(q - z) <= 1e-3, (name, q, z)
     print("\nACCEPTANCE 12 PASS: symmetric functional submultiplicative on 5 pairs; "
           "minimax variant within 1e-3 on the symmetric corpus")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spectrumkit
-from conftest import sparse_tensor
+from conftest import gl_w_tensor, sparse_tensor
 from spectrumkit import MatrixTuple, functionals, hypergraphs, make_unit, w_tensor
 from spectrumkit import serialize as ser
 from spectrumkit.cli import main
@@ -53,7 +53,6 @@ def test_quantum_unit3(files, capsys):
 def test_support_w(files, capsys):
     code, out = run(
         capsys, "functional", "support", files["w"], "--theta", "1/3,1/3,1/3",
-        "--restarts", "5",
     )
     assert code == 0
     payload = json.loads(out)
@@ -79,13 +78,13 @@ def test_bad_theta_exit_1(files, capsys):
 
 
 def test_unknown_flag_exit_1(files, capsys):
-    # --nm-budget was deleted; a usage error is an input error, not exit 2
-    code = main(["functional", "support", files["w"], "--theta", "1/2,1/4,1/4",
-                 "--nm-budget", "5"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "unrecognized arguments: --nm-budget" in captured.err
+    # both flags were deleted; a usage error is an input error, not exit 2
+    for flag in ("--nm-budget", "--restarts"):
+        code = main(["functional", "support", files["w"], "--theta", "1/2,1/4,1/4", flag, "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
 
 
 def test_help_exit_0(capsys):
@@ -97,7 +96,7 @@ def test_help_exit_0(capsys):
 
 def test_rank_slice_w(files, capsys):
     code, out = run(
-        capsys, "rank", "slice", files["w"], "--xi", "1,1,1", "--restarts", "4",
+        capsys, "rank", "slice", files["w"], "--xi", "1,1,1",
     )
     assert code == 0
     payload = json.loads(out)
@@ -113,7 +112,7 @@ def test_rank_ncrank_pencil(files, capsys):
 
 
 def test_rank_gstable_w(files, capsys):
-    code, out = run(capsys, "rank", "gstable", files["w"], "--alpha", "1,1,1", "--restarts", "4")
+    code, out = run(capsys, "rank", "gstable", files["w"], "--alpha", "1,1,1")
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["value"] - 1.5) <= 1e-3
@@ -125,7 +124,7 @@ def test_rank_gstable_route_tol_sets_the_descent_stop(tmp_path, capsys):
     p = tmp_path / "ww.json"
     p.write_text(json.dumps(ser.tensor_to_json_dict(spectrumkit.tensor_product(w_tensor(), w_tensor()))))
     for tol, expected in (("1e-3", 0), ("1e-4", 3)):
-        code, out = run(capsys, "rank", "gstable", str(p), "--restarts", "4", "--route-tol", tol)
+        code, out = run(capsys, "rank", "gstable", str(p), "--route-tol", tol)
         payload = json.loads(out)
         assert code == expected
         assert payload["value"] == 3.0
@@ -137,7 +136,7 @@ def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
         raise LpError("iteration limit reached")
 
     monkeypatch.setattr(hypergraphs, "solve_lp", failing)
-    code = main(["rank", "gstable", files["w"], "--restarts", "1"])
+    code = main(["rank", "gstable", files["w"]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -149,7 +148,7 @@ def test_rank_gstable_size_cap_exit_2(files, capsys, monkeypatch):
         raise hypergraphs.ResourceLimitError("4096^2 edges exceeds the cap 1000000")
 
     monkeypatch.setattr(hypergraphs, "solve_lp", capped)
-    code = main(["rank", "gstable", files["w"], "--restarts", "1"])
+    code = main(["rank", "gstable", files["w"]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -159,7 +158,6 @@ def test_rank_gstable_size_cap_exit_2(files, capsys, monkeypatch):
 def test_check_minimax_w(files, capsys):
     code, out = run(
         capsys, "check-minimax", files["w"], "--objective", "neg-entropy:1/3,1/3,1/3",
-        "--restarts", "4",
     )
     assert code == 0
     assert abs(json.loads(out)["gap"]) <= 1e-3
@@ -176,7 +174,7 @@ def test_check_minimax_w_linf_closed_bracket_converges(files, capsys):
 def test_check_minimax_unit2_linf(files, capsys):
     code, out = run(
         capsys, "check-minimax", files["unit2"], "--objective", "linf:1,1,1",
-        "--restarts", "4", "--bound", "1e-6",
+        "--bound", "1e-6",
     )
     assert code == 0
     payload = json.loads(out)
@@ -241,15 +239,26 @@ def test_inverted_bracket_exit_3(files, capsys, monkeypatch):
 def test_output_deterministic(files, tmp_path, capsys):
     args = [
         "functional", "support", files["w"], "--theta", "1/3,1/3,1/3",
-        "--restarts", "5", "--seed", "42",
+        "--seed", "42",
     ]
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert out1 == out2
 
 
+def test_basis_searches_do_not_depend_on_the_seed(tmp_path, capsys):
+    # GL.W leaves every bracket open, so each search scores both of its bases
+    p = tmp_path / "glw.json"
+    p.write_text(json.dumps(ser.tensor_to_json_dict(gl_w_tensor())))
+    for args in (["functional", "support", str(p), "--theta", "1/3,1/3,1/3"],
+                 ["rank", "gstable", str(p)]):
+        _, out0 = run(capsys, *args, "--seed", "0")
+        _, out7 = run(capsys, *args, "--seed", "7")
+        assert out0 == out7
+
+
 def test_jobs_flag_is_accepted_and_ignored(files, capsys):
-    args = ["functional", "support", files["w"], "--theta", "1/3,1/3,1/3", "--restarts", "3"]
+    args = ["functional", "support", files["w"], "--theta", "1/3,1/3,1/3"]
     _, out1 = run(capsys, *args)
     code, out2 = run(capsys, *args, "--jobs", "2")
     assert code == 0
@@ -282,10 +291,10 @@ def test_eta_flag_changes_support(files, capsys, tmp_path):
     }
     p = tmp_path / "tiny.json"
     p.write_text(json.dumps(d))
-    _, out_default = run(capsys, "functional", "support", str(p), "--theta", "1/3,1/3,1/3", "--restarts", "0")
+    _, out_default = run(capsys, "functional", "support", str(p), "--theta", "1/3,1/3,1/3")
     _, out_zero = run(
         capsys, "functional", "support", str(p), "--theta", "1/3,1/3,1/3",
-        "--restarts", "0", "--eta", "0",
+        "--eta", "0",
     )
     v_default = json.loads(out_default)["value"]
     v_zero = json.loads(out_zero)["value"]

@@ -37,11 +37,10 @@ from spectrumkit.tensors import (
     direct_sum,
     random_group_element,
     random_tensor,
-    random_unitary,
     tensor_product,
 )
 
-FAST = SearchConfig(restarts=6)
+FAST = SearchConfig()
 UNIFORM3 = ThetaWeights.uniform(3)
 
 
@@ -250,7 +249,16 @@ def test_descent_at_iteration_cap_is_not_converged(w):
     assert not res.converged and res.stop == "cap"
 
 
+def test_descent_that_stalls_at_its_last_level_says_stall(w):
+    # W starts at the linf minimum 2/3: every level ends after two stalls
+    res = minimize_over_moment_polytope(w, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])))
+    assert (res.iterations, res.stop, res.converged) == (14, "stall", False)
+    assert abs(res.value - 2 / 3) <= 1e-12
+
+
 def test_unbounded_descent_on_ww_runs_to_the_cap(w):
+    # the first two levels stall after 12 and 141 steps, the last five use
+    # their whole share of 858
     res = minimize_over_moment_polytope(
         tensor_product(w, w), MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), max_iter=6000
     )
@@ -390,23 +398,24 @@ def test_support_upper_bounds_quantum_weak_duality():
         assert z >= q - 1e-3
 
 
-def test_unitary_candidates_are_the_seeded_list_drawn_lazily(monkeypatch):
+def test_unitary_candidates_are_drawn_lazily(w, monkeypatch):
     t = random_tensor((2, 3, 4), np.random.default_rng(1))
-    cfg = SearchConfig(restarts=4, seed=9)
-    cands = list(unitary_candidates(t, cfg))
-    assert len(cands) == cfg.restarts + 2
+    cands = list(unitary_candidates(t))
+    assert len(cands) == 2
     for f, n in zip(cands[0].factors, t.dims):
         assert np.array_equal(f, np.eye(n))
     for f, g in zip(cands[1].factors, functionals._eigenbasis_unitary(t).factors):
         assert np.array_equal(f, g)
-    for k, u in enumerate(cands[2:]):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k)))
-        for f, n in zip(u.factors, t.dims):
-            assert np.array_equal(f, random_unitary(n, rng))
-    draws = []
-    monkeypatch.setattr(functionals, "random_unitary", lambda n, rng: draws.append(n) or np.eye(n))
-    list(itertools.islice(unitary_candidates(t, cfg), 3))
-    assert draws == list(t.dims)  # one Haar basis drawn, one unitary per leg
+    eigenbases = []
+    eig = functionals._eigenbasis_unitary
+    monkeypatch.setattr(functionals, "_eigenbasis_unitary",
+                        lambda t: eigenbases.append(t) or eig(t))
+    list(itertools.islice(unitary_candidates(t), 1))
+    assert eigenbases == []
+    # a search that stops at the identity never computes the eigenbasis
+    assert support_functional(w, UNIFORM3, FAST).bases_scored == 1
+    assert minimax_gap(w, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST).bases_scored == 1
+    assert eigenbases == []
 
 
 def test_basis_search_ties_keep_the_earlier_candidate():
@@ -447,23 +456,12 @@ def test_basis_search_counts_the_candidates_drawn():
     assert functionals._basis_search([], lambda k: (k, None)) == (np.inf, None, None, 0)
 
 
-@pytest.mark.parametrize("offset", [0, 5000, 7000])
-def test_restart_streams_are_the_seeded_sequences(offset):
-    cfg = SearchConfig(restarts=3, seed=11)
-    rngs = list(functionals._restart_rngs(cfg, offset))
-    assert len(rngs) == cfg.restarts
-    for k, rng in enumerate(rngs):
-        ref = np.random.default_rng(np.random.SeedSequence((cfg.seed, offset + k)))
-        assert np.array_equal(random_unitary(3, rng), random_unitary(3, ref))
-        assert np.array_equal(random_unitary(2, rng), random_unitary(2, ref))
-
-
 @pytest.mark.parametrize("label,t", basis_search_corpus())
 def test_support_search_stopped_by_bracket_matches_full_scan(label, t):
     for theta in (UNIFORM3, ThetaWeights.theta([0.5, 0.25, 0.25])):
         stopped = support_functional(t, theta, FAST)
         full = support_functional(t, theta, FAST, compute_gap=False)
-        assert full.bases_scored == FAST.restarts + 2
+        assert full.bases_scored == 2
         assert 1 <= stopped.bases_scored <= full.bases_scored
         assert abs(stopped.bits - full.bits) <= 2 * FAST.inner_tol
         for a, b in zip(stopped.group_factors, full.group_factors):
@@ -497,7 +495,7 @@ def test_support_search_reuses_the_exact_support_solve(w, monkeypatch):
 
 def test_support_search_open_bracket_scores_every_basis():
     cert = support_functional(gl_w_tensor(), UNIFORM3, FAST)
-    assert cert.bases_scored == FAST.restarts + 2
+    assert cert.bases_scored == 2
     assert cert.gap > 1e-3
 
 
@@ -535,26 +533,23 @@ def test_symmetric_minimax_variant(w):
 def test_symmetric_support_functional_meets_the_quantum_side(label, bits):
     t = {"unit3": make_unit(3, 3), "w": w_tensor(), "matmul222": matmul_tensor(2, 2, 2)}[label]
     q = symmetric_quantum_functional(t)
-    for cfg in (SearchConfig(), SearchConfig(restarts=0)):
-        z = symmetric_support_functional(t, cfg)
-        assert abs(z.bits - q.bits) <= 1e-15 and abs(z.bits - bits) <= 1e-12
-        assert z.bases_scored == cfg.restarts + 2 and z.converged
-        assert len(z.group_factors) == 1
+    z = symmetric_support_functional(t)
+    assert abs(z.bits - q.bits) <= 1e-15 and abs(z.bits - bits) <= 1e-12
+    assert z.bases_scored == 2 and z.converged
+    assert len(z.group_factors) == 1
 
 
-def test_symmetric_support_search_draws_its_seed_stream(w, monkeypatch):
+def test_symmetric_support_search_scores_the_identity_and_the_eigenbasis(w, monkeypatch):
     scored = []
     apply = functionals.apply_group
     monkeypatch.setattr(functionals, "apply_group",
                         lambda g, t: scored.append(g.factors) or apply(g, t))
-    cfg = SearchConfig(restarts=3, seed=4)
-    cert = symmetric_support_functional(w, cfg)
-    assert cert.bases_scored == len(scored) == cfg.restarts + 2
+    cert = symmetric_support_functional(w)
+    assert cert.bases_scored == len(scored) == 2
     assert all(np.array_equal(f, fs[0]) for fs in scored for f in fs)  # one unitary on every leg
     assert np.array_equal(scored[0][0], np.eye(2))
-    for k, fs in enumerate(scored[2:]):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 5000 + k)))
-        assert np.array_equal(fs[0], random_unitary(2, rng))
+    mu = sum(functionals.marginal(w, j) for j in range(3))
+    assert np.allclose(scored[1][0] @ mu @ scored[1][0].conj().T, np.diag([2.0, 1.0]))
 
 
 def test_minimax_gap_examples(w, matmul222):
@@ -604,7 +599,7 @@ def test_minimax_open_bracket_reports_the_descent_flag():
     rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST, lhs_max_iter=3)
     assert rep.lhs - rep.rhs > 1e-6
     assert rep.converged is rep.lhs_certificate.converged is False
-    assert rep.bases_scored == FAST.restarts + 2
+    assert rep.bases_scored == 2
 
 
 def test_minimax_witnesses_are_feasible(w):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import F_W, basis_search_corpus, gl_w_tensor
+from conftest import F_W, basis_search_corpus, gl_w_tensor, sparse_tensor
 from spectrumkit import (
     MatrixTuple,
     SearchConfig,
@@ -20,10 +20,31 @@ from spectrumkit import (
 )
 from spectrumkit import ranks
 from spectrumkit.functionals import unitary_candidates
-from spectrumkit.hypergraphs import asymptotic_vertex_cover, hypergraph_of
-from spectrumkit.tensors import Tensor, apply_group, random_tensor, random_unitary, tensor_product
+from spectrumkit.hypergraphs import (
+    asymptotic_vertex_cover,
+    bipartite_vertex_cover,
+    fractional_vertex_cover,
+    hypergraph_of,
+)
+from spectrumkit.optim import (
+    MaxInfNorm,
+    NegSummedEntropy,
+    NegWeightedEntropy,
+    min_convex_over_support,
+)
+from spectrumkit.tensors import (
+    GroupElement,
+    Tensor,
+    apply_group,
+    direct_sum,
+    random_tensor,
+    random_unitary,
+    support,
+    tensor_product,
+    w_tensor,
+)
 
-FAST = SearchConfig(restarts=6)
+FAST = SearchConfig()
 XI1 = ThetaWeights.xi([1, 1, 1])
 AL1 = ThetaWeights.alpha([1, 1, 1])
 
@@ -41,6 +62,61 @@ def skew_basis3() -> MatrixTuple:
     sk[1][0, 2], sk[1][2, 0] = 1, -1
     sk[2][1, 2], sk[2][2, 1] = 1, -1
     return MatrixTuple(sk)
+
+
+def _tiny_entry_tensor() -> Tensor:
+    """One entry 1 and one 1e-12: the default eta drops the second."""
+    arr = np.zeros((2, 2, 2), dtype=complex)
+    arr[0, 0, 0], arr[1, 1, 1] = 1.0, 1e-12
+    return Tensor(arr)
+
+
+def _haar(n: int, seed: int) -> np.ndarray:
+    return random_unitary(n, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("eta", [1e-9, 0.0])
+def test_a_haar_basis_never_beats_the_identity(eta):
+    # every entry of u.t is a polynomial in u: an entry nonzero at u = I is
+    # nonzero at a Haar u, so supp(t) lies in supp(u.t), and every score a
+    # basis search takes is monotone in the support
+    def points(t):
+        return {tuple(p) for p in support(t, eta).points}
+
+    def scores(t):
+        s = support(t, eta)
+        h = hypergraph_of(t, eta)
+        return (
+            -min_convex_over_support(s, NegWeightedEntropy(ThetaWeights.uniform(3))).value,
+            asymptotic_vertex_cover(h, XI1),
+            fractional_vertex_cover(h, AL1).value,
+            -min_convex_over_support(s, MaxInfNorm(AL1)).value,  # the minimax search maximizes
+        )
+
+    tensors = [w_tensor(), gl_w_tensor(), direct_sum(make_unit(2, 3), make_unit(1, 3)),
+               _tiny_entry_tensor()] + [sparse_tensor((3, 3, 2), 5, k) for k in (6, 8, 11)]
+    for t in tensors:
+        base = scores(t)
+        for seed in (0, 1, 2):
+            factors = tuple(_haar(n, 10 * seed + j) for j, n in enumerate(t.dims))
+            ut = apply_group(GroupElement(factors, unitary=True), t)
+            assert points(ut) >= points(t)
+            for b, v in zip(base, scores(ut)):
+                assert v >= b - 1e-7
+    for t in (w_tensor(), make_unit(3, 3)):
+        summed = NegSummedEntropy(3)
+        base = min_convex_over_support(support(t, eta), summed).value
+        for seed in (0, 1, 2):
+            ut = apply_group(GroupElement((_haar(t.dims[0], seed),) * 3, unitary=True), t)
+            assert points(ut) >= points(t)
+            assert -min_convex_over_support(support(ut, eta), summed).value >= -base - 1e-7
+    a = skew_basis3()
+    eye = np.eye(3, dtype=complex)
+    base = ranks._support_bigraph(a, eye, eye, eta)
+    for seed in (0, 1, 2):
+        haar = ranks._support_bigraph(a, _haar(3, seed), _haar(3, seed + 100), eta)
+        assert set(haar.edges) >= set(base.edges)
+        assert bipartite_vertex_cover(haar).value >= bipartite_vertex_cover(base).value
 
 
 def test_slice_rank_unit():
@@ -138,9 +214,9 @@ def test_cover_route_stopped_by_bracket_matches_full_scan(label, t):
     rep = asymptotic_slice_rank(t, XI1, FAST)
     full = min(
         asymptotic_vertex_cover(hypergraph_of(apply_group(u, t), FAST.eta), XI1, tol=FAST.inner_tol)
-        for u in unitary_candidates(t, FAST)
+        for u in unitary_candidates(t)
     )
-    assert 1 <= rep.details["cover_bases"] <= FAST.restarts + 2
+    assert 1 <= rep.details["cover_bases"] <= 2
     assert abs(np.log2(rep.routes["cover_entropy"]) - np.log2(full)) <= 2 * FAST.inner_tol
 
 
@@ -151,9 +227,8 @@ def test_cover_route_stops_at_the_first_basis_meeting_the_bound(w):
 
 
 def test_cover_route_open_bracket_scores_every_basis():
-    cfg = SearchConfig(restarts=2)
-    rep = asymptotic_slice_rank(gl_w_tensor(), XI1, cfg)
-    assert rep.details["cover_bases"] == cfg.restarts + 2
+    rep = asymptotic_slice_rank(gl_w_tensor(), XI1, FAST)
+    assert rep.details["cover_bases"] == 2
     assert rep.routes["cover_entropy"] > rep.details["theta_bracket"][1] + 1e-3
 
 
@@ -173,14 +248,14 @@ def test_g_stable_rank_examples(w):
 
 
 def test_g_stable_cover_route_scores_every_basis(w, monkeypatch):
-    assert g_stable_rank(w, AL1, FAST).details["cover_bases"] == FAST.restarts + 2
+    assert g_stable_rank(w, AL1, FAST).details["cover_bases"] == 2
     seen = []
     cover = ranks.fractional_vertex_cover
     monkeypatch.setattr(ranks, "fractional_vertex_cover",
                         lambda h, a: seen.append(h) or cover(h, a))
     rep = g_stable_rank(gl_w_tensor(), AL1, FAST)
-    assert rep.details["cover_bases"] == FAST.restarts + 2
-    assert len(seen) == len(set(seen)) <= FAST.restarts + 2  # one LP per distinct support
+    assert rep.details["cover_bases"] == 2
+    assert len(seen) == len(set(seen)) <= 2  # one LP per distinct support
 
 
 def test_g_stable_descent_stops_at_the_bracket(w):
@@ -264,20 +339,19 @@ def test_ncrank_inverted_bracket_warns(monkeypatch):
     assert rep.details["moment_raw"] - rep.value > 0.25
 
 
-def test_ncrank_fr_scores_every_pair_from_its_seed_stream(monkeypatch):
+def test_ncrank_fr_scores_the_identity_and_the_eigenbasis_pairs(monkeypatch):
     pairs = []
     bigraph = ranks._support_bigraph
     monkeypatch.setattr(ranks, "_support_bigraph",
                         lambda a, u, v, eta: pairs.append((u, v)) or bigraph(a, u, v, eta))
-    cfg = SearchConfig(restarts=3, seed=2)
-    value, cert = ncrank_fr(skew_basis3(), cfg)
-    assert value == 3 and cert["pairs_scored"] == len(pairs) == cfg.restarts + 2
+    a = skew_basis3()
+    value, cert = ncrank_fr(a)
+    assert value == 3 and cert["pairs_scored"] == len(pairs) == 2
     for u in pairs[0]:
         assert np.array_equal(u, np.eye(3))
-    for k, (u, v) in enumerate(pairs[2:]):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7000 + k)))
-        assert np.array_equal(u, random_unitary(3, rng))  # two draws per generator
-        assert np.array_equal(v, random_unitary(3, rng))
+    eig = ranks._eigenbasis_unitary(a.as_tensor())
+    assert np.array_equal(pairs[1][0], eig.factors[0])
+    assert np.array_equal(pairs[1][1], eig.factors[1].conj())
 
 
 def test_ncrank_blowup_needs_size_two_for_skew():
