@@ -137,6 +137,7 @@ def _cmd_functional(args) -> int:
         lines.append(f"  gap        {cert.gap:.3e}")
     if cert.bracket is not None:
         lines.append(f"  bracket    [{cert.bracket[0]:.10g}, {cert.bracket[1]:.10g}] bits")
+        lines.append(f"  lower end  {cert.lower_end}")
     _emit(args, payload, lines)
     if _inverted(cert, cfg):
         return EXIT_DISAGREE

@@ -85,6 +85,7 @@ class FunctionalCertificate:
     gap: float | None = None
     bases_scored: int | None = None  # candidates scored by a basis search
     bracket: tuple[float, float] | None = None  # (lo, hi) bits of F_theta(t)
+    lower_end: str | None = None  # how lo was obtained: scaling, free_support or square_pencil
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,7 @@ def entropic_scaling(
         converged=converged,
         gap=None,
         bracket=(bits, float(upper_bits)) if upper_bits is not None else None,
+        lower_end="scaling" if upper_bits is not None else None,
     )
     trace = ScalingTrace(
         iterations=len(bits_seq) - 1,
@@ -312,15 +314,83 @@ def exact_support_bound(
     return opt.certified_gap - opt.value, opt
 
 
+def _is_free(points: np.ndarray) -> bool:
+    """Whether any two support points differ in at least two coordinates:
+    dropping any one coordinate leaves the points distinct."""
+    return all(len(np.unique(np.delete(points, j, axis=1), axis=0)) == len(points)
+               for j in range(points.shape[1]))
+
+
+def _square_pencil_bits(t: Tensor, th: np.ndarray) -> float | None:
+    """sum_j theta_j log2 n, the largest value any theta-functional of t can
+    take, when the legs of positive weight are two legs of one dimension n
+    and a seeded random combination of the slices along the other legs is
+    numerically nonsingular (sigma_min > PINV_CUTOFF sigma_max); else None."""
+    pos = np.flatnonzero(th > 0)
+    if pos.size != 2 or t.dims[pos[0]] != t.dims[pos[1]]:
+        return None
+    n = t.dims[pos[0]]
+    slices = np.moveaxis(t.entries, tuple(pos), (0, 1)).reshape(n, n, -1)
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(slices.shape[2]) + 1j * rng.standard_normal(slices.shape[2])
+    sv = np.linalg.svd(slices @ z, compute_uv=False)
+    return float(sum(th[j] * np.log2(n) for j in pos)) if sv[-1] > PINV_CUTOFF * sv[0] else None
+
+
+def _certified_lower_end(
+    t: Tensor, th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float
+) -> FunctionalCertificate | None:
+    """The quantum functional certified without a scaling run, given the
+    exact-support bound hi and its solve opt, or None.
+
+    * A free exact support (``_is_free``): the marginals of every
+      distribution on it lie in the moment polytope, so lo = -opt.value
+      (Christandl, Vrana & Zuiddam, "Universal points in the asymptotic
+      spectrum of tensors", STOC 2018).
+    * A square pencil (``_square_pencil_bits``): a nonsingular matrix in the
+      span of the slices makes the pencil rank non-decreasing, so operator
+      scaling reaches uniform marginals on the two legs and lo = hi =
+      sum_j theta_j log2 n (Gurvits, "Classical complexity and quantum
+      entanglement", JCSS 2004).
+
+    Neither is used when the solve missed its tolerance (certified gap above
+    ``bracket_width(inner_tol)``), nor the pencil when its value exceeds hi.
+    The witness is the certified point of the moment polytope, sorted
+    non-increasing; no group element attains it.
+    """
+    if opt.certified_gap > bracket_width(inner_tol):
+        return None
+    if _is_free(opt.distribution.support.points):
+        lo, end, probs = -opt.value, "free_support", opt.marginals.probs
+    else:
+        lo = _square_pencil_bits(t, th)
+        if lo is None or lo > hi:
+            return None
+        hi, end = lo, "square_pencil"
+        probs = [np.full(n, 1.0 / n) if w > 0 else np.eye(n)[0] for w, n in zip(th, t.dims)]
+    return FunctionalCertificate(
+        value=float(2.0**lo),
+        bits=float(lo),
+        witness=MarginalTuple(tuple(np.sort(p)[::-1] for p in probs)),
+        theta=th.copy(),
+        bracket=(float(lo), float(hi)),
+        lower_end=end,
+    )
+
+
 def _bracketed_scaling(
     t: Tensor, theta: ThetaWeights, *, inner_tol: float, tol: float = 1e-10,
     max_iter: int = 200_000,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
-    """A cold scaling run that stops once its bracket against the exact-support
-    bound is ``bracket_width(inner_tol)`` wide; also returns the bound's solve."""
+    """The quantum functional's bracket against the exact-support bound: a
+    certified lower end (``_certified_lower_end``) where one applies, else a
+    cold scaling run that stops once the bracket is ``bracket_width(inner_tol)``
+    wide.  Also returns the bound's solve."""
     hi, opt = exact_support_bound(t, theta, inner_tol)
-    cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter,
-                               upper_bits=hi, width=bracket_width(inner_tol))
+    cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol)
+    if cert is None:
+        cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter,
+                                   upper_bits=hi, width=bracket_width(inner_tol))
     return cert, opt
 
 
@@ -335,12 +405,18 @@ def quantum_functional(
     """max of 2^(sum_j theta_j H(p_j)) over the marginal-spectra polytope of t.
 
     The entropy program on the exact support of t (eta = 0, solved to
-    ``inner_tol``) plus its certified gap bounds the value from above, and
-    every scaling iterate bounds it from below.  The run stops once that
-    bracket is ``bracket_width(inner_tol)`` = 10 inner_tol bits wide, else
-    by the residual rule of ``entropic_scaling``.  ``bits`` is the last
-    iterate, which the witness and group factors attain; ``bracket`` holds
-    (bits, upper bound).
+    ``inner_tol``) plus its certified gap bounds the value from above.  Two
+    inputs have a lower end known without scaling (``lower_end``): a free
+    exact support, where the program's own value is attained (Christandl,
+    Vrana & Zuiddam, STOC 2018), and two legs of positive weight and equal
+    dimension n whose pencil of slices holds a nonsingular matrix, where
+    the value is sum_j theta_j log2 n (Gurvits, JCSS 2004).  Their witness
+    is that point of the moment polytope, and ``group_factors`` is None.
+    Otherwise every scaling iterate bounds the value from below, and the
+    run stops once the bracket is ``bracket_width(inner_tol)`` = 10
+    inner_tol bits wide, else by the residual rule of ``entropic_scaling``;
+    ``bits`` is the last iterate, which the witness and group factors
+    attain.  ``bracket`` holds (bits, upper bound).
     """
     return _bracketed_scaling(t, theta, tol=tol, max_iter=max_iter, inner_tol=inner_tol)[0]
 
@@ -396,16 +472,16 @@ def unitary_candidates(t: Tensor) -> Iterator[GroupElement]:
     yield _eigenbasis_unitary(t)
 
 
-def _support_score(t: Tensor, objective, cfg: SearchConfig, exact: SupportOptimum | None):
+def _support_score(t: Tensor, objective, cfg: SearchConfig, known: SupportOptimum | None):
     """The basis-search score of a basis change u: the negated value of the
     support program of u.t on its ``cfg.eta`` support, and the solve.
-    ``exact``, the same program's solve on the exact support, stands in for
-    the solve when the two supports agree."""
+    ``known``, a solve of the same program on some support, stands in for
+    the solve when the candidate's support is that one."""
 
     def score(u: GroupElement) -> tuple[float, SupportOptimum]:
         s = support(apply_group(u, t), cfg.eta)
-        if exact is not None and np.array_equal(s.points, exact.distribution.support.points):
-            return -exact.value, exact
+        if known is not None and np.array_equal(s.points, known.distribution.support.points):
+            return -known.value, known
         opt = min_convex_over_support(s, objective, tol=cfg.inner_tol)
         return -opt.value, opt
 
@@ -429,9 +505,12 @@ def support_functional(
     ``quantum_functional`` comes first: its value bounds every basis from
     below, so the search stops at the first basis within
     ``bracket_width(cfg.inner_tol)`` bits of it; ``bases_scored`` counts the
-    bases drawn.  Ties keep the earlier basis.  ``bracket`` is the scaling
-    run's (lo, hi); this value lies inside it.  A candidate whose support is
-    the exact one reuses the solve that gave hi.  ``compute_gap=False``
+    bases drawn.  Ties keep the earlier basis.  ``bracket`` is the quantum
+    side's (lo, hi), and ``lower_end`` says how lo was obtained: on a free
+    exact support (Christandl, Vrana & Zuiddam, STOC 2018) or a square
+    pencil (Gurvits, JCSS 2004) it is certified without a scaling run.  This
+    value lies inside the bracket.  A candidate whose support is the exact
+    one reuses the solve that gave hi.  ``compute_gap=False``
     skips the scaling run when the caller compares against its own quantum
     value; the search then scores both candidates.
     """
@@ -460,6 +539,7 @@ def support_functional(
         gap=value - q.value if q is not None else None,
         bases_scored=scored,
         bracket=q.bracket if q is not None else None,
+        lower_end=q.lower_end if q is not None else None,
     )
 
 
@@ -475,6 +555,17 @@ class MomentDescentResult:
     iterations: int
     converged: bool
     stop: str  # why the descent stopped: "bracket", "tol", "stall" or "cap"
+
+
+def _descent_bound(meets, guess: float) -> float:
+    """The descent bound for a stop test ``meets(value)`` that holds at and
+    below some value near ``guess``: ``guess``, lowered ulp by ulp until the
+    test holds in floating point.  The test must be monotone (it holds below
+    every value at which it holds), so any descent value at or below the
+    bound passes the same test that the report applies."""
+    while not meets(guess):
+        guess = float(np.nextafter(guess, -np.inf))
+    return guess
 
 
 def minimize_over_moment_polytope(
@@ -708,24 +799,32 @@ def minimax_gap(
     signed.  The lhs is computed by entropic scaling when F is a negated
     weighted entropy and by subgradient scaling descent otherwise.  The lhs
     bounds the true value from above and (rhs - its certified gap) from
-    below, so the basis search stops once that bracket closes to within
-    ``cfg.inner_tol``.  A bracket closed to max(10 inner_tol, 1e-6) reports
+    below, so the basis search stops once that bracket is as narrow as the
+    lhs is loose.  A bracket closed to max(10 inner_tol, 1e-6) reports
     ``converged=True``; an open one reports the lhs solver's own flag.
 
-    For a negated weighted entropy the scaling run is the bracketed run of
-    ``quantum_functional``: it stops once its iterate is within
-    ``bracket_width(cfg.inner_tol)`` bits of the exact-support bound, so the
+    For a negated weighted entropy the lhs is the bracket of
+    ``quantum_functional``: a certified lower end on a free exact support
+    (Christandl, Vrana & Zuiddam, STOC 2018) or a square pencil (Gurvits,
+    JCSS 2004), else a scaling run stopped once its iterate is within
+    ``bracket_width(cfg.inner_tol)`` bits of the exact-support bound; so the
     lhs may sit that far above the true value and the basis search allows
-    the same slack.  ``lhs_certificate.bracket`` holds the run's (lo, hi) in
-    bits of F_theta(t), and a candidate whose support is the exact one
-    reuses the solve that gave hi.
+    the same slack.  ``lhs_certificate.bracket`` holds (lo, hi) in bits of
+    F_theta(t), and a candidate whose support is the exact one reuses the
+    solve that gave hi.
+
+    For any other F the identity basis is scored first.  Its rhs less its
+    certified gap bounds the minimum from below, so the descent stops as
+    soon as its value passes the report's closed test against it, and the
+    lhs may sit max(10 inner_tol, 1e-6) above that bound; the basis search
+    allows the same slack and reuses the identity's solve.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
+    closed_tol = max(cfg.inner_tol * 10, 1e-6)
 
-    exact, slack = None, cfg.inner_tol
     if isinstance(objective, NegWeightedEntropy):
-        q, exact = _bracketed_scaling(t, ThetaWeights.theta(objective.theta),
+        q, known = _bracketed_scaling(t, ThetaWeights.theta(objective.theta),
                                       inner_tol=cfg.inner_tol)
         slack = bracket_width(cfg.inner_tol)
         lhs = -q.bits
@@ -738,10 +837,15 @@ def minimax_gap(
             converged=q.converged,
             gap=None,
             bracket=q.bracket,
+            lower_end=q.lower_end,
         )
         lhs_converged = q.converged
     else:
-        res = minimize_over_moment_polytope(t, objective, max_iter=lhs_max_iter)
+        _, known = _support_score(t, objective, cfg, None)(GroupElement.identity(t.dims))
+        floor = known.value - known.certified_gap
+        bound = _descent_bound(lambda v: v - floor <= closed_tol, floor + closed_tol)
+        res = minimize_over_moment_polytope(t, objective, max_iter=lhs_max_iter, bound=bound)
+        slack = closed_tol
         lhs = res.value
         lhs_cert = FunctionalCertificate(
             value=lhs,
@@ -756,11 +860,10 @@ def minimax_gap(
 
     neg_rhs, best_u, rhs_opt, scored = _basis_search(
         unitary_candidates(t),
-        _support_score(t, objective, cfg, exact),
+        _support_score(t, objective, cfg, known),
         lambda neg, opt: -neg - opt.certified_gap >= lhs - slack,
     )
     rhs = -neg_rhs
-    closed_tol = max(cfg.inner_tol * 10, 1e-6)
     rhs_cert = FunctionalCertificate(
         value=float(rhs),
         bits=float("nan"),

@@ -22,13 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import (
+    FunctionalCertificate,
     MomentDescentResult,
     SearchConfig,
     _basis_search,
+    _bracketed_scaling,
+    _descent_bound,
     _eigenbasis_unitary,
-    bracket_width,
     entropic_scaling,
-    exact_support_bound,
     minimize_over_moment_polytope,
     unitary_candidates,
 )
@@ -82,17 +83,6 @@ def _route_gap(routes: dict[str, float]) -> float:
     return float(max(vals) - min(vals))
 
 
-def _descent_bound(meets, guess: float) -> float:
-    """The descent bound for a stop test ``meets(value)`` that holds at and
-    below some value near ``guess``: ``guess``, lowered ulp by ulp until the
-    test holds in floating point.  The test must be monotone (it holds below
-    every value at which it holds), so any descent value at or below the
-    bound passes the same test that the report applies."""
-    while not meets(guess):
-        guess = float(np.nextafter(guess, -np.inf))
-    return guess
-
-
 # ---------------------------------------------------------------------------
 # asymptotic slice rank
 
@@ -105,7 +95,7 @@ THETA_MAX_CUTS = 60
 
 def _slice_rank_theta_route(
     t: Tensor, xi: ThetaWeights, cfg: SearchConfig
-) -> tuple[float, np.ndarray, tuple[float, float], int]:
+) -> tuple[float, FunctionalCertificate, tuple[float, float], int]:
     """min over theta of F_theta(t)^(1 / <theta, xi>), by Kelley cutting planes.
 
     bits(theta) = log2 F_theta(t) is the maximum of <theta, h> over reachable
@@ -117,10 +107,10 @@ def _slice_rank_theta_route(
     max_k <theta, h_k> at the evaluated thetas, equals a converged run's
     bits.  From the vertices on, one loose cold-started run at the LP's theta
     adds a cut until hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts;
-    the best theta is then run at full accuracy, stopped once it is within
-    ``bracket_width(cfg.inner_tol)`` bits of ``exact_support_bound`` at that
-    theta or at 30,000 iterations.  Returns the value, theta,
-    (lo, hi) and the cut count.
+    the best theta is then bracketed as ``quantum_functional`` brackets it
+    (a certified lower end where one applies, else a full-accuracy run
+    stopped by its bracket or at 30,000 iterations).  Returns the value,
+    the best theta's certificate, (lo, hi) and the cut count.
     """
     legs = np.flatnonzero(xi.values > 0)
 
@@ -131,9 +121,7 @@ def _slice_rank_theta_route(
         if loose:
             return entropic_scaling(t, weights, tol=1e-9, max_iter=1500, window=30,
                                     spectrum_tol=1e-6)[0]
-        hi, _ = exact_support_bound(t, weights, cfg.inner_tol)
-        return entropic_scaling(t, weights, max_iter=30_000,
-                                upper_bits=hi, width=bracket_width(cfg.inner_tol))[0]
+        return _bracketed_scaling(t, weights, inner_tol=cfg.inner_tol, max_iter=30_000)[0]
 
     # the evaluated points, scaled to <theta, xi> = 1, and their cuts
     points = list(np.diag(1.0 / xi.values[legs]))
@@ -150,7 +138,7 @@ def _slice_rank_theta_route(
         cuts.append(run(points[-1]).witness.entropies()[legs])
     cert = run(points[best], loose=False)
     final = cert.bits / float(cert.theta @ xi.values)
-    return float(2.0 ** max(lo, min(hi, final))), cert.theta, (lo, hi), len(cuts)
+    return float(2.0 ** max(lo, min(hi, final))), cert, (lo, hi), len(cuts)
 
 
 def asymptotic_slice_rank(
@@ -162,13 +150,15 @@ def asymptotic_slice_rank(
 
     Route "quantum_theta_min" minimizes the quantum functional over entropy
     weights by cutting planes, with bracket ``details["theta_bracket"]`` and
-    ``details["scaling_runs"]`` runs; a bracket left open at THETA_MAX_CUTS
-    cuts adds a note and status "warn".  Route "cover_entropy" is the least
-    asymptotic cover number of the rotated support hypergraph over the
-    identity and the marginal eigenbasis (``unitary_candidates``).  Every
-    cover is at least 2^lo, so the search stops at the identity when its
-    cover is within ``cfg.inner_tol`` bits of 2^hi: the eigenbasis could not
-    lower the route by more than hi - lo + inner_tol bits.
+    ``details["scaling_runs"]`` runs (the final bracket at the best theta
+    counts only when its lower end came from scaling); a bracket left open
+    at THETA_MAX_CUTS cuts adds a note and status "warn".  Route
+    "cover_entropy" is the least asymptotic cover number of the rotated
+    support hypergraph over the identity and the marginal eigenbasis
+    (``unitary_candidates``).  Every cover is at least 2^lo, so the search
+    stops at the identity when its cover is within ``cfg.inner_tol`` bits of
+    2^hi: the eigenbasis could not lower the route by more than
+    hi - lo + inner_tol bits.
     ``details["cover_bases"]`` counts the bases scored.
     """
     t.require_nonzero()
@@ -177,7 +167,7 @@ def asymptotic_slice_rank(
     if xi.role != "xi":
         raise InvalidArgumentError("slice rank expects weights with role 'xi'")
 
-    val_a, best_theta, (lo, hi), cuts = _slice_rank_theta_route(t, xi, cfg)
+    val_a, final, (lo, hi), cuts = _slice_rank_theta_route(t, xi, cfg)
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
@@ -197,8 +187,9 @@ def asymptotic_slice_rank(
         gap=gap,
         status="ok" if gap <= ROUTE_TOL and not notes else "warn",
         notes=notes,
-        details={"theta": best_theta, "basis": best_u,
-                 "theta_bracket": (float(2**lo), float(2**hi)), "scaling_runs": cuts + 1,
+        details={"theta": final.theta, "basis": best_u,
+                 "theta_bracket": (float(2**lo), float(2**hi)),
+                 "scaling_runs": cuts + (final.lower_end == "scaling"),
                  "cover_bases": scored},
     )
 
@@ -343,7 +334,6 @@ def _moment_raw(n: int, value: float) -> float:
 
 def ncrank_moment(
     a: MatrixTuple,
-    cfg: SearchConfig | None = None,
     *,
     max_iter: int = 6000,
     upper: float | None = None,
@@ -354,7 +344,6 @@ def ncrank_moment(
     with an upper end ``upper`` (a cover number) the descent stops once
     upper - raw <= ROUTE_TOL.  Returns the raw value, its rounding and the
     descent."""
-    cfg = cfg or SearchConfig()
     t = a.as_tensor()
     bound = None
     if upper is not None:
@@ -376,7 +365,7 @@ def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
     notes = _tuple_degeneracy_notes(a)
     fr, fr_cert = ncrank_fr(a, cfg)
     blow = ncrank_blowup(a, seed=cfg.seed)
-    raw, rounded, descent = ncrank_moment(a, cfg, upper=float(fr))
+    raw, rounded, descent = ncrank_moment(a, upper=float(fr))
     routes = {
         "fortin_reutenauer": float(fr),
         "blowup": float(blow),

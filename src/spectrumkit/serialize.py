@@ -149,6 +149,7 @@ def certificate_to_json_dict(cert: FunctionalCertificate) -> dict:
     )
     out["gap"] = float(cert.gap) if cert.gap is not None else None
     out["bracket"] = [float(x) for x in cert.bracket] if cert.bracket is not None else None
+    out["lower_end"] = cert.lower_end
     return out
 
 

@@ -196,6 +196,17 @@ def test_bracket_in_the_output(files, capsys):
     assert code == 0 and json.loads(out)["bracket"] is None
 
 
+def test_lower_end_in_the_output(files, capsys):
+    code, out = run(capsys, "functional", "quantum", files["w"], "--theta", "3/5,2/5,0")
+    payload = json.loads(out)
+    assert code == 0 and payload["lower_end"] == "free_support" and payload["group"] is None
+    code, out = run(capsys, "functional", "support", files["w"], "--theta", "3/5,2/5,0",
+                    "--format", "table")
+    assert code == 0 and "  lower end  free_support\n" in out
+    code, out = run(capsys, "functional", "symmetric", files["w"])
+    assert code == 0 and json.loads(out)["lower_end"] is None
+
+
 def test_bracket_ordered_up_to_rounding(files, capsys):
     # on unit3 the first iterate lies one ulp above the exact-support bound,
     # which is inside the bracket width, so no inverted-bracket exit
@@ -302,15 +313,34 @@ def test_eta_flag_changes_support(files, capsys, tmp_path):
     assert v_zero >= 1.9  # exact support keeps both diagonal points
 
 
+def _fresh_process(code: str, *argv: str) -> str:
+    src = str(Path(spectrumkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    ).stdout
+
+
 def test_import_leaves_scipy_solvers_unloaded():
     # every CLI run pays for the import; scipy.optimize alone takes ~0.5 s
     code = (
         "import sys, spectrumkit.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg') if m in sys.modules])"
     )
-    src = str(Path(spectrumkit.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _fresh_process(code).strip() == "[]"
+
+
+def test_functional_and_minimax_runs_leave_scipy_unloaded(files):
+    # no job of these commands needs scipy, so none pays for its import
+    code = (
+        "import contextlib, io, sys\n"
+        "from spectrumkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(a.split()) for a in sys.argv[1:]]\n"
+        "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    w = files["w"]
+    runs = [f"functional quantum {w} --theta 3/5,2/5,0", f"functional quantum {w} --theta 1/2,1/4,1/4",
+            f"functional support {w} --theta 3/5,2/5,0", f"functional support {w} --theta 1/3,1/3,1/3"]
+    runs += [f"check-minimax {w} --objective {o}" for o in ("linf", "l1-uniform", "neg-entropy")]
+    assert _fresh_process(code, *runs).strip() == f"{[0] * len(runs)} []"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -186,14 +187,100 @@ def test_bracket_stops_the_scaling_tail(label, t):
     lo, up = cert.bracket
     assert (lo, up) == (cert.bits, hi)
     assert lo <= up and up - lo <= 1e-7
+
+
+def _seeded_tensor(dims: tuple[int, ...], points: list[tuple[int, ...]]) -> Tensor:
+    """Seeded complex Gaussian entries at the given index tuples."""
+    rng = np.random.default_rng(0)
+    arr = np.zeros(dims, dtype=complex)
+    arr[tuple(np.array(points).T)] = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
+    return Tensor(arr)
+
+
+def _uncertified_cases() -> list[tuple[str, Tensor, ThetaWeights]]:
+    """Inputs on which neither certified lower end applies, on the supports
+    of the benchmark's sparse0, sparse5 and sparse11.  sparse0 is not free:
+    its exact support gives 0.8477 bits, its value is 2/3.  sparse5 and
+    sparse11 (3 x 2 x 2) have a rectangular pencil at TAIL_THETA: hi is the
+    trivial maximum 1.3510 bits, the value 1.3310.  The 3 x 3 x 2
+    singular-pencil tensor is not free, and rows 1 and 2 of each slice are
+    proportional, so its slices span only singular matrices."""
+    return [
+        ("sparse0", _seeded_tensor((3, 2, 2), [(0, 0, 0), (1, 0, 1), (2, 0, 0)]), UNIFORM3),
+        ("sparse5", _seeded_tensor((3, 2, 2), [(0, 1, 0), (1, 0, 0), (2, 0, 0), (2, 0, 1), (2, 1, 0)]),
+         TAIL_THETA),
+        ("sparse11", _seeded_tensor((3, 2, 2), [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (2, 1, 0)]),
+         TAIL_THETA),
+        ("singular-pencil",
+         _seeded_tensor((3, 3, 2), [(0, 0, 0), (0, 1, 0), (0, 2, 1), (1, 0, 0), (2, 0, 1)]), TAIL_THETA),
+    ]
+
+
+@pytest.mark.parametrize("label, t, theta", _uncertified_cases(),
+                         ids=[c[0] for c in _uncertified_cases()])
+def test_no_certificate_where_its_test_fails(label, t, theta):
+    hi, opt = exact_support_bound(t, theta, FAST.inner_tol)
+    ref, _ = entropic_scaling(t, theta, upper_bits=hi, width=bracket_width(FAST.inner_tol))
+    q = quantum_functional(t, theta, inner_tol=FAST.inner_tol)
+    assert q.lower_end == ref.lower_end == "scaling"
+    assert q.bits == ref.bits and q.bracket == ref.bracket
+    assert all(np.array_equal(f, g) for f, g in zip(q.group_factors, ref.group_factors))
+    # what a wrongly applied certificate would have claimed
+    claimed = {"sparse0": -opt.value, "sparse5": hi, "sparse11": hi, "singular-pencil": np.log2(3)}
+    assert abs(q.bits - {"sparse0": 2 / 3, "sparse5": 1.33097, "sparse11": 1.33097,
+                         "singular-pencil": 1.50346}[label]) <= 1e-5
+    assert claimed[label] - q.bits >= 0.015
+
+
+@pytest.mark.parametrize("label, theta", [("w", UNIFORM3), ("w", TAIL_THETA),
+                                          ("matmul222", ThetaWeights.theta([0.5, 0.25, 0.25]))])
+def test_free_support_certifies_the_lower_end(label, theta):
+    t = {"w": w_tensor(), "matmul222": matmul_tensor(2, 2, 2)}[label]
+    hi, opt = exact_support_bound(t, theta, FAST.inner_tol)
+    ref, _ = entropic_scaling(t, theta, upper_bits=hi, width=bracket_width(FAST.inner_tol))
+    q = quantum_functional(t, theta, inner_tol=FAST.inner_tol)
+    assert q.lower_end == "free_support" and q.group_factors is None and q.converged
+    assert q.bracket == (-opt.value, hi) and q.bits == -opt.value
+    assert 0.0 <= hi - q.bits <= bracket_width(FAST.inner_tol)
+    assert q.bits >= ref.bits - 1e-15  # at or above the scaling's iterate
+    for p, r in zip(q.witness.probs, opt.marginals.probs):
+        assert np.array_equal(p, np.sort(r)[::-1])
+
+
+@pytest.mark.parametrize("label", ["gl.w", "sparse332-8"])
+def test_square_pencil_certifies_the_trivial_maximum(label):
+    t, n = {"gl.w": (gl_w_tensor(), 2), "sparse332-8": (sparse_tensor((3, 3, 2), 8, 0), 3)}[label]
     q = quantum_functional(t, TAIL_THETA, inner_tol=FAST.inner_tol)
-    assert q.bracket == cert.bracket and q.bits == cert.bits
+    bits = 0.6 * np.log2(n) + 0.4 * np.log2(n)
+    assert q.lower_end == "square_pencil" and q.group_factors is None and q.converged
+    assert q.bits == bits and q.bracket == (bits, bits)  # 1.0 exactly on GL.W
+    uniform = np.full(n, 1.0 / n)
+    assert [p.tolist() for p in q.witness.probs] == [uniform.tolist(), uniform.tolist(), [1.0, 0.0]]
+    hi, _ = exact_support_bound(t, TAIL_THETA, FAST.inner_tol)
+    ref, _ = entropic_scaling(t, TAIL_THETA, upper_bits=hi, width=bracket_width(FAST.inner_tol))
+    assert ref.bits <= q.bits <= hi and q.bits - ref.bits <= bracket_width(FAST.inner_tol)
 
 
-def test_bracket_stopped_factors_witness_the_endpoint(w):
-    cert = quantum_functional(w, TAIL_THETA)
+def test_certificate_needs_the_solve_tolerance_and_a_pencil_value_within_hi(monkeypatch):
+    bound = functionals.exact_support_bound
+    # W's solve misses its tolerance; GL.W's pencil value lies above hi
+    for t, shift_hi, gap in ((w_tensor(), 0.0, 1e-6), (gl_w_tensor(), -1e-9, None)):
+        def patched(*args, shift_hi=shift_hi, gap=gap):
+            hi, opt = bound(*args)
+            if gap is not None:
+                opt = dataclasses.replace(opt, certified_gap=gap)
+            return hi + shift_hi, opt
+
+        monkeypatch.setattr(functionals, "exact_support_bound", patched)
+        assert quantum_functional(t, TAIL_THETA).lower_end == "scaling"
+
+
+def test_bracket_stopped_factors_witness_the_endpoint():
+    _, t, theta = _uncertified_cases()[-1]
+    cert = quantum_functional(t, theta)
+    assert cert.lower_end == "scaling"
     assert cert.bracket[1] - cert.bracket[0] <= bracket_width(1e-8)
-    _assert_factors_witness(cert.group_factors, w, cert.witness)
+    _assert_factors_witness(cert.group_factors, t, cert.witness)
 
 
 def test_bracket_on_a_full_support_generic_tensor():
@@ -588,10 +675,26 @@ def test_minimax_gap_examples(w, matmul222):
 def test_minimax_closed_bracket_converges_and_stops_the_search():
     t = random_tensor((2, 3, 4), np.random.default_rng(0))
     rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST)
-    # the descent's window test fails, but its value meets the support bound
-    assert rep.lhs_certificate.converged is False
+    # the descent stops once its value meets the identity basis's support bound
+    assert rep.lhs_certificate.converged is True
     assert rep.converged is True and rep.bases_scored == 1
     assert abs(rep.gap) <= 1e-6
+
+
+@pytest.mark.parametrize("label", ["w", "matmul222", "unit3"])
+def test_minimax_descents_stop_at_the_support_bound(label, monkeypatch):
+    t = {"w": w_tensor(), "matmul222": matmul_tensor(2, 2, 2), "unit3": make_unit(3, 3)}[label]
+    descents = []
+    descend = functionals.minimize_over_moment_polytope
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope",
+                        lambda *a, **k: descents.append(descend(*a, **k)) or descents[-1])
+    # the linf minima are 1 / (G-stable rank); each l1 minimum is at the start
+    known = {"w": (2 / 3, 1.0), "matmul222": (0.25, 0.0), "unit3": (1 / 3, 0.0)}[label]
+    for objective, value in zip((MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), L1FromUniform()), known):
+        rep = minimax_gap(t, objective, FAST)
+        assert (descents[-1].stop, descents[-1].iterations) == ("bracket", 0)
+        assert rep.converged and rep.bases_scored == 1
+        assert abs(rep.lhs - value) <= 1e-6 and abs(rep.rhs - value) <= 1e-6
 
 
 def test_minimax_open_bracket_reports_the_descent_flag():
