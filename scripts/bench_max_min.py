@@ -14,11 +14,12 @@ xi = (1, 1/2, 1) and (1, 1, 1/4).  Each case runs in four modes:
   toward uniform (``optim.WARM_START_BLEND``; the library default is 1e-6).
 
 For each it prints the oracle count (the result's ``iterations``), the
-master LPs (``solve_lp`` calls), the Newton steps summed over the oracles,
-the ``_assess`` calls, the value, its certified gap, and the CPU
-milliseconds of the call, the best of ``--repeats`` runs.  The counts come
-from one more run with the three functions wrapped where ``optim`` calls
-them; that run also pays for scipy's lazy imports before any timed run.
+master LPs (``kelley_master`` calls) and the simplex pivots they report,
+the Newton steps summed over the oracles, the ``_assess`` calls, the value,
+its certified gap, and the CPU milliseconds of the call, the best of
+``--repeats`` runs.  The counts come from one more run with the three
+functions wrapped where ``optim`` calls them; that run also pays for any
+lazy import before a timed run.
 ``--json`` prints one JSON object in place of the table.  BLAS is pinned to
 one thread.
 """
@@ -65,25 +66,26 @@ def supports():
 
 
 class Count:
-    """Counts the calls of one function; with ``steps``, also sums the step
-    counts that ``_newton`` returns last."""
+    """Counts the calls of one function; with ``work``, also sums the work
+    that ``work(result)`` reads off each result."""
 
-    def __init__(self, fn, steps=False):
+    def __init__(self, fn, work=None):
         self.fn = fn
+        self.work = work
         self.calls = 0
-        self.steps = 0 if steps else None
+        self.steps = 0
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
         result = self.fn(*args, **kwargs)
-        if self.steps is not None:
-            self.steps += int(result[2])
+        if self.work is not None:
+            self.steps += int(self.work(result))
         return result
 
 
 def run(s, xi, mode, newton, count=False):
     """One max-min call in ``mode``: (value, gap, oracles, CPU seconds, the
-    probes of ``_newton``, ``_assess`` and ``solve_lp``, or None)."""
+    probes of ``_newton``, ``_assess`` and ``kelley_master``, or None)."""
     blend = optim.WARM_START_BLEND
     if mode == "cold":
         def solver(prog, objective, tol, start=None):
@@ -91,15 +93,16 @@ def run(s, xi, mode, newton, count=False):
     else:
         solver = newton
         optim.WARM_START_BLEND = float(mode.split("=")[1])
-    saved = optim._newton, optim._assess, optim.solve_lp
-    probes = (Count(solver, steps=True), Count(optim._assess), Count(optim.solve_lp)) if count else None
-    optim._newton, optim._assess, optim.solve_lp = probes or (solver, *saved[1:])
+    saved = optim._newton, optim._assess, optim.kelley_master
+    probes = (Count(solver, lambda r: r[2]), Count(optim._assess),
+              Count(optim.kelley_master, lambda r: r.iterations)) if count else None
+    optim._newton, optim._assess, optim.kelley_master = probes or (solver, *saved[1:])
     try:
         start = time.process_time()
         opt = optim.max_min_weighted_entropy_witness(s, sk.ThetaWeights.xi(xi), tol=1e-7)
         cpu = time.process_time() - start
     finally:
-        optim._newton, optim._assess, optim.solve_lp = saved
+        optim._newton, optim._assess, optim.kelley_master = saved
         optim.WARM_START_BLEND = blend
     return opt.value, opt.certified_gap, opt.iterations, cpu, probes
 
@@ -114,14 +117,15 @@ def main() -> int:
     for label, s in supports():
         for xi in XIS:
             for mode in MODES:
-                value, gap, oracles, _, (steps, assess, lps) = run(s, xi, mode, newton, count=True)
+                value, gap, oracles, _, (steps, assess, masters) = run(s, xi, mode, newton, count=True)
                 cpu = min(run(s, xi, mode, newton)[3] for _ in range(max(1, args.repeats)))
                 rows.append({
                     "case": f"{label} xi={xi}",
                     "points": s.size,
                     "mode": mode,
                     "oracles": oracles,
-                    "lps": lps.calls,
+                    "masters": masters.calls,
+                    "master_pivots": masters.steps,
                     "newton_steps": steps.steps,
                     "assess_calls": assess.calls,
                     "value": value,
@@ -131,10 +135,10 @@ def main() -> int:
     if args.json:
         print(json.dumps({"repeats": args.repeats, "rows": rows}))
         return 0
-    print(f"{'case':44s} {'mode':>9s} {'orc':>4s} {'lps':>4s} {'steps':>6s} {'assess':>7s} "
+    print(f"{'case':44s} {'mode':>9s} {'orc':>4s} {'mst':>4s} {'pivots':>6s} {'steps':>6s} {'assess':>7s} "
           f"{'value':>19s} {'gap':>8s} {'cpu_ms':>8s}")
     for r in rows:
-        print(f"{r['case']:44s} {r['mode']:>9s} {r['oracles']:4d} {r['lps']:4d} "
+        print(f"{r['case']:44s} {r['mode']:>9s} {r['oracles']:4d} {r['masters']:4d} {r['master_pivots']:6d} "
               f"{r['newton_steps']:6d} {r['assess_calls']:7d} {r['value']:19.15f} "
               f"{r['certified_gap']:8.1e} {r['cpu_ms']:8.1f}")
     return 0

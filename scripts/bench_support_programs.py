@@ -7,18 +7,20 @@ Usage: python3 scripts/bench_support_programs.py [--repeats N] [--src DIR] [--js
 Each case is one library call on a support of a Kronecker power of the W
 hypergraph.  It prints the calls of ``min_convex_over_support`` (the oracle
 solves of the max-min cutting planes, or the nested face solves of an older
-engine), the ``solve_lp`` calls (the cutting-plane masters and the LPs), the
-sum of the ``iterations`` the solves report (Newton steps, LP iterations, or
-an older engine's descent iterations), the value, its certified gap
-and the CPU seconds of the call, the median over ``--repeats`` runs after one
-untimed run of each case that pays for scipy's lazy imports.  The counts are
-taken by wrapping both functions where ``spectrumkit.optim`` calls them, so
-they mean the same on an older checkout, except in the max-min case: its
-warm-started oracles call the Newton solver directly, so it counts 0
-solves and 0 iterations here (``bench_max_min.py`` counts them).  ``--src``
-runs the same cases
-against another checkout's ``src`` directory; ``--json`` prints one JSON
-object in place of the table.  BLAS is pinned to one thread.
+engine), the sum of the ``iterations`` those solves report (Newton steps,
+LP pivots, or an older engine's descent iterations), the cutting-plane
+masters (``kelley_master`` calls), the pivots of the in-package simplex
+(``slack_simplex``: the inf-norm and l1 LPs and, where the masters use it,
+the masters), the value, its certified gap and the CPU seconds of the
+call, the median over ``--repeats`` runs after one untimed run of each case
+that pays for any lazy import.  The counts are taken by wrapping the
+functions where ``spectrumkit.optim`` calls them.  On a checkout that
+solves its masters with HiGHS the masters add no pivots, and on one without
+``kelley_master`` the masters read 0.  The max-min case's warm-started
+oracles call the Newton solver directly, so it counts 0 solves and 0
+iterations (``bench_max_min.py`` counts them).  ``--src`` runs the same
+cases against another checkout's ``src`` directory; ``--json`` prints one
+JSON object in place of the table.  BLAS is pinned to one thread.
 """
 
 import argparse
@@ -33,11 +35,13 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 
 class Probe:
-    """Counts the calls of one function and sums the ``iterations`` of its
-    results; ``outer`` keeps the result of the outermost call."""
+    """Counts the calls of one function and sums the work of its results
+    (``work(result)``, by default their ``iterations``); ``outer`` keeps the
+    result of the outermost call."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, work=lambda result: getattr(result, "iterations", 0)):
         self.fn = fn
+        self.work = work
         self.calls = 0
         self.iterations = 0
         self.depth = 0
@@ -50,7 +54,7 @@ class Probe:
             result = self.fn(*args, **kwargs)
         finally:
             self.depth -= 1
-        self.iterations += int(getattr(result, "iterations", 0))
+        self.iterations += int(self.work(result))
         if self.depth == 0:
             self.outer = result
         return result
@@ -91,31 +95,36 @@ def main() -> int:
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     import spectrumkit as sk
-    from spectrumkit import linprog, optim
+    from spectrumkit import optim
 
     todo = cases(sk, optim)
-    solve, lp = optim.min_convex_over_support, linprog.solve_lp
+    # the functions wrapped where optim calls them, and the work each
+    # reports; a checkout that lacks one leaves it out
+    wrapped = {"min_convex_over_support": Probe, "kelley_master": Probe,
+               "slack_simplex": lambda fn: Probe(fn, lambda result: result[2])}
+    saved = {n: getattr(optim, n) for n in wrapped if hasattr(optim, n)}
     rows = []
     for name, call in todo:
         runs = []
         for _ in range(max(1, args.repeats) + 1):
-            probe, lp_probe = Probe(solve), Probe(lp)
-            optim.min_convex_over_support = probe
-            optim.solve_lp = linprog.solve_lp = lp_probe
+            probes = {n: wrapped[n](fn) for n, fn in saved.items()}
+            for n, probe in probes.items():
+                setattr(optim, n, probe)
             try:
                 start = time.process_time()
-                value, gap = call(probe)
-                runs.append((time.process_time() - start, probe, lp_probe, value, gap))
+                value, gap = call(probes["min_convex_over_support"])
+                runs.append((time.process_time() - start, probes, value, gap))
             finally:
-                optim.min_convex_over_support = solve
-                optim.solve_lp = linprog.solve_lp = lp
+                for n, fn in saved.items():
+                    setattr(optim, n, fn)
         runs = runs[1:]  # the first run pays for the lazy imports
-        _, probe, lp_probe, value, gap = runs[0]
+        _, probes, value, gap = runs[0]
         rows.append({
             "case": name,
-            "solves": probe.calls,
-            "lps": lp_probe.calls,
-            "iterations": probe.iterations,
+            "solves": probes["min_convex_over_support"].calls,
+            "iterations": probes["min_convex_over_support"].iterations,
+            "masters": probes["kelley_master"].calls if "kelley_master" in probes else 0,
+            "pivots": probes["slack_simplex"].iterations if "slack_simplex" in probes else 0,
             "value": value,
             "certified_gap": gap,
             "cpu_s": round(statistics.median(r[0] for r in runs), 4),
@@ -123,11 +132,11 @@ def main() -> int:
     if args.json:
         print(json.dumps({"repeats": args.repeats, "cases": rows}))
         return 0
-    print(f"{'case':32s} {'solves':>6s} {'lps':>4s} {'iters':>6s} {'value':>14s} "
-          f"{'gap':>8s} {'cpu_s':>8s}")
+    print(f"{'case':32s} {'solves':>6s} {'iters':>6s} {'masters':>7s} {'pivots':>6s} "
+          f"{'value':>14s} {'gap':>8s} {'cpu_s':>8s}")
     for r in rows:
-        print(f"{r['case']:32s} {r['solves']:6d} {r['lps']:4d} {r['iterations']:6d} "
-              f"{r['value']:14.10f} {r['certified_gap']:8.1e} {r['cpu_s']:8.4f}")
+        print(f"{r['case']:32s} {r['solves']:6d} {r['iterations']:6d} {r['masters']:7d} "
+              f"{r['pivots']:6d} {r['value']:14.10f} {r['certified_gap']:8.1e} {r['cpu_s']:8.4f}")
     return 0
 
 

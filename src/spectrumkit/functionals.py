@@ -380,13 +380,14 @@ def _certified_lower_end(
 
 def _bracketed_scaling(
     t: Tensor, theta: ThetaWeights, *, inner_tol: float, tol: float = 1e-10,
-    max_iter: int = 200_000,
+    max_iter: int = 200_000, bound: tuple[float, SupportOptimum] | None = None,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
     """The quantum functional's bracket against the exact-support bound: a
     certified lower end (``_certified_lower_end``) where one applies, else a
     cold scaling run that stops once the bracket is ``bracket_width(inner_tol)``
-    wide.  Also returns the bound's solve."""
-    hi, opt = exact_support_bound(t, theta, inner_tol)
+    wide.  ``bound`` is ``exact_support_bound`` at theta when the caller has
+    it already.  Also returns the bound's solve."""
+    hi, opt = bound or exact_support_bound(t, theta, inner_tol)
     cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol)
     if cert is None:
         cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter,

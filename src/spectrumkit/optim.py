@@ -9,12 +9,13 @@ support set, and ``min_convex_over_support`` has one exact solver for each:
   program, from the previous oracle's optimum).  The affine minorant at the
   final weights bounds the distance to the optimum (``certified_gap``),
   pricing coordinates without mass by the entropy's convex conjugate;
-* ``MaxInfNorm`` and ``L1FromUniform``: one HiGHS LP each, whose duality gap
-  is the certified gap.
+* ``MaxInfNorm`` and ``L1FromUniform``: one LP each, solved in slack form by
+  ``linprog.slack_simplex``, whose duality gap is the certified gap.
 
 The max-min entropy behind the asymptotic cover is, by minimax, the least
 weighted-entropy maximum over entropy weights; Kelley cutting planes over
-them, with the Newton solve as the oracle, close a bracket on it.  The
+them, with the Newton solve as the oracle and the master LPs
+(``kelley_master``) solved by the same simplex, close a bracket on it.  The
 nonsmooth objectives also offer softmax minorants and smoothed values for
 the moment-side descent in ``functionals``.
 """
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linprog import EQ, GEQ, LinearProgram, LpSolution, slack_simplex, solve_lp
+from .linprog import LpSolution, slack_simplex
 from .tensors import InvalidArgumentError, SupportSet
 
 LN2 = float(np.log(2.0))
@@ -580,15 +581,24 @@ WARM_START_BLEND = 1e-6
 def kelley_master(cuts: np.ndarray, xi: np.ndarray) -> LpSolution:
     """The master LP of Kelley's cutting planes over entropy weights:
     min z subject to z >= <theta, h_k> for every cut h_k (a row of ``cuts``),
-    theta >= 0 and <theta, xi> = 1.  ``x`` is (theta, z); the first rows of
-    ``y`` are the cut duals, which sum to 1 when z > 0."""
+    theta >= 0 and <theta, xi> = 1 (xi > 0).  ``x`` is (theta, z); the first
+    entries of ``y`` are the cut duals, which sum to 1 when z > 0, and the
+    last is the dual of <theta, xi> = 1, which equals ``value``.
+
+    ``slack_simplex`` solves the dual, max mu subject to
+    mu xi_j - sum_k y_k h_kj <= 0 on every leg, sum_k y_k <= 1 and y, mu >= 0,
+    whose right-hand side (0, ..., 0, 1) makes the slack basis feasible.  Its
+    row duals are (theta, z), with <theta, xi> >= 1; the entropies are
+    nonnegative, so scaling theta down to <theta, xi> = 1 keeps it optimal.
+    ``value`` is mu, a lower end of the master for any dual-feasible (y, mu).
+    """
     n = len(cuts)
-    return solve_lp(LinearProgram(
-        objective=np.append(np.zeros(xi.size), 1.0),
-        lhs=np.vstack([np.c_[-cuts, np.ones(n)], np.append(xi, 0.0)]),
-        senses=(GEQ,) * n + (EQ,),
-        rhs=np.append(np.zeros(n), 1.0),
-    ))
+    g = np.block([[-cuts.T, xi[:, None]], [np.ones((1, n)), np.zeros((1, 1))]])
+    x, duals, pivots = slack_simplex(np.eye(n + 1)[-1], g, np.eye(xi.size + 1)[-1])
+    theta = np.clip(duals[:-1], 0.0, None)
+    theta /= float(theta @ xi)
+    z = float((cuts @ theta).max())
+    return LpSolution(value=float(x[-1]), x=np.append(theta, z), y=x, iterations=pivots)
 
 
 def max_weighted_entropy(

@@ -29,7 +29,9 @@ from .functionals import (
     _bracketed_scaling,
     _descent_bound,
     _eigenbasis_unitary,
+    _is_free,
     entropic_scaling,
+    exact_support_bound,
     minimize_over_moment_polytope,
     unitary_candidates,
 )
@@ -47,6 +49,7 @@ from .tensors import (
     MatrixTuple,
     Tensor,
     apply_group,
+    support,
 )
 
 
@@ -95,50 +98,73 @@ THETA_MAX_CUTS = 60
 
 def _slice_rank_theta_route(
     t: Tensor, xi: ThetaWeights, cfg: SearchConfig
-) -> tuple[float, FunctionalCertificate, tuple[float, float], int]:
+) -> tuple[float, FunctionalCertificate, tuple[float, float], int, int]:
     """min over theta of F_theta(t)^(1 / <theta, xi>), by Kelley cutting planes.
 
-    bits(theta) = log2 F_theta(t) is the maximum of <theta, h> over reachable
-    leg entropies h, so the h_k of any scaling endpoint is a cut: <theta,
-    h_k> <= bits(theta).  The master LP (``kelley_master``) minimizes z >=
-    <theta, h_k> over theta >= 0 with <theta, xi> = 1, on the legs with
-    xi_j > 0 (the others take theta_j = 0).  Its value lo is a lower bound
-    in bits whether or not the runs converged; hi, the least cut model
-    max_k <theta, h_k> at the evaluated thetas, equals a converged run's
-    bits.  From the vertices on, one loose cold-started run at the LP's theta
-    adds a cut until hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts;
-    the best theta is then bracketed as ``quantum_functional`` brackets it
-    (a certified lower end where one applies, else a full-accuracy run
-    stopped by its bracket or at 30,000 iterations).  Returns the value,
-    the best theta's certificate, (lo, hi) and the cut count.
+    bits(theta) = log2 F_theta(t) is the maximum of <theta, h> over the leg
+    entropies h of points of the moment polytope, so each such h_k is a cut:
+    <theta, h_k> <= bits(theta) at every theta.  The master LP
+    (``kelley_master``) minimizes z >= <theta, h_k> over theta >= 0 with
+    <theta, xi> = 1, on the legs with xi_j > 0 (the others take theta_j = 0).
+    Its value lo is a lower bound in bits whatever the cuts' thetas; hi is
+    the least cut model max_k <theta, h_k> at the evaluated thetas.  From the
+    vertices on, each master's theta adds a cut until hi - lo <=
+    THETA_BRACKET_BITS or THETA_MAX_CUTS cuts.  The cut at theta is exact
+    on a free exact support (``_is_free``): the marginals of the exact-support
+    entropy program's solve (``exact_support_bound``) lie in the moment
+    polytope (Christandl, Vrana & Zuiddam, STOC 2018), and the solve's
+    certified gap, added to its model value, makes hi an upper bound.
+    Otherwise the cut is the endpoint of one loose cold-started scaling run,
+    and hi equals a converged run's bits.  The best theta is then bracketed
+    as ``quantum_functional`` brackets it (a certified lower end where one
+    applies, else a full-accuracy run stopped by its bracket or at 30,000
+    iterations).  Returns the value, the best theta's certificate, (lo, hi),
+    the cut count and the scaling runs made, the final one included.
     """
     legs = np.flatnonzero(xi.values > 0)
+    free = _is_free(support(t, 0.0).points)
+    runs = 0
 
-    def run(point: np.ndarray, loose: bool = True):
+    def weights_at(point: np.ndarray) -> ThetaWeights:
         theta = np.zeros(t.order)
         theta[legs] = point / point.sum()
-        weights = ThetaWeights.theta(theta)
-        if loose:
-            return entropic_scaling(t, weights, tol=1e-9, max_iter=1500, window=30,
-                                    spectrum_tol=1e-6)[0]
-        return _bracketed_scaling(t, weights, inner_tol=cfg.inner_tol, max_iter=30_000)[0]
+        return ThetaWeights.theta(theta)
 
-    # the evaluated points, scaled to <theta, xi> = 1, and their cuts
-    points = list(np.diag(1.0 / xi.values[legs]))
-    cuts = [run(p).witness.entropies()[legs] for p in points]
+    # the evaluated points, scaled to <theta, xi> = 1, their cuts, and on a
+    # free support the exact-support bound at each
+    points, cuts, bounds = [], [], []
+
+    def add_cut(point: np.ndarray) -> None:
+        nonlocal runs
+        bound = None
+        if free:
+            bound = exact_support_bound(t, weights_at(point), cfg.inner_tol)
+            h = bound[1].marginals.entropies()
+        else:
+            runs += 1
+            h = entropic_scaling(t, weights_at(point), tol=1e-9, max_iter=1500, window=30,
+                                 spectrum_tol=1e-6)[0].witness.entropies()
+        points.append(point)
+        cuts.append(h[legs])
+        bounds.append(bound)
+
+    for point in np.diag(1.0 / xi.values[legs]):
+        add_cut(point)
     while True:
-        h, n = np.array(cuts), len(cuts)
-        model = (np.array(points) @ h.T).max(axis=1)
+        h, n, pts = np.array(cuts), len(cuts), np.array(points)
+        gaps = np.array([b[1].certified_gap if b else 0.0 for b in bounds])
+        model = (pts @ h.T).max(axis=1) + gaps * pts.sum(axis=1)
         best = int(np.argmin(model))
         sol = kelley_master(h, xi.values[legs])
         lo, hi = sol.value, max(sol.value, float(model[best]))
         if hi - lo <= THETA_BRACKET_BITS or n >= THETA_MAX_CUTS:
             break
-        points.append(sol.x[:-1])
-        cuts.append(run(points[-1]).witness.entropies()[legs])
-    cert = run(points[best], loose=False)
+        add_cut(sol.x[:-1])
+    cert = _bracketed_scaling(t, weights_at(points[best]), inner_tol=cfg.inner_tol,
+                              max_iter=30_000, bound=bounds[best])[0]
+    runs += cert.lower_end == "scaling"
     final = cert.bits / float(cert.theta @ xi.values)
-    return float(2.0 ** max(lo, min(hi, final))), cert, (lo, hi), len(cuts)
+    return float(2.0 ** max(lo, min(hi, final))), cert, (lo, hi), len(cuts), runs
 
 
 def asymptotic_slice_rank(
@@ -149,10 +175,13 @@ def asymptotic_slice_rank(
     """The weighted asymptotic slice rank, by two routes.
 
     Route "quantum_theta_min" minimizes the quantum functional over entropy
-    weights by cutting planes, with bracket ``details["theta_bracket"]`` and
-    ``details["scaling_runs"]`` runs (the final bracket at the best theta
-    counts only when its lower end came from scaling); a bracket left open
-    at THETA_MAX_CUTS cuts adds a note and status "warn".  Route
+    weights by cutting planes, with bracket ``details["theta_bracket"]``.
+    On a free exact support every cut is exact, from an exact-support
+    entropy solve, and so is the final bracket at the best theta; elsewhere
+    each cut is a loose scaling run.  ``details["scaling_runs"]`` counts the
+    runs that scaled: the loose ones, plus the final one when its lower end
+    came from scaling, so 0 on a free support.  A bracket left open at
+    THETA_MAX_CUTS cuts adds a note and status "warn".  Route
     "cover_entropy" is the least asymptotic cover number of the rotated
     support hypergraph over the identity and the marginal eigenbasis
     (``unitary_candidates``).  Every cover is at least 2^lo, so the search
@@ -167,7 +196,7 @@ def asymptotic_slice_rank(
     if xi.role != "xi":
         raise InvalidArgumentError("slice rank expects weights with role 'xi'")
 
-    val_a, final, (lo, hi), cuts = _slice_rank_theta_route(t, xi, cfg)
+    val_a, final, (lo, hi), cuts, runs = _slice_rank_theta_route(t, xi, cfg)
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
@@ -189,7 +218,7 @@ def asymptotic_slice_rank(
         notes=notes,
         details={"theta": final.theta, "basis": best_u,
                  "theta_bracket": (float(2**lo), float(2**hi)),
-                 "scaling_runs": cuts + (final.lower_end == "scaling"),
+                 "scaling_runs": runs,
                  "cover_bases": scored},
     )
 

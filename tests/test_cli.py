@@ -330,17 +330,29 @@ def test_import_leaves_scipy_solvers_unloaded():
     assert _fresh_process(code).strip() == "[]"
 
 
+#: runs each argv string through ``main`` and prints the exit codes and the
+#: scipy modules loaded
+_CLI_RUNS = (
+    "import contextlib, io, sys\n"
+    "from spectrumkit.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    codes = [main(a.split()) for a in sys.argv[1:]]\n"
+    "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+)
+
+
 def test_functional_and_minimax_runs_leave_scipy_unloaded(files):
     # no job of these commands needs scipy, so none pays for its import
-    code = (
-        "import contextlib, io, sys\n"
-        "from spectrumkit.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(a.split()) for a in sys.argv[1:]]\n"
-        "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    )
     w = files["w"]
     runs = [f"functional quantum {w} --theta 3/5,2/5,0", f"functional quantum {w} --theta 1/2,1/4,1/4",
             f"functional support {w} --theta 3/5,2/5,0", f"functional support {w} --theta 1/3,1/3,1/3"]
     runs += [f"check-minimax {w} --objective {o}" for o in ("linf", "l1-uniform", "neg-entropy")]
-    assert _fresh_process(code, *runs).strip() == f"{[0] * len(runs)} []"
+    assert _fresh_process(_CLI_RUNS, *runs).strip() == f"{[0] * len(runs)} []"
+
+
+def test_slice_rank_runs_leave_scipy_unloaded(files):
+    # the Kelley masters of both routes go through the in-package simplex,
+    # so no job of these runs needs scipy
+    w = files["w"]
+    runs = [f"rank slice {w}", f"rank slice {w} --xi 1,1/2,1"]
+    assert _fresh_process(_CLI_RUNS, *runs).strip() == f"{[0] * len(runs)} []"

@@ -439,3 +439,44 @@ def test_lp_programs_match_primal_lps():
             opt = min_convex_over_support(s, objective, tol=1e-9)
             assert abs(opt.value - solve_lp(lp).value) <= 1e-9, seed
             assert opt.certified_gap <= 1e-9, seed
+
+
+def _highs_master(cuts: np.ndarray, xi: np.ndarray) -> float:
+    n = len(cuts)
+    return solve_lp(LinearProgram(
+        np.append(np.zeros(xi.size), 1.0),
+        np.vstack([np.c_[-cuts, np.ones(n)], np.append(xi, 0.0)]),
+        (">=",) * n + ("=",), np.append(np.zeros(n), 1.0),
+    )).value
+
+
+def test_kelley_master_matches_highs():
+    # the master goes through its dual in slack form; a third of the cut
+    # sets are rounded, so that ties and degenerate vertices are common
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(2, 5)), int(rng.integers(1, 61))
+        cuts = rng.uniform(0.0, 2.0, (n, d))
+        if seed % 3 == 0:
+            cuts = np.round(2.0 * cuts) / 2.0
+        xi = rng.uniform(0.2, 1.0, d)
+        xi /= xi.max()
+        sol = optim.kelley_master(cuts, xi)
+        theta, z, y = sol.x[:-1], sol.x[-1], sol.y
+        assert abs(sol.value - _highs_master(cuts, xi)) <= 1e-9, seed
+        assert np.all(theta >= 0) and abs(theta @ xi - 1.0) <= 1e-12, seed
+        assert abs((cuts @ theta).max() - sol.value) <= 1e-9 and z == (cuts @ theta).max(), seed
+        assert np.all(y >= 0), seed
+        if z > 0:
+            assert abs(y[:-1].sum() - 1.0) <= 1e-9, seed
+        assert abs(np.append(np.zeros(n), 1.0) @ y - sol.value) <= 1e-9, seed
+
+
+def test_kelley_master_terminates_on_repeated_cuts():
+    # every cut three times over, and a cut that ties the optimum at every
+    # theta: Bland's rule leaves the degenerate vertex
+    cuts = np.repeat(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 0.5]]), 3, axis=0)
+    for xi in (np.ones(3), np.array([1.0, 0.5, 1.0])):
+        sol = optim.kelley_master(cuts, xi)
+        assert abs(sol.value - _highs_master(cuts, xi)) <= 1e-12
+        assert sol.iterations <= 50 * (len(cuts) + xi.size + 2)

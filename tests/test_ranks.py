@@ -12,13 +12,14 @@ from spectrumkit import (
     asymptotic_slice_rank,
     g_stable_rank,
     make_unit,
+    matmul_tensor,
     ncrank,
     ncrank_blowup,
     ncrank_fr,
     ncrank_moment,
     quantum_functional,
 )
-from spectrumkit import ranks
+from spectrumkit import functionals, ranks
 from spectrumkit.functionals import unitary_candidates
 from spectrumkit.hypergraphs import (
     asymptotic_vertex_cover,
@@ -176,24 +177,67 @@ def test_theta_route_beats_quarter_grid(name, w):
     grid = [np.array(c) / 4 for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
     bits = [quantum_functional(t, ThetaWeights.theta(th), max_iter=2000).bits for th in grid]
     for xi in ([1, 1, 1], [1, 0.5, 1]):
-        value, _, (lo, _), _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
+        value, _, (lo, _), _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
         assert 2.0**lo <= value
         for th, b in zip(grid, bits):
             assert value <= 2.0 ** (b / float(th @ np.array(xi))) + 1e-9
 
 
-def test_theta_route_scaling_runs(w, monkeypatch):
+def test_theta_route_scaling_runs(monkeypatch):
+    # sparse332's support is not free: every cut is a loose run, and the
+    # final bracket scales too
     calls = []
-    scaling = ranks.entropic_scaling
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return scaling(*args, **kwargs)
+    def counted(scaling):
+        def run(*args, **kwargs):
+            calls.append(kwargs)
+            return scaling(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(ranks, "entropic_scaling", counted)
-    rep = asymptotic_slice_rank(w, XI1, FAST)
-    assert abs(rep.value - F_W) <= 2e-3
-    assert rep.details["scaling_runs"] == len(calls) <= 20
+    monkeypatch.setattr(ranks, "entropic_scaling", counted(ranks.entropic_scaling))
+    monkeypatch.setattr(functionals, "entropic_scaling", counted(functionals.entropic_scaling))
+    rep = asymptotic_slice_rank(sparse332(), XI1, FAST)
+    assert abs(rep.value - 2.0) <= 2e-3
+    assert 0 < rep.details["scaling_runs"] == len(calls) <= 20
+
+
+def _w_slice_rank_half_middle() -> float:
+    # W's support is {e_0, e_1, e_2} per leg; by symmetry the max-min at
+    # xi = (1, 1/2, 1) puts a on legs 0 and 2 and 1 - 2a on leg 1, and
+    # balances h(a) = 2 h(1 - 2a) for a in (1/3, 1/2)
+    def h(p):
+        return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
+
+    lo, hi = 1 / 3, 0.5
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if h(mid) < 2 * h(1 - 2 * mid) else (lo, mid)
+    return 2.0 ** h(lo)
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 0.5, 1), (1, 1, 0)])
+@pytest.mark.parametrize("name", ["w", "matmul222", "unit2+unit1"])
+def test_theta_route_runs_no_scaling_on_free_supports(name, xi, monkeypatch):
+    t = {"w": w_tensor(), "matmul222": matmul_tensor(2, 2, 2),
+         "unit2+unit1": direct_sum(make_unit(2, 3), make_unit(1, 3))}[name]
+    known = {"matmul222": 4.0, "unit2+unit1": 3.0}.get(name) or {
+        (1, 1, 1): F_W, (1, 0.5, 1): _w_slice_rank_half_middle(), (1, 1, 0): 2.0}[xi]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scaling run on a free support")
+
+    monkeypatch.setattr(ranks, "entropic_scaling", refuse)
+    monkeypatch.setattr(functionals, "entropic_scaling", refuse)
+    weights = ThetaWeights.xi(xi)
+    _, final, (lo, hi), _, runs = ranks._slice_rank_theta_route(t, weights, FAST)
+    assert runs == 0 and final.lower_end == "free_support"
+    rep = asymptotic_slice_rank(t, weights, FAST)
+    assert rep.details["scaling_runs"] == 0
+    value = rep.routes["quantum_theta_min"]
+    assert abs(np.log2(value / known)) <= ranks.THETA_BRACKET_BITS
+    assert abs(np.log2(value / rep.routes["cover_entropy"])) <= ranks.THETA_BRACKET_BITS
+    # the cuts are exact, so the bracket holds the known value
+    assert lo - 1e-9 <= np.log2(known) <= hi + 1e-9
 
 
 def test_theta_route_drops_legs_with_zero_xi(w):
