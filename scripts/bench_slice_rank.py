@@ -14,6 +14,8 @@ library where it is called and records:
 * ``cuts``: the cutting planes of the theta route;
 * ``scaling_runs``: the report's count, and ``scaling_calls``, the calls of
   ``entropic_scaling`` made from ``ranks`` or ``functionals``;
+* ``scaling_iterations``: the iterations of those calls, summed from each
+  call's ``ScalingTrace.iterations``;
 * ``masters`` and ``master_pivots``: the ``kelley_master`` calls of both
   routes and the iterations they report (simplex pivots, or HiGHS
   iterations on a checkout that solves the masters with HiGHS);
@@ -55,7 +57,8 @@ class Counts:
         self.reset()
 
     def reset(self):
-        self.cuts = self.scaling_calls = self.masters = self.master_pivots = 0
+        self.cuts = self.scaling_calls = self.scaling_iterations = 0
+        self.masters = self.master_pivots = 0
         self.report = None
 
     def _wrap(self, module, name, after):
@@ -75,8 +78,9 @@ class Counts:
         def route(result):
             self.cuts += result[3]
 
-        def scaling(_):
+        def scaling(result):
             self.scaling_calls += 1
+            self.scaling_iterations += result[1].iterations
 
         def master(result):
             self.masters += 1
@@ -146,6 +150,7 @@ def main() -> int:
                 "cuts": counts.cuts,
                 "scaling_runs": details["scaling_runs"],
                 "scaling_calls": counts.scaling_calls,
+                "scaling_iterations": counts.scaling_iterations,
                 "masters": counts.masters,
                 "master_pivots": counts.master_pivots,
                 "cpu_ms": round(1e3 * statistics.median(cpu), 2),
@@ -154,12 +159,13 @@ def main() -> int:
     if args.json:
         print(json.dumps({"seed": args.seed, "repeats": args.repeats, "cases": rows}))
         return 0
-    print(f"{'case':26s} {'exit':>4s} {'cuts':>4s} {'runs':>4s} {'mst':>4s} {'pivots':>6s} "
-          f"{'cpu_ms':>8s} {'value':>14s}  theta_bracket")
+    print(f"{'case':26s} {'exit':>4s} {'cuts':>4s} {'runs':>4s} {'iters':>5s} {'mst':>4s} "
+          f"{'pivots':>6s} {'cpu_ms':>8s} {'value':>14s}  theta_bracket")
     for r in rows:
         lo, hi = r["theta_bracket"]
         print(f"{r['case']:26s} {r['exit']:4d} {r['cuts']:4d} {r['scaling_runs']:4d} "
-              f"{r['masters']:4d} {r['master_pivots']:6d} {r['cpu_ms']:8.2f} "
+              f"{r['scaling_iterations']:5d} {r['masters']:4d} {r['master_pivots']:6d} "
+              f"{r['cpu_ms']:8.2f} "
               f"{r['value']:14.10f}  [{lo:.10f}, {hi:.10f}]")
     return 0
 

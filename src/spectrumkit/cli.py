@@ -21,6 +21,7 @@ so equal invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -90,9 +91,20 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
+def _seed(args) -> int:
+    """--seed, else $SPECTRUMKIT_SEED as it is at this call, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("SPECTRUMKIT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"SPECTRUMKIT_SEED must be an integer, got {text!r}")
+
+
 def _config(args) -> SearchConfig:
     return SearchConfig(
-        seed=args.seed,
+        seed=_seed(args),
         eta=args.eta,
         inner_tol=args.tol,
     )
@@ -238,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spectrumkit",
         description="Tensor spectral functionals, covers, and noncommutative rank.",
     )
-    default_seed = int(os.environ.get("SPECTRUMKIT_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--eta", type=float, default=1e-9, help="relative support threshold")
-        p.add_argument("--seed", type=int, default=default_seed,
-                       help="seed of the random blow-ups of rank ncrank; basis searches "
-                            "score the identity and the marginal eigenbasis, with no draws")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed of the random blow-ups of rank ncrank (default: "
+                            "$SPECTRUMKIT_SEED, else 0); basis searches score the "
+                            "identity and the marginal eigenbasis, with no draws")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="support-program tolerance in bits; cold scaling runs stop "
                             "once their bracket is 10 times this wide")
@@ -282,10 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused by every
+    later call in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse has printed its usage error (exit 2) or the --help text (exit 0)
         return EXIT_OK if e.code == 0 else EXIT_INPUT

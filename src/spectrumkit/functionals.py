@@ -36,6 +36,7 @@ from .tensors import (
     DEFAULT_ETA,
     GroupElement,
     InvalidArgumentError,
+    SupportSet,
     Tensor,
     apply_group,
     marginal,
@@ -223,6 +224,13 @@ def entropic_scaling(
     objective moves less than ``tol`` over ``window`` iterations and the
     spectra move less than ``spectrum_tol``, or at ``max_iter`` with
     ``converged=False``; ``ScalingTrace.stop`` says which rule ended it.
+
+    A vertex theta = e_j (one positive weight, so theta_j = 1) uses window 1.
+    Only leg j is scaled, and one step of rho_j^(-1/2) on the range of rho_j
+    makes marginal j uniform on its rank r_j; the state then lies in that
+    range, so every later step is a multiple of the identity and no marginal
+    moves again.  The residual and spectrum tests stop such a run at
+    iteration 2 with bits = log2 r_j, the rank of the j-th flattening.
     """
     t.require_nonzero()
     if theta.role != "theta":
@@ -230,6 +238,8 @@ def entropic_scaling(
     if theta.d != t.order:
         raise InvalidArgumentError("one theta weight per leg required")
     th = theta.values
+    if np.count_nonzero(th) == 1:
+        window = 1
     views = _LegViews(t.dims, range(t.order))
     # per group: the exponents -theta_j/2 and the legs of weight 0, left alone;
     # theta_j for each eigenvalue of the concatenated group spectra
@@ -305,12 +315,14 @@ def bracket_width(inner_tol: float) -> float:
 
 
 def exact_support_bound(
-    t: Tensor, theta: ThetaWeights, inner_tol: float
+    t: Tensor, theta: ThetaWeights, inner_tol: float, exact: SupportSet | None = None
 ) -> tuple[float, SupportOptimum]:
     """An upper bound in bits on log2 F_theta(t): the entropy program on the
     exact support (eta = 0; a thresholded support bounds nothing) plus its
-    certified gap.  Also returns the solve."""
-    opt = min_convex_over_support(support(t, 0.0), NegWeightedEntropy(theta), tol=inner_tol)
+    certified gap.  ``exact`` is ``support(t, 0.0)`` when the caller has it
+    already.  Also returns the solve."""
+    exact = support(t, 0.0) if exact is None else exact
+    opt = min_convex_over_support(exact, NegWeightedEntropy(theta), tol=inner_tol)
     return opt.certified_gap - opt.value, opt
 
 
@@ -338,10 +350,12 @@ def _square_pencil_bits(t: Tensor, th: np.ndarray) -> float | None:
 
 
 def _certified_lower_end(
-    t: Tensor, th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float
+    t: Tensor, th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float,
+    free: bool | None = None,
 ) -> FunctionalCertificate | None:
     """The quantum functional certified without a scaling run, given the
-    exact-support bound hi and its solve opt, or None.
+    exact-support bound hi and its solve opt, or None.  ``free`` is
+    ``_is_free`` of the exact support when the caller has it already.
 
     * A free exact support (``_is_free``): the marginals of every
       distribution on it lie in the moment polytope, so lo = -opt.value
@@ -360,7 +374,9 @@ def _certified_lower_end(
     """
     if opt.certified_gap > bracket_width(inner_tol):
         return None
-    if _is_free(opt.distribution.support.points):
+    if free is None:
+        free = _is_free(opt.distribution.support.points)
+    if free:
         lo, end, probs = -opt.value, "free_support", opt.marginals.probs
     else:
         lo = _square_pencil_bits(t, th)
@@ -381,14 +397,16 @@ def _certified_lower_end(
 def _bracketed_scaling(
     t: Tensor, theta: ThetaWeights, *, inner_tol: float, tol: float = 1e-10,
     max_iter: int = 200_000, bound: tuple[float, SupportOptimum] | None = None,
+    free: bool | None = None,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
     """The quantum functional's bracket against the exact-support bound: a
     certified lower end (``_certified_lower_end``) where one applies, else a
     cold scaling run that stops once the bracket is ``bracket_width(inner_tol)``
-    wide.  ``bound`` is ``exact_support_bound`` at theta when the caller has
-    it already.  Also returns the bound's solve."""
+    wide.  ``bound`` is ``exact_support_bound`` at theta and ``free`` the
+    exact support's ``_is_free``, each when the caller has it already.  Also
+    returns the bound's solve."""
     hi, opt = bound or exact_support_bound(t, theta, inner_tol)
-    cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol)
+    cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol, free)
     if cert is None:
         cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter,
                                    upper_bits=hi, width=bracket_width(inner_tol))

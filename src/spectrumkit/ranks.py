@@ -115,14 +115,17 @@ def _slice_rank_theta_route(
     polytope (Christandl, Vrana & Zuiddam, STOC 2018), and the solve's
     certified gap, added to its model value, makes hi an upper bound.
     Otherwise the cut is the endpoint of one loose cold-started scaling run,
-    and hi equals a converged run's bits.  The best theta is then bracketed
-    as ``quantum_functional`` brackets it (a certified lower end where one
-    applies, else a full-accuracy run stopped by its bracket or at 30,000
-    iterations).  Returns the value, the best theta's certificate, (lo, hi),
-    the cut count and the scaling runs made, the final one included.
+    and hi equals a converged run's bits; a vertex cut is a two-step run
+    that reaches its fixed point (``entropic_scaling``).  The exact support
+    is built, and tested for freeness, once per route.  The best theta is
+    then bracketed as ``quantum_functional`` brackets it (a certified lower
+    end where one applies, else a full-accuracy run stopped by its bracket or
+    at 30,000 iterations).  Returns the value, the best theta's certificate,
+    (lo, hi), the cut count and the scaling runs made, the final one included.
     """
     legs = np.flatnonzero(xi.values > 0)
-    free = _is_free(support(t, 0.0).points)
+    exact = support(t, 0.0)
+    free = _is_free(exact.points)
     runs = 0
 
     def weights_at(point: np.ndarray) -> ThetaWeights:
@@ -138,7 +141,7 @@ def _slice_rank_theta_route(
         nonlocal runs
         bound = None
         if free:
-            bound = exact_support_bound(t, weights_at(point), cfg.inner_tol)
+            bound = exact_support_bound(t, weights_at(point), cfg.inner_tol, exact)
             h = bound[1].marginals.entropies()
         else:
             runs += 1
@@ -160,8 +163,10 @@ def _slice_rank_theta_route(
         if hi - lo <= THETA_BRACKET_BITS or n >= THETA_MAX_CUTS:
             break
         add_cut(sol.x[:-1])
-    cert = _bracketed_scaling(t, weights_at(points[best]), inner_tol=cfg.inner_tol,
-                              max_iter=30_000, bound=bounds[best])[0]
+    theta = weights_at(points[best])
+    bound = bounds[best] or exact_support_bound(t, theta, cfg.inner_tol, exact)
+    cert = _bracketed_scaling(t, theta, inner_tol=cfg.inner_tol, max_iter=30_000,
+                              bound=bound, free=free)[0]
     runs += cert.lower_end == "scaling"
     final = cert.bits / float(cert.theta @ xi.values)
     return float(2.0 ** max(lo, min(hi, final))), cert, (lo, hi), len(cuts), runs
@@ -178,13 +183,13 @@ def asymptotic_slice_rank(
     weights by cutting planes, with bracket ``details["theta_bracket"]``.
     On a free exact support every cut is exact, from an exact-support
     entropy solve, and so is the final bracket at the best theta; elsewhere
-    each cut is a loose scaling run.  ``details["scaling_runs"]`` counts the
-    runs that scaled: the loose ones, plus the final one when its lower end
-    came from scaling, so 0 on a free support.  A bracket left open at
-    THETA_MAX_CUTS cuts adds a note and status "warn".  Route
-    "cover_entropy" is the least asymptotic cover number of the rotated
-    support hypergraph over the identity and the marginal eigenbasis
-    (``unitary_candidates``).  Every cover is at least 2^lo, so the search
+    each cut is a loose scaling run, of two steps at a vertex theta = e_j.
+    ``details["scaling_runs"]`` counts the runs that scaled: the loose ones,
+    plus the final one when its lower end came from scaling, so 0 on a free
+    support.  A bracket left open at THETA_MAX_CUTS cuts adds a note and
+    status "warn".  Route "cover_entropy" is the least asymptotic cover
+    number of the rotated support hypergraph over the identity and the
+    marginal eigenbasis (``unitary_candidates``).  Every cover is at least 2^lo, so the search
     stops at the identity when its cover is within ``cfg.inner_tol`` bits of
     2^hi: the eigenbasis could not lower the route by more than
     hi - lo + inner_tol bits.

@@ -52,6 +52,13 @@ def sparse_tensor(dims: tuple[int, ...], nnz: int, seed: int) -> Tensor:
     return Tensor(flat.reshape(dims))
 
 
+def sparse332() -> Tensor:
+    """A 3x3x2 tensor with five entries and a support that is not free."""
+    arr = np.zeros((3, 3, 2), dtype=complex)
+    arr[(0, 1, 2, 0, 1), (0, 1, 2, 1, 2), (0, 0, 1, 1, 0)] = (1.0, 0.7, 1.3, 0.5, -0.8)
+    return Tensor(arr)
+
+
 def gl_w_tensor() -> Tensor:
     """W under a seeded Gaussian GL element: no candidate basis meets the
     quantum bound, so every basis search on it scores every candidate."""

@@ -9,7 +9,7 @@ import pytest
 
 import spectrumkit
 from conftest import gl_w_tensor, sparse_tensor
-from spectrumkit import MatrixTuple, functionals, hypergraphs, make_unit, w_tensor
+from spectrumkit import MatrixTuple, cli, functionals, hypergraphs, make_unit, w_tensor
 from spectrumkit import serialize as ser
 from spectrumkit.cli import main
 from spectrumkit.linprog import LpError
@@ -266,6 +266,34 @@ def test_basis_searches_do_not_depend_on_the_seed(tmp_path, capsys):
         _, out0 = run(capsys, *args, "--seed", "0")
         _, out7 = run(capsys, *args, "--seed", "7")
         assert out0 == out7
+
+
+def test_seed_is_read_per_call_and_the_parser_built_once(files, capsys, monkeypatch):
+    builds, seeds = [], []
+    build, rank = cli.build_parser, cli.ncrank
+
+    def counted_build():
+        builds.append(1)
+        return build()
+
+    def seen(a, cfg):
+        seeds.append(cfg.seed)
+        return rank(a, cfg)
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "ncrank", seen)
+    cli._parser.cache_clear()
+    args = ("rank", "ncrank", files["row_pencil"])
+    for env in ("3", "11"):
+        monkeypatch.setenv("SPECTRUMKIT_SEED", env)
+        assert run(capsys, *args)[0] == 0
+    assert run(capsys, *args, "--seed", "5")[0] == 0
+    monkeypatch.delenv("SPECTRUMKIT_SEED")
+    assert run(capsys, *args)[0] == 0
+    assert seeds == [3, 11, 5, 0] and len(builds) == 1
+    monkeypatch.setenv("SPECTRUMKIT_SEED", "x")
+    assert main(list(args)) == 1
+    assert capsys.readouterr().err.startswith("error: SPECTRUMKIT_SEED")
 
 
 def test_jobs_flag_is_accepted_and_ignored(files, capsys):

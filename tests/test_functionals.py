@@ -4,7 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import F_W, basis_search_corpus, gl_w_tensor, sparse_tensor, symmetric_corpus
+from conftest import (
+    F_W,
+    basis_search_corpus,
+    gl_w_tensor,
+    sparse332,
+    sparse_tensor,
+    symmetric_corpus,
+)
 from oracles import descent_step, scaling_step
 from spectrumkit import (
     GroupElement,
@@ -166,6 +173,23 @@ def test_scaling_nonconvergence_flagged(w):
     assert not trace.converged
     assert trace.stop == "cap"
     assert entropic_scaling(w, UNIFORM3)[1].stop == "tol"
+
+
+@pytest.mark.parametrize("label", ["w", "w-in-333", "rand234", "sparse332", "rand2222"])
+def test_vertex_scaling_stops_at_its_one_step_fixed_point(label, w):
+    # w-in-333 pads W with zeros: every flattening has rank 2 of 3
+    t = {"w": w, "w-in-333": Tensor(np.pad(w.entries, 1)[1:, 1:, 1:]),
+         "rand234": random_tensor((2, 3, 4), np.random.default_rng(0)),
+         "sparse332": sparse332(),
+         "rand2222": random_tensor((2, 2, 2, 2), np.random.default_rng(1))}[label]
+    for j in range(t.order):
+        flat = np.moveaxis(t.entries, j, 0).reshape(t.dims[j], -1)
+        r = np.linalg.matrix_rank(flat)
+        cert, trace = entropic_scaling(t, ThetaWeights.theta(np.eye(t.order)[j]))
+        assert trace.stop == "tol" and trace.iterations == 2 and np.isfinite(trace.residual)
+        assert abs(cert.bits - np.log2(r)) <= 1e-12
+        uniform = np.r_[np.full(r, 1.0 / r), np.zeros(t.dims[j] - r)]
+        assert np.allclose(cert.witness.probs[j], uniform, rtol=0.0, atol=1e-12)
 
 
 TAIL_THETA = ThetaWeights.theta([0.6, 0.4, 0.0])

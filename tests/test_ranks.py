@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import F_W, basis_search_corpus, gl_w_tensor, sparse_tensor
+from conftest import F_W, basis_search_corpus, gl_w_tensor, sparse332, sparse_tensor
 from spectrumkit import (
     MatrixTuple,
     SearchConfig,
@@ -147,12 +147,6 @@ def test_slice_rank_bounds():
     assert 1.0 - 1e-9 <= rep.value <= min(t.dims) + 1e-6
 
 
-def sparse332() -> Tensor:
-    arr = np.zeros((3, 3, 2), dtype=complex)
-    arr[(0, 1, 2, 0, 1), (0, 1, 2, 1, 2), (0, 0, 1, 1, 0)] = (1.0, 0.7, 1.3, 0.5, -0.8)
-    return Tensor(arr)
-
-
 def test_slice_rank_w_unequal_xi_beats_grid(w):
     # a tight scaling run at the route's theta confirms 1.998284; the old
     # 153-point grid plus a local simplex search over theta stopped at 1.999998
@@ -199,6 +193,25 @@ def test_theta_route_scaling_runs(monkeypatch):
     rep = asymptotic_slice_rank(sparse332(), XI1, FAST)
     assert abs(rep.value - 2.0) <= 2e-3
     assert 0 < rep.details["scaling_runs"] == len(calls) <= 20
+
+
+def test_theta_route_vertex_cuts_are_two_step_runs(monkeypatch):
+    # rand234's support is not free, so every cut is a loose run; at the
+    # vertices theta = e_j each run stops at its one-step fixed point
+    t = random_tensor((2, 3, 4), np.random.default_rng(5))
+    assert not functionals._is_free(support(t, 0.0).points)
+    runs = []
+
+    def counted(*args, **kwargs):
+        cert, trace = functionals.entropic_scaling(*args, **kwargs)
+        runs.append((args[1].values, trace.iterations))
+        return cert, trace
+
+    monkeypatch.setattr(ranks, "entropic_scaling", counted)
+    rep = asymptotic_slice_rank(t, XI1, FAST)
+    vertex = [its for theta, its in runs if np.count_nonzero(theta) == 1]
+    assert len(vertex) == 3 and max(vertex) <= 2
+    assert rep.value == 2.0 and rep.details["theta_bracket"] == (2.0, 2.0)
 
 
 def _w_slice_rank_half_middle() -> float:
