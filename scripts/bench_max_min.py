@@ -1,27 +1,31 @@
 #!/usr/bin/env python3
-"""Time the max-min entropy program with cold and warm-started oracles.
+"""Time the max-min entropy program with Newton and with Kelley steps over theta.
 
-Usage: python3 scripts/bench_max_min.py [--repeats N] [--json]
+Usage: python3 scripts/bench_max_min.py [--repeats N] [--src DIR] [--json]
 
 Each case is one ``max_min_weighted_entropy_witness`` call at tol 1e-7, on
 the support of W^3 or W^4, or of a seeded sparse tensor, at
-xi = (1, 1/2, 1) and (1, 1, 1/4).  Each case runs in four modes:
+xi = (1, 1/2, 1), (1, 1, 1/4), (1, 1, 1), (1, 1, 0) and (0.3, 1, 0.7).
+Each case runs under two rules for the next theta:
 
-* ``cold``: every oracle's Newton solve starts from the uniform weights;
-* ``eps=0``: each oracle after the first starts from the previous optimum
-  itself, with its exact zeros;
-* ``eps=1e-3`` and ``eps=1e-6``: from the previous optimum blended that far
-  toward uniform (``optim.WARM_START_BLEND``; the library default is 1e-6).
+* ``newton``: the library's rule, a damped Newton step from the latest
+  oracle when it has the least value so far (``optim._theta_newton_step``),
+  else the Kelley master's theta;
+* ``kelley``: the Kelley master's theta every time (the step is patched to
+  fail, which is the library's fallback).
 
-For each it prints the oracle count (the result's ``iterations``), the
-master LPs (``kelley_master`` calls) and the simplex pivots they report,
-the Newton steps summed over the oracles, the ``_assess`` calls, the value,
-its certified gap, and the CPU milliseconds of the call, the best of
-``--repeats`` runs.  The counts come from one more run with the three
-functions wrapped where ``optim`` calls them; that run also pays for any
-lazy import before a timed run.
-``--json`` prints one JSON object in place of the table.  BLAS is pinned to
-one thread.
+A checkout without ``_theta_newton_step`` runs plain Kelley cutting planes,
+and only its ``kelley`` rule is run.  For each run it prints the oracle
+count (the result's ``iterations``), the master LPs (``kelley_master``
+calls) and the simplex pivots they report, the Newton steps over theta
+(``_theta_newton_step`` calls that returned a point), the oracles' own
+Newton steps summed (``_newton``), the ``_assess`` calls, the value, its
+certified gap, and the CPU milliseconds of the call, the best of
+``--repeats`` runs.  The counts come from one more run with the functions
+wrapped where ``optim`` calls them; that run also pays for any lazy import
+before a timed run.  ``--src`` runs the same cases against another
+checkout's ``src`` directory; ``--json`` prints one JSON object in place of
+the table.  BLAS is pinned to one thread.
 """
 
 import argparse
@@ -33,18 +37,12 @@ import time
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
-
 import numpy as np  # noqa: E402
 
-import spectrumkit as sk  # noqa: E402
-from spectrumkit import optim  # noqa: E402
-
-XIS = ((1.0, 0.5, 1.0), (1.0, 1.0, 0.25))
-MODES = ("cold", "eps=0", "eps=1e-3", "eps=1e-6")
+XIS = ((1.0, 0.5, 1.0), (1.0, 1.0, 0.25), (1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (0.3, 1.0, 0.7))
 
 
-def sparse_support(dims, nnz, seed):
+def sparse_support(sk, dims, nnz, seed):
     """The support of ``sparse_tensor(dims, nnz, seed)`` of the test suite:
     nnz Gaussian complex entries at seeded positions."""
     rng = np.random.default_rng(seed)
@@ -54,14 +52,14 @@ def sparse_support(dims, nnz, seed):
     return sk.support(sk.Tensor(flat.reshape(dims)), 0.0)
 
 
-def supports():
+def supports(sk):
     w = sk.hypergraph_of(sk.w_tensor())
     return [
         ("W^3", sk.kronecker_power(w, 3).as_support()),
         ("W^4", sk.kronecker_power(w, 4).as_support()),
-        ("sparse (4,3,6) nnz=6 seed=1", sparse_support((4, 3, 6), 6, 1)),
-        ("sparse (4,3,6) nnz=9 seed=0", sparse_support((4, 3, 6), 9, 0)),
-        ("sparse (6,6,6) nnz=9 seed=0", sparse_support((6, 6, 6), 9, 0)),
+        ("sparse (4,3,6) nnz=6 seed=1", sparse_support(sk, (4, 3, 6), 6, 1)),
+        ("sparse (4,3,6) nnz=9 seed=0", sparse_support(sk, (4, 3, 6), 9, 0)),
+        ("sparse (6,6,6) nnz=9 seed=0", sparse_support(sk, (6, 6, 6), 9, 0)),
     ]
 
 
@@ -83,51 +81,60 @@ class Count:
         return result
 
 
-def run(s, xi, mode, newton, count=False):
-    """One max-min call in ``mode``: (value, gap, oracles, CPU seconds, the
-    probes of ``_newton``, ``_assess`` and ``kelley_master``, or None)."""
-    blend = optim.WARM_START_BLEND
-    if mode == "cold":
-        def solver(prog, objective, tol, start=None):
-            return newton(prog, objective, tol)
-    else:
-        solver = newton
-        optim.WARM_START_BLEND = float(mode.split("=")[1])
-    saved = optim._newton, optim._assess, optim.kelley_master
-    probes = (Count(solver, lambda r: r[2]), Count(optim._assess),
-              Count(optim.kelley_master, lambda r: r.iterations)) if count else None
-    optim._newton, optim._assess, optim.kelley_master = probes or (solver, *saved[1:])
+def run(sk, optim, s, xi, rule, count=False):
+    """One max-min call under ``rule``: (value, gap, oracles, CPU seconds,
+    the probes by the name of the function they wrap, or None)."""
+    saved = {n: getattr(optim, n) for n in
+             ("_newton", "_assess", "kelley_master", "_theta_newton_step") if hasattr(optim, n)}
+    patched = dict(saved)
+    if rule == "kelley" and "_theta_newton_step" in saved:
+        patched["_theta_newton_step"] = lambda *args: None
+    probes = None
+    if count:
+        work = {"_newton": lambda r: r[2], "kelley_master": lambda r: r.iterations,
+                "_theta_newton_step": lambda r: r is not None}
+        probes = {n: Count(fn, work.get(n)) for n, fn in patched.items()}
+        patched = probes
+    for n, fn in patched.items():
+        setattr(optim, n, fn)
     try:
         start = time.process_time()
         opt = optim.max_min_weighted_entropy_witness(s, sk.ThetaWeights.xi(xi), tol=1e-7)
         cpu = time.process_time() - start
     finally:
-        optim._newton, optim._assess, optim.kelley_master = saved
-        optim.WARM_START_BLEND = blend
+        for n, fn in saved.items():
+            setattr(optim, n, fn)
     return opt.value, opt.certified_gap, opt.iterations, cpu, probes
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
-    newton = optim._newton
+    sys.path.insert(0, os.path.abspath(args.src))
+    import spectrumkit as sk
+    from spectrumkit import optim
+
+    rules = ("newton", "kelley") if hasattr(optim, "_theta_newton_step") else ("kelley",)
     rows = []
-    for label, s in supports():
+    for label, s in supports(sk):
         for xi in XIS:
-            for mode in MODES:
-                value, gap, oracles, _, (steps, assess, masters) = run(s, xi, mode, newton, count=True)
-                cpu = min(run(s, xi, mode, newton)[3] for _ in range(max(1, args.repeats)))
+            for rule in rules:
+                value, gap, oracles, _, probes = run(sk, optim, s, xi, rule, count=True)
+                cpu = min(run(sk, optim, s, xi, rule)[3] for _ in range(max(1, args.repeats)))
+                steps = probes.get("_theta_newton_step")
                 rows.append({
                     "case": f"{label} xi={xi}",
                     "points": s.size,
-                    "mode": mode,
+                    "rule": rule,
                     "oracles": oracles,
-                    "masters": masters.calls,
-                    "master_pivots": masters.steps,
-                    "newton_steps": steps.steps,
-                    "assess_calls": assess.calls,
+                    "masters": probes["kelley_master"].calls,
+                    "master_pivots": probes["kelley_master"].steps,
+                    "theta_steps": steps.steps if steps else 0,
+                    "oracle_newton_steps": probes["_newton"].steps,
+                    "assess_calls": probes["_assess"].calls,
                     "value": value,
                     "certified_gap": gap,
                     "cpu_ms": round(1e3 * cpu, 1),
@@ -135,12 +142,12 @@ def main() -> int:
     if args.json:
         print(json.dumps({"repeats": args.repeats, "rows": rows}))
         return 0
-    print(f"{'case':44s} {'mode':>9s} {'orc':>4s} {'mst':>4s} {'pivots':>6s} {'steps':>6s} {'assess':>7s} "
-          f"{'value':>19s} {'gap':>8s} {'cpu_ms':>8s}")
+    print(f"{'case':46s} {'rule':>6s} {'orc':>4s} {'mst':>4s} {'pivots':>6s} {'theta':>5s} {'steps':>6s} "
+          f"{'assess':>7s} {'value':>19s} {'gap':>8s} {'cpu_ms':>8s}")
     for r in rows:
-        print(f"{r['case']:44s} {r['mode']:>9s} {r['oracles']:4d} {r['masters']:4d} {r['master_pivots']:6d} "
-              f"{r['newton_steps']:6d} {r['assess_calls']:7d} {r['value']:19.15f} "
-              f"{r['certified_gap']:8.1e} {r['cpu_ms']:8.1f}")
+        print(f"{r['case']:46s} {r['rule']:>6s} {r['oracles']:4d} {r['masters']:4d} {r['master_pivots']:6d} "
+              f"{r['theta_steps']:5d} {r['oracle_newton_steps']:6d} {r['assess_calls']:7d} "
+              f"{r['value']:19.15f} {r['certified_gap']:8.1e} {r['cpu_ms']:8.1f}")
     return 0
 
 

@@ -282,8 +282,7 @@ def entropic_scaling(
         s = views.apply(s, factors)
         acc = views.accumulate(acc, factors)
 
-    lams = views.spectra(s)[0]
-    bits = weighted_bits(np.concatenate([lam.ravel() for lam in lams]))
+    bits = bits_seq[-1]  # every exit of the loop has just scored the final s
     factors = tuple(f / np.linalg.norm(f, 2) for f in views.per_leg(acc))  # unit spectral norm
     converged = stop != "cap"
     cert = FunctionalCertificate(
@@ -329,7 +328,8 @@ def exact_support_bound(
 def _is_free(points: np.ndarray) -> bool:
     """Whether any two support points differ in at least two coordinates:
     dropping any one coordinate leaves the points distinct."""
-    return all(len(np.unique(np.delete(points, j, axis=1), axis=0)) == len(points)
+    rows = points.tolist()
+    return all(len({tuple(r[:j] + r[j + 1:]) for r in rows}) == len(rows)
                for j in range(points.shape[1]))
 
 

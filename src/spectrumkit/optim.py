@@ -13,11 +13,15 @@ support set, and ``min_convex_over_support`` has one exact solver for each:
   ``linprog.slack_simplex``, whose duality gap is the certified gap.
 
 The max-min entropy behind the asymptotic cover is, by minimax, the least
-weighted-entropy maximum over entropy weights; Kelley cutting planes over
-them, with the Newton solve as the oracle and the master LPs
-(``kelley_master``) solved by the same simplex, close a bracket on it.  The
-nonsmooth objectives also offer softmax minorants and smoothed values for
-the moment-side descent in ``functionals``.
+weighted-entropy maximum phi(theta) over entropy weights theta.  Cutting
+planes over them, with the Newton solve as the oracle and the master LPs
+(``kelley_master``) solved by the same simplex, close a bracket on it.  phi
+is smooth at theta > 0: its gradient is the oracle's leg entropies and its
+Hessian comes from the oracle's KKT system, so the next theta is a damped
+Newton step wherever the latest oracle lowered phi, and the master's theta
+(Kelley's) otherwise.  The nonsmooth objectives also offer softmax
+minorants and smoothed values for the moment-side descent in
+``functionals``.
 """
 
 from __future__ import annotations
@@ -414,6 +418,20 @@ def _hessian(
     return hess
 
 
+def _face_kkt_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with [[hess, 1], [1^T, 0]] [X; mu] = [rhs; 0]: the KKT system of a
+    face of the weight simplex, for each column of ``rhs``.  The Hessian is
+    singular when the face has more points than marginal coordinates, so
+    the solve is least squares on the Jacobi-scaled system."""
+    k = hess.shape[0]
+    sc = 1.0 / np.sqrt(np.diag(hess))
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = hess * np.outer(sc, sc)
+    kkt[:k, k] = kkt[k, :k] = sc
+    b = np.vstack([rhs * sc[:, None], np.zeros((1, rhs.shape[1]))])
+    return np.linalg.lstsq(kkt, b, rcond=None)[0][:k] * sc[:, None]
+
+
 def _newton(
     prog: _SupportProgram,
     objective: _EntropyObjective,
@@ -470,19 +488,10 @@ def _newton(
                 break
         else:
             pts = np.flatnonzero(face)
-            k = pts.size
-            hess = _hessian(prog, objective, p_y, pts)
-            # the Hessian is singular when the face has more points than
-            # marginal coordinates: least squares on the Jacobi-scaled system
-            sc = 1.0 / np.sqrt(np.diag(hess))
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = hess * np.outer(sc, sc)
-            kkt[:k, k] = kkt[k, :k] = sc
             # g is shifted by its face minimum, which leaves d unchanged
             # (sum d = 0) but keeps the slope from cancelling out near 0
             g_face = g[pts] - face_min
-            rhs = np.append(-g_face * sc, 0.0)
-            d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k] * sc
+            d = _face_kkt_solve(_hessian(prog, objective, p_y, pts), -g_face[:, None])[:, 0]
             slope = float(g_face @ d)
             if not slope < 0:
                 break
@@ -577,6 +586,10 @@ MAX_MIN_CUTS = 60
 #: optimum blended this far toward the uniform weights
 WARM_START_BLEND = 1e-6
 
+#: a Newton step of the max-min program that would leave theta >= 0 stops
+#: this far along its way to the boundary
+THETA_STEP_TO_BOUNDARY = 0.9
+
 
 def kelley_master(cuts: np.ndarray, xi: np.ndarray) -> LpSolution:
     """The master LP of Kelley's cutting planes over entropy weights:
@@ -599,6 +612,71 @@ def kelley_master(cuts: np.ndarray, xi: np.ndarray) -> LpSolution:
     theta /= float(theta @ xi)
     z = float((cuts @ theta).max())
     return LpSolution(value=float(x[-1]), x=np.append(theta, z), y=x, iterations=pivots)
+
+
+def _phi_hessian(
+    prog: _SupportProgram, objective: NegWeightedEntropy, w: np.ndarray, scale: float,
+    legs: np.ndarray,
+) -> np.ndarray:
+    """The Hessian of phi(theta) = max_P sum_j theta_j H_j(P) on the legs
+    ``legs``, at theta = scale * (the weights of ``objective``), where ``w``
+    maximizes ``objective``.
+
+    phi's gradient is the leg entropies h at the optimum (Danskin), so its
+    Hessian is dh/dtheta = A X, by implicit differentiation of the oracle's
+    KKT system on the face of w: with M the Hessian of -sum_j theta_j H_j
+    in the weights of the face (``_hessian`` times ``scale``) and A the rows
+    dH_j/dw there, X solves [[M, 1], [1^T, 0]] X = [A^T; 0]
+    (``_face_kkt_solve``).
+    """
+    pts = np.flatnonzero(w > 0)
+    p = prog.marginals(w)
+    a = np.array([_entropy_grad(p[j])[prog.leg_index[j][pts]] for j in legs])
+    curv = a @ _face_kkt_solve(scale * _hessian(prog, objective, p, pts), a.T)
+    return (curv + curv.T) / 2.0
+
+
+def _theta_newton_step(
+    prog: _SupportProgram,
+    objective: NegWeightedEntropy,
+    w: np.ndarray,
+    point: np.ndarray,
+    h: np.ndarray,
+    xi: np.ndarray,
+    legs: np.ndarray,
+) -> np.ndarray | None:
+    """A damped Newton step for phi over theta >= 0 with <theta, xi> = 1
+    from ``point``, where ``w`` maximizes ``objective`` (the weights
+    point / sum(point) on the legs ``legs``) with leg entropies ``h``.
+
+    The quadratic model h.theta + (theta - point)^T C (theta - point) / 2,
+    with C = ``_phi_hessian``, is minimized by solving its KKT system on
+    every face {theta_j = 0 off S}, one per nonempty leg set S, and keeping
+    the feasible solution of least model value.  The step stops at
+    THETA_STEP_TO_BOUNDARY of the way to the boundary.  Returns None where
+    a solve raises ``LinAlgError`` or no face solution is feasible.
+    """
+    n = legs.size
+    best, least = None, np.inf
+    try:
+        curv = _phi_hessian(prog, objective, w, float(point.sum()), legs)
+        target = curv @ point - h
+        for mask in range(1, 2**n):
+            s = np.flatnonzero([(mask >> j) & 1 for j in range(n)])
+            face = np.block([[curv[np.ix_(s, s)], xi[s, None]], [xi[None, s], np.zeros((1, 1))]])
+            theta = np.zeros(n)
+            theta[s] = np.linalg.lstsq(face, np.append(target[s], 1.0), rcond=None)[0][:-1]
+            model = float(h @ theta + (theta - point) @ curv @ (theta - point) / 2.0)
+            if theta.min() >= 0.0 and abs(theta @ xi - 1.0) <= 1e-9 and model < least:
+                best, least = theta, model
+    except np.linalg.LinAlgError:
+        return None
+    if best is None:
+        return None
+    step = best - point
+    neg = step < 0
+    reach = float((point[neg] / -step[neg]).min()) if neg.any() else np.inf
+    return point + min(1.0, THETA_STEP_TO_BOUNDARY * reach) * step
 
 
 def max_weighted_entropy(
@@ -640,17 +718,28 @@ def max_min_weighted_entropy_witness(
     *,
     tol: float = 1e-7,
 ) -> SupportOptimum:
-    """The max-min program by Kelley cutting planes over entropy weights.
+    """The max-min program by cutting planes over entropy weights.
 
     By minimax, max_P min_j H_j / xi_j = min over theta >= 0 with <theta, xi>
-    = 1 of max_P sum_j theta_j H_j, on the legs with xi_j > 0.  An oracle at
-    theta (central first, then the master's) bounds the max-min from above
-    by its value plus its certified gap (hi), and its leg entropies h_k cut
-    ``kelley_master``.  The lower end lo is the best min_j H_j / xi_j at an
-    oracle optimum or at their Dantzig-Wolfe mixture by the master's cut
-    duals, which H's concavity puts at or above the master value.  Stops at
-    hi - lo <= tol or after MAX_MIN_CUTS oracles; returns lo at its witness,
-    ``certified_gap`` hi - lo and ``iterations`` the oracle count.
+    = 1 of phi(theta) = max_P sum_j theta_j H_j, on the legs with xi_j > 0.
+    An oracle at theta bounds the max-min from above by its value plus its
+    certified gap (hi), and its leg entropies h_k cut ``kelley_master``.
+    The lower end lo is the best min_j H_j / xi_j at an oracle optimum or at
+    their Dantzig-Wolfe mixture by the master's cut duals, which H's
+    concavity puts at or above the master value.  Stops at hi - lo <= tol or
+    after MAX_MIN_CUTS oracles; returns lo at its witness, ``certified_gap``
+    hi - lo and ``iterations`` the oracle count.
+
+    The first oracle is at the central theta and the second at the master's
+    (Kelley's), which closes a vertex optimum at once.  From then on, when
+    the latest oracle has the least phi so far, the next theta is a damped
+    Newton step from it (``_theta_newton_step``): phi has gradient h_k
+    (Danskin) and the Hessian ``_phi_hessian``, and is smooth at theta > 0,
+    where the weighted entropy is strictly concave in the marginals.  The
+    master's theta is taken instead when the latest oracle did not lower
+    phi, when the step's solve fails, or when it repeats an evaluated theta.
+    Only the choice of theta changes: hi and lo are sound wherever the
+    oracles are.
 
     Successive oracles are close in theta, so each one after the first (at
     the central theta, from the uniform weights) starts its Newton solve
@@ -674,7 +763,7 @@ def max_min_weighted_entropy_witness(
         return float(min(shannon_entropy(p[j]) / x for j, x in zip(legs, xi_legs)))
 
     point = np.full(legs.size, 1.0 / xi_legs.sum())
-    cuts, optima = [], []
+    cuts, optima, points, values = [], [], [], []
     hi, lo, witness, start = np.inf, -np.inf, None, None
     while True:
         theta = np.zeros(xi.d)
@@ -682,9 +771,12 @@ def max_min_weighted_entropy_witness(
         objective = NegWeightedEntropy(ThetaWeights.theta(theta))
         w, gap, _ = _newton(prog, objective, tol / 10, start)
         p = prog.marginals(w)
-        hi = min(hi, point.sum() * (gap - objective.value(p)))
+        value = objective.value(p)
+        hi = min(hi, point.sum() * (gap - value))
+        values.append(-point.sum() * value)
         cuts.append(np.array([shannon_entropy(p[j]) for j in legs]))
         optima.append(w)
+        points.append(point)
         start = (1.0 - WARM_START_BLEND) * w + WARM_START_BLEND / w.size
         lo, witness = max((lo, witness), (ratio(optima[-1]), optima[-1]), key=lambda c: c[0])
         if hi - lo > tol:
@@ -696,5 +788,9 @@ def max_min_weighted_entropy_witness(
         if hi - lo <= tol or len(cuts) >= MAX_MIN_CUTS:
             break
         point = sol.x[:-1]
+        if len(values) > 1 and values[-1] < min(values[:-1]):
+            step = _theta_newton_step(prog, objective, w, points[-1], cuts[-1], xi_legs, legs)
+            if step is not None and np.abs(np.array(points) - step).max(axis=1).min() > 1e-12:
+                point = step
     dist = JointDistribution(support, witness)
     return SupportOptimum(lo, marginals_of(dist), dist, max(0.0, hi - lo), len(cuts))

@@ -324,10 +324,3 @@ def support(t: Tensor, eta: float = DEFAULT_ETA) -> SupportSet:
         mask = mags > eta * mags.max()
     pts = np.argwhere(mask)
     return SupportSet(t.dims, pts)
-
-
-def support_tensor(s: SupportSet) -> Tensor:
-    """A 0/1 tensor with ones exactly on the given support."""
-    arr = np.zeros(s.dims, dtype=complex)
-    arr[tuple(s.points.T)] = 1.0
-    return Tensor(arr)

@@ -27,6 +27,7 @@ from spectrumkit import (
     minimax_gap,
     moment_map,
     quantum_functional,
+    support,
     support_functional,
     symmetric_quantum_functional,
     symmetric_support_functional,
@@ -85,8 +86,6 @@ def test_torus_moment_map_in_support_hull(w):
     rng = np.random.default_rng(1)
     t = random_tensor((2, 3, 2), rng)
     tm = torus_moment_map(t)
-    from spectrumkit import support
-
     pts = support(t, 0.0).points
     weights = np.abs(t.entries.ravel()) ** 2
     weights = weights[weights > 0] / weights.sum()
@@ -254,6 +253,22 @@ def test_no_certificate_where_its_test_fails(label, t, theta):
     assert abs(q.bits - {"sparse0": 2 / 3, "sparse5": 1.33097, "sparse11": 1.33097,
                          "singular-pencil": 1.50346}[label]) <= 1e-5
     assert claimed[label] - q.bits >= 0.015
+
+
+def test_is_free_matches_the_unique_rows_definition():
+    # free: no two points agree off one coordinate, that is, dropping any
+    # coordinate leaves the rows distinct
+    def reference(points):
+        return all(len(np.unique(np.delete(points, j, axis=1), axis=0)) == len(points)
+                   for j in range(points.shape[1]))
+
+    supports = [support(t, 0.0).points for t in (w_tensor(), matmul_tensor(2, 2, 2), sparse332())]
+    for seed in range(40):
+        supports.append(support(sparse_tensor((3, 3, 2), 2 + seed % 5, seed), 0.0).points)
+    verdicts = [functionals._is_free(points) for points in supports]
+    assert verdicts == [reference(points) for points in supports]
+    assert verdicts[:3] == [True, True, False]  # W, matmul<2,2,2>, sparse332
+    assert True in verdicts[3:] and False in verdicts[3:]
 
 
 @pytest.mark.parametrize("label, theta", [("w", UNIFORM3), ("w", TAIL_THETA),

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import F_W, H13_BITS
+from conftest import F_W, H13_BITS, sparse_tensor
 from oracles import grid_max_weighted_entropy, grid_min_convex, simplex_grid
 from spectrumkit import (
     InvalidArgumentError,
     JointDistribution,
     LinearProgram,
     SupportSet,
+    Tensor,
     ThetaWeights,
     hypergraph_of,
     kronecker_power,
@@ -230,6 +231,75 @@ def test_max_min_bracket_closes_on_w_powers(n, xi):
     assert abs(opt.value - min(opt.marginals.entropies() / np.array(xi))) <= 1e-12
     # at least the value at xi = 1, at most the n bits that leg 0 can carry
     assert n * H13_BITS <= opt.value <= n
+    # Newton steps over theta from the third oracle on (plain Kelley: 24-26)
+    assert opt.iterations <= {(1.0, 0.5, 1.0): 8, (1.0, 1.0, 0.25): 12}[xi]
+
+
+@pytest.mark.parametrize("xi", [(1.0, 0.5, 1.0, 1.0), (1.0, 1.0, 0.25, 1.0)])
+def test_max_min_newton_steps_on_four_legs(xi):
+    # 4-leg W: the model is minimized over 15 faces (plain Kelley: 44-46 oracles)
+    arr = np.zeros((2, 2, 2, 2))
+    for j in range(4):
+        arr[tuple(np.eye(4, dtype=int)[j])] = 1.0
+    s = support(Tensor(arr), 0.0)
+    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)
+    assert opt.certified_gap <= 1e-7
+    assert opt.iterations <= 14
+    assert abs(opt.value - min(opt.marginals.entropies() / np.array(xi))) <= 1e-12
+
+
+def test_max_min_keeps_kelleys_second_point_at_a_vertex_optimum():
+    # the optimal theta is a vertex, which the first master finds
+    s = support(sparse_tensor((4, 3, 6), 9, 0), 0.0)
+    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi([1, 1, 0.25]), tol=1e-7)
+    assert opt.iterations == 2
+    assert opt.certified_gap <= 1e-7
+
+
+def test_max_min_falls_back_to_kelley_when_the_newton_step_fails(monkeypatch):
+    s = kronecker_power(hypergraph_of(w_tensor()), 3).as_support()
+    xi = ThetaWeights.xi([1, 0.5, 1])
+    newton = max_min_weighted_entropy_witness(s, xi, tol=1e-7)
+    calls = []
+
+    def failed(*args):
+        calls.append(args)
+        return None
+
+    monkeypatch.setattr(optim, "_theta_newton_step", failed)
+    kelley = max_min_weighted_entropy_witness(s, xi, tol=1e-7)
+    assert calls
+    assert kelley.certified_gap <= 1e-7
+    assert newton.iterations < kelley.iterations <= optim.MAX_MIN_CUTS
+    assert abs(kelley.value - newton.value) <= 1e-7
+
+
+@pytest.mark.parametrize("point", [(1.0, 0.4, 0.6), (0.9, 0.2, 0.9), (0.6, 0.6, 0.8)])
+def test_phi_hessian_matches_differenced_gradients(point):
+    # phi(theta) = max_P sum_j theta_j H_j(P) has gradient h(theta), the leg
+    # entropies at the optimum; its Hessian is dh/dtheta.  The oracle sees
+    # theta / sum(theta), and phi is homogeneous of degree 1
+    s = kronecker_power(hypergraph_of(w_tensor()), 2).as_support()
+    prog = _SupportProgram(s)
+    legs = np.arange(3)
+
+    def oracle(theta):
+        objective = NegWeightedEntropy(ThetaWeights.theta(theta / theta.sum()))
+        return objective, _newton(prog, objective, 1e-15)[0]
+
+    point = np.array(point)
+    objective, w = oracle(point)
+    hess = optim._phi_hessian(prog, objective, w, float(point.sum()), legs)
+    delta = 1e-5
+    diffs = []
+    for j in range(3):
+        step = delta * np.eye(3)[j]
+        up, down = (marginals_of(JointDistribution(s, oracle(point + sign * step)[1])).entropies()
+                    for sign in (1, -1))
+        diffs.append((up - down) / (2 * delta))
+    assert np.allclose(hess, np.array(diffs).T, rtol=1e-4, atol=1e-6)
+    assert np.allclose(hess @ point, 0.0, atol=1e-9)  # degree-0 homogeneous h
+    assert np.linalg.eigvalsh(hess).min() >= -1e-9  # phi is convex
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
