@@ -100,6 +100,8 @@ def run(sk, optim, s, xi, rule, count=False):
     try:
         start = time.process_time()
         opt = optim.max_min_weighted_entropy_witness(s, sk.ThetaWeights.xi(xi), tol=1e-7)
+        if isinstance(opt, tuple):  # (optimum, theta); an older checkout returns the optimum
+            opt = opt[0]
         cpu = time.process_time() - start
     finally:
         for n, fn in saved.items():

@@ -11,7 +11,10 @@ the command line ``rank slice FILE --xi XI --seed 0 --jobs 1`` through the
 in-process ``spectrumkit.cli.main``.  One counted run per case wraps the
 library where it is called and records:
 
-* ``cuts``: the cutting planes of the theta route;
+* ``cuts``: the cuts or max-min oracles of the theta route (on a free
+  support the route is the max-min program, and counts its oracles);
+* ``max_min_calls``: the calls of ``max_min_weighted_entropy_witness``
+  made from ``ranks`` or ``optim``, the max-min solves of both routes;
 * ``scaling_runs``: the report's count, and ``scaling_calls``, the calls of
   ``entropic_scaling`` made from ``ranks`` or ``functionals``;
 * ``scaling_iterations``: the iterations of those calls, summed from each
@@ -58,7 +61,7 @@ class Counts:
 
     def reset(self):
         self.cuts = self.scaling_calls = self.scaling_iterations = 0
-        self.masters = self.master_pivots = 0
+        self.masters = self.master_pivots = self.max_min_calls = 0
         self.report = None
 
     def _wrap(self, module, name, after):
@@ -86,6 +89,9 @@ class Counts:
             self.masters += 1
             self.master_pivots += int(result.iterations)
 
+        def max_min(result):
+            self.max_min_calls += 1
+
         def report(result):
             self.report = result
 
@@ -95,6 +101,8 @@ class Counts:
             self._wrap(module, "entropic_scaling", scaling)
         for module in (ranks, optim):
             self._wrap(module, "kelley_master", master)
+            if hasattr(module, "max_min_weighted_entropy_witness"):
+                self._wrap(module, "max_min_weighted_entropy_witness", max_min)
         return self
 
     def __exit__(self, *exc):
@@ -151,6 +159,7 @@ def main() -> int:
                 "scaling_runs": details["scaling_runs"],
                 "scaling_calls": counts.scaling_calls,
                 "scaling_iterations": counts.scaling_iterations,
+                "max_min_calls": counts.max_min_calls,
                 "masters": counts.masters,
                 "master_pivots": counts.master_pivots,
                 "cpu_ms": round(1e3 * statistics.median(cpu), 2),
@@ -159,12 +168,12 @@ def main() -> int:
     if args.json:
         print(json.dumps({"seed": args.seed, "repeats": args.repeats, "cases": rows}))
         return 0
-    print(f"{'case':26s} {'exit':>4s} {'cuts':>4s} {'runs':>4s} {'iters':>5s} {'mst':>4s} "
+    print(f"{'case':26s} {'exit':>4s} {'cuts':>4s} {'runs':>4s} {'iters':>5s} {'mm':>3s} {'mst':>4s} "
           f"{'pivots':>6s} {'cpu_ms':>8s} {'value':>14s}  theta_bracket")
     for r in rows:
         lo, hi = r["theta_bracket"]
         print(f"{r['case']:26s} {r['exit']:4d} {r['cuts']:4d} {r['scaling_runs']:4d} "
-              f"{r['scaling_iterations']:5d} {r['masters']:4d} {r['master_pivots']:6d} "
+              f"{r['scaling_iterations']:5d} {r['max_min_calls']:3d} {r['masters']:4d} {r['master_pivots']:6d} "
               f"{r['cpu_ms']:8.2f} "
               f"{r['value']:14.10f}  [{lo:.10f}, {hi:.10f}]")
     return 0

@@ -75,8 +75,10 @@ def cases(sk, optim):
 
     def max_min(probe):
         res = optim.max_min_weighted_entropy_witness(w4, xi, tol=1e-7)
-        if isinstance(res, tuple):  # an older checkout: (value, witness)
-            return res[0], probe.outer.certified_gap
+        if isinstance(res, tuple):  # (optimum, theta); an older checkout: (value, witness)
+            res = res[0]
+        if isinstance(res, float):
+            return res, probe.outer.certified_gap
         return res.value, res.certified_gap
 
     return [

@@ -36,7 +36,6 @@ from .tensors import (
     DEFAULT_ETA,
     GroupElement,
     InvalidArgumentError,
-    SupportSet,
     Tensor,
     apply_group,
     marginal,
@@ -314,14 +313,12 @@ def bracket_width(inner_tol: float) -> float:
 
 
 def exact_support_bound(
-    t: Tensor, theta: ThetaWeights, inner_tol: float, exact: SupportSet | None = None
+    t: Tensor, theta: ThetaWeights, inner_tol: float
 ) -> tuple[float, SupportOptimum]:
     """An upper bound in bits on log2 F_theta(t): the entropy program on the
     exact support (eta = 0; a thresholded support bounds nothing) plus its
-    certified gap.  ``exact`` is ``support(t, 0.0)`` when the caller has it
-    already.  Also returns the solve."""
-    exact = support(t, 0.0) if exact is None else exact
-    opt = min_convex_over_support(exact, NegWeightedEntropy(theta), tol=inner_tol)
+    certified gap.  Also returns the solve."""
+    opt = min_convex_over_support(support(t, 0.0), NegWeightedEntropy(theta), tol=inner_tol)
     return opt.certified_gap - opt.value, opt
 
 
@@ -350,12 +347,10 @@ def _square_pencil_bits(t: Tensor, th: np.ndarray) -> float | None:
 
 
 def _certified_lower_end(
-    t: Tensor, th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float,
-    free: bool | None = None,
+    t: Tensor, th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float
 ) -> FunctionalCertificate | None:
     """The quantum functional certified without a scaling run, given the
-    exact-support bound hi and its solve opt, or None.  ``free`` is
-    ``_is_free`` of the exact support when the caller has it already.
+    exact-support bound hi and its solve opt, or None.
 
     * A free exact support (``_is_free``): the marginals of every
       distribution on it lie in the moment polytope, so lo = -opt.value
@@ -374,9 +369,7 @@ def _certified_lower_end(
     """
     if opt.certified_gap > bracket_width(inner_tol):
         return None
-    if free is None:
-        free = _is_free(opt.distribution.support.points)
-    if free:
+    if _is_free(opt.distribution.support.points):
         lo, end, probs = -opt.value, "free_support", opt.marginals.probs
     else:
         lo = _square_pencil_bits(t, th)
@@ -396,17 +389,14 @@ def _certified_lower_end(
 
 def _bracketed_scaling(
     t: Tensor, theta: ThetaWeights, *, inner_tol: float, tol: float = 1e-10,
-    max_iter: int = 200_000, bound: tuple[float, SupportOptimum] | None = None,
-    free: bool | None = None,
+    max_iter: int = 200_000,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
     """The quantum functional's bracket against the exact-support bound: a
     certified lower end (``_certified_lower_end``) where one applies, else a
     cold scaling run that stops once the bracket is ``bracket_width(inner_tol)``
-    wide.  ``bound`` is ``exact_support_bound`` at theta and ``free`` the
-    exact support's ``_is_free``, each when the caller has it already.  Also
-    returns the bound's solve."""
-    hi, opt = bound or exact_support_bound(t, theta, inner_tol)
-    cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol, free)
+    wide.  Also returns the bound's solve."""
+    hi, opt = exact_support_bound(t, theta, inner_tol)
+    cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol)
     if cert is None:
         cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter,
                                    upper_bits=hi, width=bracket_width(inner_tol))

@@ -12,8 +12,9 @@ support set, and ``min_convex_over_support`` has one exact solver for each:
 * ``MaxInfNorm`` and ``L1FromUniform``: one LP each, solved in slack form by
   ``linprog.slack_simplex``, whose duality gap is the certified gap.
 
-The max-min entropy behind the asymptotic cover is, by minimax, the least
-weighted-entropy maximum phi(theta) over entropy weights theta.  Cutting
+The max-min entropy behind the asymptotic cover (and behind the slice
+rank on a free support) is, by minimax, the least weighted-entropy maximum
+phi(theta) over entropy weights theta.  Cutting
 planes over them, with the Newton solve as the oracle and the master LPs
 (``kelley_master``) solved by the same simplex, close a bracket on it.  phi
 is smooth at theta > 0: its gradient is the oracle's leg entropies and its
@@ -707,9 +708,10 @@ def max_min_weighted_entropy(
     ratio is +infinity), matching the convention that such legs may not be
     used by covers.  The value is the lower end of a bracket at most ``tol``
     wide unless the cutting planes ran out of cuts;
-    ``max_min_weighted_entropy_witness`` returns the bracket and a witness.
+    ``max_min_weighted_entropy_witness`` returns the bracket, a witness and
+    the best theta.
     """
-    return max_min_weighted_entropy_witness(support, xi, tol=tol).value
+    return max_min_weighted_entropy_witness(support, xi, tol=tol)[0].value
 
 
 def max_min_weighted_entropy_witness(
@@ -717,7 +719,7 @@ def max_min_weighted_entropy_witness(
     xi: ThetaWeights,
     *,
     tol: float = 1e-7,
-) -> SupportOptimum:
+) -> tuple[SupportOptimum, ThetaWeights]:
     """The max-min program by cutting planes over entropy weights.
 
     By minimax, max_P min_j H_j / xi_j = min over theta >= 0 with <theta, xi>
@@ -727,8 +729,9 @@ def max_min_weighted_entropy_witness(
     The lower end lo is the best min_j H_j / xi_j at an oracle optimum or at
     their Dantzig-Wolfe mixture by the master's cut duals, which H's
     concavity puts at or above the master value.  Stops at hi - lo <= tol or
-    after MAX_MIN_CUTS oracles; returns lo at its witness, ``certified_gap``
-    hi - lo and ``iterations`` the oracle count.
+    after MAX_MIN_CUTS oracles.  Returns lo at its witness, with
+    ``certified_gap`` hi - lo and ``iterations`` the oracle count, and the
+    theta of the least upper end, scaled to sum 1 (zero off the legs).
 
     The first oracle is at the central theta and the second at the master's
     (Kelley's), which closes a vertex optimum at once.  From then on, when
@@ -764,15 +767,18 @@ def max_min_weighted_entropy_witness(
 
     point = np.full(legs.size, 1.0 / xi_legs.sum())
     cuts, optima, points, values = [], [], [], []
-    hi, lo, witness, start = np.inf, -np.inf, None, None
+    hi, lo, witness, start, best = np.inf, -np.inf, None, None, None
     while True:
         theta = np.zeros(xi.d)
         theta[legs] = point / point.sum()
-        objective = NegWeightedEntropy(ThetaWeights.theta(theta))
+        weights = ThetaWeights.theta(theta)
+        objective = NegWeightedEntropy(weights)
         w, gap, _ = _newton(prog, objective, tol / 10, start)
         p = prog.marginals(w)
         value = objective.value(p)
-        hi = min(hi, point.sum() * (gap - value))
+        upper = point.sum() * (gap - value)
+        if upper < hi:
+            hi, best = upper, weights
         values.append(-point.sum() * value)
         cuts.append(np.array([shannon_entropy(p[j]) for j in legs]))
         optima.append(w)
@@ -793,4 +799,4 @@ def max_min_weighted_entropy_witness(
             if step is not None and np.abs(np.array(points) - step).max(axis=1).min() > 1e-12:
                 point = step
     dist = JointDistribution(support, witness)
-    return SupportOptimum(lo, marginals_of(dist), dist, max(0.0, hi - lo), len(cuts))
+    return SupportOptimum(lo, marginals_of(dist), dist, max(0.0, hi - lo), len(cuts)), best

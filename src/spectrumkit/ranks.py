@@ -31,7 +31,6 @@ from .functionals import (
     _eigenbasis_unitary,
     _is_free,
     entropic_scaling,
-    exact_support_bound,
     minimize_over_moment_polytope,
     unitary_candidates,
 )
@@ -43,7 +42,14 @@ from .hypergraphs import (
     fractional_vertex_cover,
     hypergraph_of,
 )
-from .optim import L1FromUniform, MaxInfNorm, ThetaWeights, kelley_master
+from .optim import (
+    L1FromUniform,
+    MaxInfNorm,
+    SupportOptimum,
+    ThetaWeights,
+    kelley_master,
+    max_min_weighted_entropy_witness,
+)
 from .tensors import (
     InvalidArgumentError,
     MatrixTuple,
@@ -90,86 +96,73 @@ def _route_gap(routes: dict[str, float]) -> float:
 # asymptotic slice rank
 
 
-#: the theta route stops once its bracket is this narrow, in bits, or at
-#: this many cuts
+#: off a free support the theta route stops once its bracket is this
+#: narrow, in bits, or at this many cuts; a wider bracket warns
 THETA_BRACKET_BITS = 1e-4
 THETA_MAX_CUTS = 60
 
 
 def _slice_rank_theta_route(
     t: Tensor, xi: ThetaWeights, cfg: SearchConfig
-) -> tuple[float, FunctionalCertificate, tuple[float, float], int, int]:
-    """min over theta of F_theta(t)^(1 / <theta, xi>), by Kelley cutting planes.
+) -> tuple[float, FunctionalCertificate, tuple[float, float], int, int, SupportOptimum | None]:
+    """min over theta >= 0 with <theta, xi> = 1 of bits(theta) = log2 F_theta(t),
+    as 2^bits, with a bracket (lo, hi) in bits.
 
-    bits(theta) = log2 F_theta(t) is the maximum of <theta, h> over the leg
-    entropies h of points of the moment polytope, so each such h_k is a cut:
-    <theta, h_k> <= bits(theta) at every theta.  The master LP
-    (``kelley_master``) minimizes z >= <theta, h_k> over theta >= 0 with
-    <theta, xi> = 1, on the legs with xi_j > 0 (the others take theta_j = 0).
-    Its value lo is a lower bound in bits whatever the cuts' thetas; hi is
-    the least cut model max_k <theta, h_k> at the evaluated thetas.  From the
-    vertices on, each master's theta adds a cut until hi - lo <=
-    THETA_BRACKET_BITS or THETA_MAX_CUTS cuts.  The cut at theta is exact
-    on a free exact support (``_is_free``): the marginals of the exact-support
-    entropy program's solve (``exact_support_bound``) lie in the moment
-    polytope (Christandl, Vrana & Zuiddam, STOC 2018), and the solve's
-    certified gap, added to its model value, makes hi an upper bound.
-    Otherwise the cut is the endpoint of one loose cold-started scaling run,
-    and hi equals a converged run's bits; a vertex cut is a two-step run
-    that reaches its fixed point (``entropic_scaling``).  The exact support
-    is built, and tested for freeness, once per route.  The best theta is
-    then bracketed as ``quantum_functional`` brackets it (a certified lower
-    end where one applies, else a full-accuracy run stopped by its bracket or
-    at 30,000 iterations).  Returns the value, the best theta's certificate,
-    (lo, hi), the cut count and the scaling runs made, the final one included.
+    On a free exact support (``_is_free``) bits(theta) is the entropy program
+    there (Christandl, Vrana & Zuiddam, STOC 2018), so by minimax the route
+    is the max-min program on that support (``max_min_weighted_entropy_witness``
+    to ``cfg.inner_tol``): lo is its value, hi adds its certified gap, the
+    cuts are its oracles and the best theta is that of its least upper end.
+
+    Elsewhere the route runs Kelley cutting planes: the leg entropies h_k of
+    any point of the moment polytope satisfy <theta, h_k> <= bits(theta), and
+    each cut is the endpoint of one loose cold-started scaling run (a
+    two-step run at a vertex theta = e_j).  lo is the value of the master LP
+    (``kelley_master``) on the legs with xi_j > 0, and hi the least cut model
+    max_k <theta, h_k> at the evaluated thetas.  From the vertices on, each
+    master's theta adds a cut until hi - lo <= THETA_BRACKET_BITS or
+    THETA_MAX_CUTS cuts.
+
+    The best theta is then bracketed as ``quantum_functional`` brackets it,
+    with at most 30,000 scaling iterations.  Returns the value, the best
+    theta's certificate, (lo, hi), the cut count, the scaling runs made (the
+    final one included) and the max-min solve, or None off a free support.
     """
     legs = np.flatnonzero(xi.values > 0)
     exact = support(t, 0.0)
-    free = _is_free(exact.points)
-    runs = 0
+    solve = None
+    if _is_free(exact.points):
+        solve, theta = max_min_weighted_entropy_witness(exact, xi, tol=cfg.inner_tol)
+        lo, hi, n, runs = solve.value, solve.value + solve.certified_gap, solve.iterations, 0
+    else:
+        def weights_at(point: np.ndarray) -> ThetaWeights:
+            theta = np.zeros(t.order)
+            theta[legs] = point / point.sum()
+            return ThetaWeights.theta(theta)
 
-    def weights_at(point: np.ndarray) -> ThetaWeights:
-        theta = np.zeros(t.order)
-        theta[legs] = point / point.sum()
-        return ThetaWeights.theta(theta)
+        def cut(point: np.ndarray) -> np.ndarray:
+            return entropic_scaling(t, weights_at(point), tol=1e-9, max_iter=1500, window=30,
+                                    spectrum_tol=1e-6)[0].witness.entropies()[legs]
 
-    # the evaluated points, scaled to <theta, xi> = 1, their cuts, and on a
-    # free support the exact-support bound at each
-    points, cuts, bounds = [], [], []
-
-    def add_cut(point: np.ndarray) -> None:
-        nonlocal runs
-        bound = None
-        if free:
-            bound = exact_support_bound(t, weights_at(point), cfg.inner_tol, exact)
-            h = bound[1].marginals.entropies()
-        else:
-            runs += 1
-            h = entropic_scaling(t, weights_at(point), tol=1e-9, max_iter=1500, window=30,
-                                 spectrum_tol=1e-6)[0].witness.entropies()
-        points.append(point)
-        cuts.append(h[legs])
-        bounds.append(bound)
-
-    for point in np.diag(1.0 / xi.values[legs]):
-        add_cut(point)
-    while True:
-        h, n, pts = np.array(cuts), len(cuts), np.array(points)
-        gaps = np.array([b[1].certified_gap if b else 0.0 for b in bounds])
-        model = (pts @ h.T).max(axis=1) + gaps * pts.sum(axis=1)
-        best = int(np.argmin(model))
-        sol = kelley_master(h, xi.values[legs])
-        lo, hi = sol.value, max(sol.value, float(model[best]))
-        if hi - lo <= THETA_BRACKET_BITS or n >= THETA_MAX_CUTS:
-            break
-        add_cut(sol.x[:-1])
-    theta = weights_at(points[best])
-    bound = bounds[best] or exact_support_bound(t, theta, cfg.inner_tol, exact)
-    cert = _bracketed_scaling(t, theta, inner_tol=cfg.inner_tol, max_iter=30_000,
-                              bound=bound, free=free)[0]
+        # the evaluated points, scaled to <theta, xi> = 1, and their cuts
+        points = list(np.diag(1.0 / xi.values[legs]))
+        cuts = [cut(point) for point in points]
+        while True:
+            h = np.array(cuts)
+            model = (np.array(points) @ h.T).max(axis=1)
+            best = int(np.argmin(model))
+            sol = kelley_master(h, xi.values[legs])
+            lo, hi = sol.value, max(sol.value, float(model[best]))
+            if hi - lo <= THETA_BRACKET_BITS or len(cuts) >= THETA_MAX_CUTS:
+                break
+            points.append(sol.x[:-1])
+            cuts.append(cut(points[-1]))
+        theta, n, runs = weights_at(points[best]), len(cuts), len(cuts)
+    cert = _bracketed_scaling(t, theta, inner_tol=cfg.inner_tol, max_iter=30_000)[0]
     runs += cert.lower_end == "scaling"
     final = cert.bits / float(cert.theta @ xi.values)
-    return float(2.0 ** max(lo, min(hi, final))), cert, (lo, hi), len(cuts), runs
+    return (float(2.0 ** max(lo, min(hi, final))), cert, (float(lo), float(hi)), n, runs,
+            solve)
 
 
 def asymptotic_slice_rank(
@@ -180,19 +173,19 @@ def asymptotic_slice_rank(
     """The weighted asymptotic slice rank, by two routes.
 
     Route "quantum_theta_min" minimizes the quantum functional over entropy
-    weights by cutting planes, with bracket ``details["theta_bracket"]``.
-    On a free exact support every cut is exact, from an exact-support
-    entropy solve, and so is the final bracket at the best theta; elsewhere
-    each cut is a loose scaling run, of two steps at a vertex theta = e_j.
-    ``details["scaling_runs"]`` counts the runs that scaled: the loose ones,
-    plus the final one when its lower end came from scaling, so 0 on a free
-    support.  A bracket left open at THETA_MAX_CUTS cuts adds a note and
-    status "warn".  Route "cover_entropy" is the least asymptotic cover
-    number of the rotated support hypergraph over the identity and the
-    marginal eigenbasis (``unitary_candidates``).  Every cover is at least 2^lo, so the search
-    stops at the identity when its cover is within ``cfg.inner_tol`` bits of
-    2^hi: the eigenbasis could not lower the route by more than
-    hi - lo + inner_tol bits.
+    weights (``_slice_rank_theta_route``), with bracket
+    ``details["theta_bracket"]``: on a free exact support by the max-min
+    entropy program there, elsewhere by Kelley cuts from loose scaling runs.
+    ``details["scaling_runs"]`` counts the runs that scaled, 0 on a free
+    support.  A bracket wider than THETA_BRACKET_BITS when the cuts run out
+    adds a note and status "warn".  Route "cover_entropy" is the least
+    asymptotic cover number of the rotated support hypergraph over the
+    identity and the marginal eigenbasis (``unitary_candidates``).  A basis
+    whose ``cfg.eta`` support is the free exact support reuses the theta
+    route's solve: both routes are then one program, equal by theorem.
+    Every cover is at least 2^lo, so the search stops at the identity when
+    its cover is within ``cfg.inner_tol`` bits of 2^hi: the eigenbasis could
+    not lower the route by more than hi - lo + inner_tol bits.
     ``details["cover_bases"]`` counts the bases scored.
     """
     t.require_nonzero()
@@ -201,13 +194,16 @@ def asymptotic_slice_rank(
     if xi.role != "xi":
         raise InvalidArgumentError("slice rank expects weights with role 'xi'")
 
-    val_a, final, (lo, hi), cuts, runs = _slice_rank_theta_route(t, xi, cfg)
+    val_a, final, (lo, hi), cuts, runs, solve = _slice_rank_theta_route(t, xi, cfg)
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
     def cover(u):
-        return asymptotic_vertex_cover(hypergraph_of(apply_group(u, t), cfg.eta), xi,
-                                       tol=cfg.inner_tol), None
+        h = hypergraph_of(apply_group(u, t), cfg.eta)
+        if solve is not None and np.array_equal(h.as_support().points,
+                                                solve.distribution.support.points):
+            return float(2.0**solve.value), None
+        return asymptotic_vertex_cover(h, xi, tol=cfg.inner_tol), None
 
     val_b, best_u, _, scored = _basis_search(unitary_candidates(t), cover,
                                              lambda v, _: np.log2(v) <= hi + cfg.inner_tol)

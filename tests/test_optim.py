@@ -199,7 +199,7 @@ def test_max_min_bracket_is_sound():
         s = rand_support(rng, max_points=8)
         theta = rng.dirichlet([1.0] * 3)
         xi = ThetaWeights.xi(theta / theta.max())
-        opt = max_min_weighted_entropy_witness(s, xi)
+        opt = max_min_weighted_entropy_witness(s, xi)[0]
         prog = _SupportProgram(s)
 
         def ratio(w):
@@ -226,13 +226,24 @@ def test_max_min_on_a_sparse_support_closes_at_one_bit():
 @pytest.mark.parametrize("xi", [(1.0, 0.5, 1.0), (1.0, 1.0, 0.25)])
 def test_max_min_bracket_closes_on_w_powers(n, xi):
     s = kronecker_power(hypergraph_of(w_tensor()), n).as_support()
-    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)
+    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)[0]
     assert opt.certified_gap <= 1e-7
     assert abs(opt.value - min(opt.marginals.entropies() / np.array(xi))) <= 1e-12
     # at least the value at xi = 1, at most the n bits that leg 0 can carry
     assert n * H13_BITS <= opt.value <= n
     # Newton steps over theta from the third oracle on (plain Kelley: 24-26)
     assert opt.iterations <= {(1.0, 0.5, 1.0): 8, (1.0, 1.0, 0.25): 12}[xi]
+
+
+@pytest.mark.parametrize("xi", [(1.0, 0.5, 1.0), (1.0, 1.0, 0.0)])
+def test_max_min_returns_the_theta_of_its_least_upper_end(xi):
+    # phi(theta) / <theta, xi> at the returned theta lies in the bracket
+    s = kronecker_power(hypergraph_of(w_tensor()), 2).as_support()
+    opt, theta = max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)
+    assert theta.role == "theta" and abs(theta.values.sum() - 1.0) <= 1e-12
+    assert np.all(theta.values[np.array(xi) == 0] == 0.0)
+    phi = max_weighted_entropy(s, theta, tol=1e-10)[0] / float(theta.values @ np.array(xi))
+    assert opt.value - 1e-9 <= phi <= opt.value + opt.certified_gap + 1e-9
 
 
 @pytest.mark.parametrize("xi", [(1.0, 0.5, 1.0, 1.0), (1.0, 1.0, 0.25, 1.0)])
@@ -242,7 +253,7 @@ def test_max_min_newton_steps_on_four_legs(xi):
     for j in range(4):
         arr[tuple(np.eye(4, dtype=int)[j])] = 1.0
     s = support(Tensor(arr), 0.0)
-    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)
+    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)[0]
     assert opt.certified_gap <= 1e-7
     assert opt.iterations <= 14
     assert abs(opt.value - min(opt.marginals.entropies() / np.array(xi))) <= 1e-12
@@ -251,7 +262,7 @@ def test_max_min_newton_steps_on_four_legs(xi):
 def test_max_min_keeps_kelleys_second_point_at_a_vertex_optimum():
     # the optimal theta is a vertex, which the first master finds
     s = support(sparse_tensor((4, 3, 6), 9, 0), 0.0)
-    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi([1, 1, 0.25]), tol=1e-7)
+    opt = max_min_weighted_entropy_witness(s, ThetaWeights.xi([1, 1, 0.25]), tol=1e-7)[0]
     assert opt.iterations == 2
     assert opt.certified_gap <= 1e-7
 
@@ -259,7 +270,7 @@ def test_max_min_keeps_kelleys_second_point_at_a_vertex_optimum():
 def test_max_min_falls_back_to_kelley_when_the_newton_step_fails(monkeypatch):
     s = kronecker_power(hypergraph_of(w_tensor()), 3).as_support()
     xi = ThetaWeights.xi([1, 0.5, 1])
-    newton = max_min_weighted_entropy_witness(s, xi, tol=1e-7)
+    newton = max_min_weighted_entropy_witness(s, xi, tol=1e-7)[0]
     calls = []
 
     def failed(*args):
@@ -267,7 +278,7 @@ def test_max_min_falls_back_to_kelley_when_the_newton_step_fails(monkeypatch):
         return None
 
     monkeypatch.setattr(optim, "_theta_newton_step", failed)
-    kelley = max_min_weighted_entropy_witness(s, xi, tol=1e-7)
+    kelley = max_min_weighted_entropy_witness(s, xi, tol=1e-7)[0]
     assert calls
     assert kelley.certified_gap <= 1e-7
     assert newton.iterations < kelley.iterations <= optim.MAX_MIN_CUTS
@@ -323,7 +334,7 @@ def test_warm_oracles_match_cold_oracles(n, xi, monkeypatch):
     for solver in (counted, cold):
         monkeypatch.setattr(optim, "_newton", solver)
         steps.append(0)
-        runs.append(max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7))
+        runs.append(max_min_weighted_entropy_witness(s, ThetaWeights.xi(xi), tol=1e-7)[0])
     warm, reference = runs
     assert abs(warm.value - reference.value) <= 1e-7
     assert warm.certified_gap <= 1e-7
@@ -480,7 +491,7 @@ def test_iterations_count_the_work(w):
     entropy = NegWeightedEntropy(ThetaWeights.theta([0.5, 0.5, 0]))
     assert min_convex_over_support(s, entropy).iterations > 0
     assert min_convex_over_support(s, MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))).iterations > 0
-    assert max_min_weighted_entropy_witness(s, ThetaWeights.xi([1, 0.5, 1])).iterations > 1
+    assert max_min_weighted_entropy_witness(s, ThetaWeights.xi([1, 0.5, 1]))[0].iterations > 1
 
 
 def test_lp_programs_match_primal_lps():

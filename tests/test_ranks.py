@@ -19,7 +19,7 @@ from spectrumkit import (
     ncrank_moment,
     quantum_functional,
 )
-from spectrumkit import functionals, ranks
+from spectrumkit import functionals, optim, ranks
 from spectrumkit.functionals import unitary_candidates
 from spectrumkit.hypergraphs import (
     asymptotic_vertex_cover,
@@ -171,7 +171,7 @@ def test_theta_route_beats_quarter_grid(name, w):
     grid = [np.array(c) / 4 for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
     bits = [quantum_functional(t, ThetaWeights.theta(th), max_iter=2000).bits for th in grid]
     for xi in ([1, 1, 1], [1, 0.5, 1]):
-        value, _, (lo, _), _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
+        value, _, (lo, _), _, _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
         assert 2.0**lo <= value
         for th, b in zip(grid, bits):
             assert value <= 2.0 ** (b / float(th @ np.array(xi))) + 1e-9
@@ -242,7 +242,7 @@ def test_theta_route_runs_no_scaling_on_free_supports(name, xi, monkeypatch):
     monkeypatch.setattr(ranks, "entropic_scaling", refuse)
     monkeypatch.setattr(functionals, "entropic_scaling", refuse)
     weights = ThetaWeights.xi(xi)
-    _, final, (lo, hi), _, runs = ranks._slice_rank_theta_route(t, weights, FAST)
+    _, final, (lo, hi), _, runs, _ = ranks._slice_rank_theta_route(t, weights, FAST)
     assert runs == 0 and final.lower_end == "free_support"
     rep = asymptotic_slice_rank(t, weights, FAST)
     assert rep.details["scaling_runs"] == 0
@@ -253,6 +253,51 @@ def test_theta_route_runs_no_scaling_on_free_supports(name, xi, monkeypatch):
     assert lo - 1e-9 <= np.log2(known) <= hi + 1e-9
 
 
+def test_theta_route_closes_to_inner_tol_on_w_at_unequal_xi(w):
+    # on a free support the route is the max-min program, solved to
+    # cfg.inner_tol (Kelley's cuts stopped at THETA_BRACKET_BITS)
+    rep = asymptotic_slice_rank(w, ThetaWeights.xi([1, 0.5, 1]), FAST)
+    lo, hi = rep.details["theta_bracket"]
+    assert np.log2(hi / lo) <= FAST.inner_tol
+    assert lo <= _w_slice_rank_half_middle() <= hi
+    assert lo <= rep.value <= hi
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 0.5, 1)])
+def test_slice_rank_on_a_free_support_solves_the_max_min_program_once(w, xi, monkeypatch):
+    # the identity's eta-support is the exact one, so the cover route
+    # reuses the theta route's solve
+    calls = []
+    witness = optim.max_min_weighted_entropy_witness
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return witness(*args, **kwargs)
+
+    monkeypatch.setattr(ranks, "max_min_weighted_entropy_witness", counted)
+    monkeypatch.setattr(optim, "max_min_weighted_entropy_witness", counted)
+    rep = asymptotic_slice_rank(w, ThetaWeights.xi(xi), FAST)
+    assert len(calls) == 1
+    assert rep.details["cover_bases"] == 1
+    assert np.log2(rep.routes["cover_entropy"]) == pytest.approx(
+        np.log2(rep.details["theta_bracket"][0]), abs=1e-12)
+
+
+def test_cover_route_reuses_the_solve_only_on_the_same_support(w):
+    # W + 1e-12 e_111: the exact support is free with 4 points, where the
+    # max-min value is 1 bit, but the eta-support is W's 3 points, whose
+    # cover is 2^h(1/3)
+    arr = w.entries.copy()
+    arr[1, 1, 1] = 1e-12
+    t = Tensor(arr)
+    exact = support(t, 0.0)
+    assert functionals._is_free(exact.points) and exact.size == 4
+    assert np.array_equal(support(t, FAST.eta).points, support(w, 0.0).points)
+    rep = asymptotic_slice_rank(t, XI1, FAST)
+    assert abs(rep.routes["quantum_theta_min"] - 2.0) <= 1e-6
+    assert abs(rep.routes["cover_entropy"] - F_W) <= 1e-6
+
+
 def test_theta_route_drops_legs_with_zero_xi(w):
     rep = asymptotic_slice_rank(w, ThetaWeights.xi([1, 1, 0]), FAST)
     assert rep.details["theta"][2] == 0.0
@@ -260,10 +305,19 @@ def test_theta_route_drops_legs_with_zero_xi(w):
 
 
 def test_theta_route_warns_when_bracket_stays_open(w, monkeypatch):
-    monkeypatch.setattr(ranks, "THETA_MAX_CUTS", 3)
-    rep = asymptotic_slice_rank(w, XI1, FAST)
-    assert rep.status == "warn"
-    assert any("not closed after 3 cuts" in n for n in rep.notes)
+    # W's support is free, so its route is the max-min program and stops at
+    # that program's oracle cap; the rounded GL.W's is not, and its Kelley
+    # loop stops at THETA_MAX_CUTS (it needs 17 cuts)
+    assert not functionals._is_free(support(gl_w_tensor(), 0.0).points)
+    for t, xi, module, cap in ((w, ThetaWeights.xi([1, 0.5, 1]), optim, "MAX_MIN_CUTS"),
+                               (gl_w_tensor(), XI1, ranks, "THETA_MAX_CUTS")):
+        with monkeypatch.context() as m:
+            m.setattr(module, cap, 3)
+            rep = asymptotic_slice_rank(t, xi, FAST)
+        lo, hi = rep.details["theta_bracket"]
+        assert np.log2(hi / lo) > ranks.THETA_BRACKET_BITS, cap
+        assert rep.status == "warn", cap
+        assert any("not closed after 3 cuts" in n for n in rep.notes), cap
 
 
 @pytest.mark.parametrize("label,t", basis_search_corpus())
