@@ -19,6 +19,9 @@ library where it is called and records:
   ``entropic_scaling`` made from ``ranks`` or ``functionals``;
 * ``scaling_iterations``: the iterations of those calls, summed from each
   call's ``ScalingTrace.iterations``;
+* ``final_brackets``: the calls of ``ranks._bracketed_scaling``, the theta
+  route's bracket at its best theta (0 where the route ends at the max-min
+  solve);
 * ``masters`` and ``master_pivots``: the ``kelley_master`` calls of both
   routes and the iterations they report (simplex pivots, or HiGHS
   iterations on a checkout that solves the masters with HiGHS);
@@ -60,7 +63,7 @@ class Counts:
         self.reset()
 
     def reset(self):
-        self.cuts = self.scaling_calls = self.scaling_iterations = 0
+        self.cuts = self.scaling_calls = self.scaling_iterations = self.final_brackets = 0
         self.masters = self.master_pivots = self.max_min_calls = 0
         self.report = None
 
@@ -85,6 +88,9 @@ class Counts:
             self.scaling_calls += 1
             self.scaling_iterations += result[1].iterations
 
+        def final_bracket(result):
+            self.final_brackets += 1
+
         def master(result):
             self.masters += 1
             self.master_pivots += int(result.iterations)
@@ -97,6 +103,7 @@ class Counts:
 
         self._wrap(cli, "asymptotic_slice_rank", report)
         self._wrap(ranks, "_slice_rank_theta_route", route)
+        self._wrap(ranks, "_bracketed_scaling", final_bracket)
         for module in (ranks, functionals):
             self._wrap(module, "entropic_scaling", scaling)
         for module in (ranks, optim):
@@ -159,6 +166,7 @@ def main() -> int:
                 "scaling_runs": details["scaling_runs"],
                 "scaling_calls": counts.scaling_calls,
                 "scaling_iterations": counts.scaling_iterations,
+                "final_brackets": counts.final_brackets,
                 "max_min_calls": counts.max_min_calls,
                 "masters": counts.masters,
                 "master_pivots": counts.master_pivots,
@@ -168,12 +176,13 @@ def main() -> int:
     if args.json:
         print(json.dumps({"seed": args.seed, "repeats": args.repeats, "cases": rows}))
         return 0
-    print(f"{'case':26s} {'exit':>4s} {'cuts':>4s} {'runs':>4s} {'iters':>5s} {'mm':>3s} {'mst':>4s} "
-          f"{'pivots':>6s} {'cpu_ms':>8s} {'value':>14s}  theta_bracket")
+    print(f"{'case':26s} {'exit':>4s} {'cuts':>4s} {'runs':>4s} {'iters':>5s} {'fb':>2s} {'mm':>3s} "
+          f"{'mst':>4s} {'pivots':>6s} {'cpu_ms':>8s} {'value':>14s}  theta_bracket")
     for r in rows:
         lo, hi = r["theta_bracket"]
         print(f"{r['case']:26s} {r['exit']:4d} {r['cuts']:4d} {r['scaling_runs']:4d} "
-              f"{r['scaling_iterations']:5d} {r['max_min_calls']:3d} {r['masters']:4d} {r['master_pivots']:6d} "
+              f"{r['scaling_iterations']:5d} {r['final_brackets']:2d} {r['max_min_calls']:3d} "
+              f"{r['masters']:4d} {r['master_pivots']:6d} "
               f"{r['cpu_ms']:8.2f} "
               f"{r['value']:14.10f}  [{lo:.10f}, {hi:.10f}]")
     return 0

@@ -17,7 +17,7 @@ stacked for one ``eigh`` call per distinct dimension per iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -388,17 +388,17 @@ def _certified_lower_end(
 
 
 def _bracketed_scaling(
-    t: Tensor, theta: ThetaWeights, *, inner_tol: float, tol: float = 1e-10,
-    max_iter: int = 200_000,
+    t: Tensor, theta: ThetaWeights, *, inner_tol: float, max_iter: int = 200_000,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
     """The quantum functional's bracket against the exact-support bound: a
     certified lower end (``_certified_lower_end``) where one applies, else a
-    cold scaling run that stops once the bracket is ``bracket_width(inner_tol)``
-    wide.  Also returns the bound's solve."""
+    cold scaling run, with ``entropic_scaling``'s default residual rule, that
+    stops once the bracket is ``bracket_width(inner_tol)`` wide.  Also
+    returns the bound's solve."""
     hi, opt = exact_support_bound(t, theta, inner_tol)
     cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol)
     if cert is None:
-        cert, _ = entropic_scaling(t, theta, tol=tol, max_iter=max_iter,
+        cert, _ = entropic_scaling(t, theta, max_iter=max_iter,
                                    upper_bits=hi, width=bracket_width(inner_tol))
     return cert, opt
 
@@ -407,7 +407,6 @@ def quantum_functional(
     t: Tensor,
     theta: ThetaWeights,
     *,
-    tol: float = 1e-10,
     max_iter: int = 200_000,
     inner_tol: float = 1e-8,
 ) -> FunctionalCertificate:
@@ -423,11 +422,12 @@ def quantum_functional(
     is that point of the moment polytope, and ``group_factors`` is None.
     Otherwise every scaling iterate bounds the value from below, and the
     run stops once the bracket is ``bracket_width(inner_tol)`` = 10
-    inner_tol bits wide, else by the residual rule of ``entropic_scaling``;
-    ``bits`` is the last iterate, which the witness and group factors
-    attain.  ``bracket`` holds (bits, upper bound).
+    inner_tol bits wide, else by the residual rule of ``entropic_scaling``
+    (objective moves below 1e-10 bits over its window) or after ``max_iter``
+    iterations; ``bits`` is the last iterate, which the witness and group
+    factors attain.  ``bracket`` holds (bits, upper bound).
     """
-    return _bracketed_scaling(t, theta, tol=tol, max_iter=max_iter, inner_tol=inner_tol)[0]
+    return _bracketed_scaling(t, theta, max_iter=max_iter, inner_tol=inner_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +583,6 @@ def minimize_over_moment_polytope(
     *,
     active_legs: Sequence[int] | None = None,
     max_iter: int = 4000,
-    tol: float = 1e-9,
-    window: int = 60,
     bound: float | None = None,
 ) -> MomentDescentResult:
     """Minimize a convex symmetric spectral function over marginal spectra
@@ -600,9 +598,9 @@ def minimize_over_moment_polytope(
     the starting value included; ``iterations`` then counts the steps taken.
     Each sharpness level gets an equal share of ``max_iter`` and ends early
     after two steps in a row that find no descent.  ``stop`` is "bracket"
-    for a met bound, "tol" for a flat tail of ``window`` values, and else
-    "stall" when the last level ended early or "cap" when it used its
-    whole share.
+    for a met bound, "tol" for a flat tail (the last 60 exact values span
+    less than 1e-8), and else "stall" when the last level ended early or
+    "cap" when it used its whole share.
     """
     t.require_nonzero()
     legs = list(range(t.order)) if active_legs is None else list(active_legs)
@@ -669,8 +667,8 @@ def minimize_over_moment_polytope(
             acc = views.accumulate(acc, fs)
             stall = 0
 
-    tail = history[-window:]
-    converged = met or len(history) >= window and (max(tail) - min(tail) < max(tol, 1e-12) * 10)
+    tail = history[-60:]
+    converged = met or len(history) >= 60 and max(tail) - min(tail) < 1e-8
     return MomentDescentResult(
         value=float(best_val),
         witness=MarginalTuple(tuple(w / w.sum() for w in best_wit)),
@@ -685,19 +683,15 @@ def minimize_over_moment_polytope(
 # the symmetric functional (one group element acting on every leg)
 
 
-def symmetric_quantum_functional(
-    t: Tensor,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-    window: int = 50,
-) -> FunctionalCertificate:
+def symmetric_quantum_functional(t: Tensor) -> FunctionalCertificate:
     """max of 2^(H(p/d)) over spectra p of the summed marginal along the
     single-factor orbit g^(x d) . t; all leg dimensions must agree.
 
     The scaling update applies (mu/d)^(-1/(2d)) with mu the sum of the
     quantum marginals; unit tensors are fixed points with value equal to
-    their diagonal size.
+    their diagonal size.  The run stops, converged, once the entropy moves
+    less than 1e-10 bits over 50 iterations and the spectrum less than 1e-8,
+    else after 200,000 iterations; the value is the last iterate's.
     """
     t.require_nonzero()
     d, n = t.order, t.dims[0]
@@ -709,18 +703,18 @@ def symmetric_quantum_functional(
     bits_seq: list[float] = []
     prev_lam, converged = None, False
 
-    for it in range(max_iter + 1):
+    for it in range(200_001):
         lam, vec = _sorted_eigh(views.summed_marginal(s))
         lam = np.clip(lam, 0.0, None)
         p = lam / d
         bits = shannon_entropy(p / p.sum() if abs(p.sum() - 1) > 1e-13 else p)
         bits_seq.append(bits)
         move = np.abs(lam - prev_lam).max() if prev_lam is not None else np.inf
-        if len(bits_seq) > window:
-            if abs(bits_seq[-1] - bits_seq[-1 - window]) < tol and move < 1e-8:
+        if len(bits_seq) > 50:
+            if abs(bits_seq[-1] - bits_seq[-51]) < 1e-10 and move < 1e-8:
                 converged = True
                 break
-        if it == max_iter:
+        if it == 200_000:
             break
         prev_lam = lam
         rho = lam / d
@@ -731,8 +725,7 @@ def symmetric_quantum_functional(
         acc = g @ acc
         acc /= np.abs(acc).max()
 
-    lam = np.clip(_sorted_eigh(views.summed_marginal(s))[0], 0.0, None)
-    p = lam / lam.sum()
+    p = lam / lam.sum()  # every exit of the loop has just taken the final s's spectrum
     bits = shannon_entropy(p)
     return FunctionalCertificate(
         value=float(2.0**bits),
@@ -797,8 +790,6 @@ def minimax_gap(
     t: Tensor,
     objective,
     cfg: SearchConfig | None = None,
-    *,
-    lhs_max_iter: int = 4000,
 ) -> MinimaxReport:
     """Compare min of a convex symmetric F over marginal spectra along the
     orbit (lhs) with the max over the identity and the marginal eigenbasis
@@ -837,23 +828,13 @@ def minimax_gap(
                                       inner_tol=cfg.inner_tol)
         slack = bracket_width(cfg.inner_tol)
         lhs = -q.bits
-        lhs_cert = FunctionalCertificate(
-            value=lhs,
-            bits=-q.bits,
-            witness=q.witness,
-            theta=np.asarray(objective.theta),
-            group_factors=q.group_factors,
-            converged=q.converged,
-            gap=None,
-            bracket=q.bracket,
-            lower_end=q.lower_end,
-        )
+        lhs_cert = replace(q, value=lhs, bits=lhs)
         lhs_converged = q.converged
     else:
         _, known = _support_score(t, objective, cfg, None)(GroupElement.identity(t.dims))
         floor = known.value - known.certified_gap
         bound = _descent_bound(lambda v: v - floor <= closed_tol, floor + closed_tol)
-        res = minimize_over_moment_polytope(t, objective, max_iter=lhs_max_iter, bound=bound)
+        res = minimize_over_moment_polytope(t, objective, bound=bound)
         slack = closed_tol
         lhs = res.value
         lhs_cert = FunctionalCertificate(

@@ -97,17 +97,18 @@ def hypergraph_of(t: Tensor, eta: float = DEFAULT_ETA) -> Hypergraph:
     return Hypergraph(s.dims, tuple(s.as_tuples()))
 
 
-def kronecker_power(h: Hypergraph, n: int, *, edge_cap: int = KRONECKER_EDGE_CAP) -> Hypergraph:
+def kronecker_power(h: Hypergraph, n: int) -> Hypergraph:
     """The n-th Kronecker power: parts of size n_i^n, edges all n-tuples of edges.
 
     Tuple indices are merged with the same row-major pairing used for tensor
     products, so the power of a support hypergraph is the hypergraph of the
-    tensor power.
+    tensor power.  More than KRONECKER_EDGE_CAP edges raise
+    ``ResourceLimitError``.
     """
     if n < 1:
         raise InvalidArgumentError(f"power must be >= 1, got {n}")
-    if h.n_edges**n > edge_cap:
-        raise ResourceLimitError(f"{h.n_edges}^{n} edges exceeds the cap {edge_cap}")
+    if h.n_edges**n > KRONECKER_EDGE_CAP:
+        raise ResourceLimitError(f"{h.n_edges}^{n} edges exceeds the cap {KRONECKER_EDGE_CAP}")
     result = list(h.edges)
     sizes = list(h.parts)
     for _ in range(n - 1):

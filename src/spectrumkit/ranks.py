@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import (
-    FunctionalCertificate,
     MomentDescentResult,
     SearchConfig,
     _basis_search,
@@ -104,15 +103,16 @@ THETA_MAX_CUTS = 60
 
 def _slice_rank_theta_route(
     t: Tensor, xi: ThetaWeights, cfg: SearchConfig
-) -> tuple[float, FunctionalCertificate, tuple[float, float], int, int, SupportOptimum | None]:
+) -> tuple[float, np.ndarray, tuple[float, float], int, int, SupportOptimum | None]:
     """min over theta >= 0 with <theta, xi> = 1 of bits(theta) = log2 F_theta(t),
     as 2^bits, with a bracket (lo, hi) in bits.
 
     On a free exact support (``_is_free``) bits(theta) is the entropy program
     there (Christandl, Vrana & Zuiddam, STOC 2018), so by minimax the route
     is the max-min program on that support (``max_min_weighted_entropy_witness``
-    to ``cfg.inner_tol``): lo is its value, hi adds its certified gap, the
-    cuts are its oracles and the best theta is that of its least upper end.
+    to ``cfg.inner_tol``).  The route ends there: the value is 2^lo, lo is
+    the program's value, hi adds its certified gap, the cuts are its oracles
+    and the best theta is that of its least upper end.  No scaling runs.
 
     Elsewhere the route runs Kelley cutting planes: the leg entropies h_k of
     any point of the moment polytope satisfy <theta, h_k> <= bits(theta), and
@@ -121,48 +121,49 @@ def _slice_rank_theta_route(
     (``kelley_master``) on the legs with xi_j > 0, and hi the least cut model
     max_k <theta, h_k> at the evaluated thetas.  From the vertices on, each
     master's theta adds a cut until hi - lo <= THETA_BRACKET_BITS or
-    THETA_MAX_CUTS cuts.
+    THETA_MAX_CUTS cuts.  The best theta is then bracketed as
+    ``quantum_functional`` brackets it, with at most 30,000 scaling
+    iterations, and the value is that bracket's bits clipped to [lo, hi].
 
-    The best theta is then bracketed as ``quantum_functional`` brackets it,
-    with at most 30,000 scaling iterations.  Returns the value, the best
-    theta's certificate, (lo, hi), the cut count, the scaling runs made (the
-    final one included) and the max-min solve, or None off a free support.
+    Returns the value, the best theta, (lo, hi), the cut count, the scaling
+    runs made (the final one included) and the max-min solve, or None off a
+    free support.
     """
-    legs = np.flatnonzero(xi.values > 0)
     exact = support(t, 0.0)
-    solve = None
     if _is_free(exact.points):
         solve, theta = max_min_weighted_entropy_witness(exact, xi, tol=cfg.inner_tol)
-        lo, hi, n, runs = solve.value, solve.value + solve.certified_gap, solve.iterations, 0
-    else:
-        def weights_at(point: np.ndarray) -> ThetaWeights:
-            theta = np.zeros(t.order)
-            theta[legs] = point / point.sum()
-            return ThetaWeights.theta(theta)
+        lo = solve.value
+        return (float(2.0**lo), theta.values, (float(lo), float(lo + solve.certified_gap)),
+                solve.iterations, 0, solve)
+    legs = np.flatnonzero(xi.values > 0)
 
-        def cut(point: np.ndarray) -> np.ndarray:
-            return entropic_scaling(t, weights_at(point), tol=1e-9, max_iter=1500, window=30,
-                                    spectrum_tol=1e-6)[0].witness.entropies()[legs]
+    def weights_at(point: np.ndarray) -> ThetaWeights:
+        theta = np.zeros(t.order)
+        theta[legs] = point / point.sum()
+        return ThetaWeights.theta(theta)
 
-        # the evaluated points, scaled to <theta, xi> = 1, and their cuts
-        points = list(np.diag(1.0 / xi.values[legs]))
-        cuts = [cut(point) for point in points]
-        while True:
-            h = np.array(cuts)
-            model = (np.array(points) @ h.T).max(axis=1)
-            best = int(np.argmin(model))
-            sol = kelley_master(h, xi.values[legs])
-            lo, hi = sol.value, max(sol.value, float(model[best]))
-            if hi - lo <= THETA_BRACKET_BITS or len(cuts) >= THETA_MAX_CUTS:
-                break
-            points.append(sol.x[:-1])
-            cuts.append(cut(points[-1]))
-        theta, n, runs = weights_at(points[best]), len(cuts), len(cuts)
-    cert = _bracketed_scaling(t, theta, inner_tol=cfg.inner_tol, max_iter=30_000)[0]
-    runs += cert.lower_end == "scaling"
+    def cut(point: np.ndarray) -> np.ndarray:
+        return entropic_scaling(t, weights_at(point), tol=1e-9, max_iter=1500, window=30,
+                                spectrum_tol=1e-6)[0].witness.entropies()[legs]
+
+    # the evaluated points, scaled to <theta, xi> = 1, and their cuts
+    points = list(np.diag(1.0 / xi.values[legs]))
+    cuts = [cut(point) for point in points]
+    while True:
+        h = np.array(cuts)
+        model = (np.array(points) @ h.T).max(axis=1)
+        best = int(np.argmin(model))
+        sol = kelley_master(h, xi.values[legs])
+        lo, hi = sol.value, max(sol.value, float(model[best]))
+        if hi - lo <= THETA_BRACKET_BITS or len(cuts) >= THETA_MAX_CUTS:
+            break
+        points.append(sol.x[:-1])
+        cuts.append(cut(points[-1]))
+    cert = _bracketed_scaling(t, weights_at(points[best]), inner_tol=cfg.inner_tol,
+                              max_iter=30_000)[0]
     final = cert.bits / float(cert.theta @ xi.values)
-    return (float(2.0 ** max(lo, min(hi, final))), cert, (float(lo), float(hi)), n, runs,
-            solve)
+    return (float(2.0 ** max(lo, min(hi, final))), cert.theta, (float(lo), float(hi)),
+            len(cuts), len(cuts) + (cert.lower_end == "scaling"), None)
 
 
 def asymptotic_slice_rank(
@@ -175,14 +176,16 @@ def asymptotic_slice_rank(
     Route "quantum_theta_min" minimizes the quantum functional over entropy
     weights (``_slice_rank_theta_route``), with bracket
     ``details["theta_bracket"]``: on a free exact support by the max-min
-    entropy program there, elsewhere by Kelley cuts from loose scaling runs.
-    ``details["scaling_runs"]`` counts the runs that scaled, 0 on a free
-    support.  A bracket wider than THETA_BRACKET_BITS when the cuts run out
-    adds a note and status "warn".  Route "cover_entropy" is the least
+    entropy program there, whose lower end is the route's value, elsewhere
+    by Kelley cuts from loose scaling runs and a bracketed run at the best
+    theta.  ``details["scaling_runs"]`` counts the runs that scaled, 0 on a
+    free support.  A bracket wider than THETA_BRACKET_BITS when the cuts run
+    out adds a note and status "warn".  Route "cover_entropy" is the least
     asymptotic cover number of the rotated support hypergraph over the
     identity and the marginal eigenbasis (``unitary_candidates``).  A basis
     whose ``cfg.eta`` support is the free exact support reuses the theta
-    route's solve: both routes are then one program, equal by theorem.
+    route's solve: both routes are then one program, and they report the
+    same value.
     Every cover is at least 2^lo, so the search stops at the identity when
     its cover is within ``cfg.inner_tol`` bits of 2^hi: the eigenbasis could
     not lower the route by more than hi - lo + inner_tol bits.
@@ -194,7 +197,7 @@ def asymptotic_slice_rank(
     if xi.role != "xi":
         raise InvalidArgumentError("slice rank expects weights with role 'xi'")
 
-    val_a, final, (lo, hi), cuts, runs, solve = _slice_rank_theta_route(t, xi, cfg)
+    val_a, theta, (lo, hi), cuts, runs, solve = _slice_rank_theta_route(t, xi, cfg)
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
@@ -217,7 +220,7 @@ def asymptotic_slice_rank(
         gap=gap,
         status="ok" if gap <= ROUTE_TOL and not notes else "warn",
         notes=notes,
-        details={"theta": final.theta, "basis": best_u,
+        details={"theta": theta, "basis": best_u,
                  "theta_bracket": (float(2**lo), float(2**hi)),
                  "scaling_runs": runs,
                  "cover_bases": scored},
@@ -337,16 +340,16 @@ def ncrank_fr(a: MatrixTuple, cfg: SearchConfig | None = None) -> tuple[int, dic
 def ncrank_blowup(
     a: MatrixTuple,
     max_size: int | None = None,
-    trials: int = 3,
     seed: int = 0,
 ) -> int:
-    """Blow-up route: max over sizes e and random coefficient matrices of
-    floor(rank(sum_i B_i x A_i) / e).  A lower bound on the noncommutative
-    rank, exact with probability one once e is large enough."""
+    """Blow-up route: max over sizes e and three seeded draws of random
+    coefficient matrices of floor(rank(sum_i B_i x A_i) / e).  A lower bound
+    on the noncommutative rank, exact with probability one once e is large
+    enough."""
     emax = max_size if max_size is not None else a.n + 1
     best = 0
     for e in range(1, emax + 1):
-        for trial in range(trials):
+        for trial in range(3):
             rng = np.random.default_rng(np.random.SeedSequence((seed, e, trial)))
             big = np.zeros((e * a.n, e * a.n), dtype=complex)
             for k in range(a.m):
@@ -365,14 +368,14 @@ def _moment_raw(n: int, value: float) -> float:
 def ncrank_moment(
     a: MatrixTuple,
     *,
-    max_iter: int = 6000,
     upper: float | None = None,
 ) -> tuple[float, int, MomentDescentResult]:
     """Marginal-uniformity route: ncrk = n - (n/2) * min over the left-right
     orbit of ||p_1 - 1/n||_1 + ||p_2 - 1/n||_1, where p_1, p_2 are the row
     and column marginal spectra.  Every orbit point gives a lower end, so
     with an upper end ``upper`` (a cover number) the descent stops once
-    upper - raw <= ROUTE_TOL.  Returns the raw value, its rounding and the
+    upper - raw <= ROUTE_TOL.  The descent runs at most 6000 iterations, as
+    in ``g_stable_rank``.  Returns the raw value, its rounding and the
     descent."""
     t = a.as_tensor()
     bound = None
@@ -380,7 +383,7 @@ def ncrank_moment(
         bound = _descent_bound(lambda v: upper - _moment_raw(a.n, v) <= ROUTE_TOL,
                                2.0 * (a.n - upper + ROUTE_TOL) / a.n)
     res = minimize_over_moment_polytope(
-        t, L1FromUniform(), active_legs=(0, 1), max_iter=max_iter, bound=bound
+        t, L1FromUniform(), active_legs=(0, 1), max_iter=6000, bound=bound
     )
     raw = _moment_raw(a.n, res.value)
     return float(raw), int(np.floor(raw + 0.5)), res

@@ -635,6 +635,37 @@ def test_symmetric_functional_examples(w):
         symmetric_quantum_functional(Tensor(np.ones((2, 3, 2))))
 
 
+def _symmetric_reuse_corpus() -> list[tuple[str, Tensor]]:
+    out = [("w", w_tensor()), ("unit3", make_unit(3, 3)), ("matmul222", matmul_tensor(2, 2, 2))]
+    rng = np.random.default_rng(28)
+    for k in range(30):
+        arr = random_tensor((2 + k % 2,) * 3, rng).entries.copy()
+        if k % 3 == 0:  # a third sparsified
+            arr[rng.random(arr.shape) < 0.5] = 0.0
+            arr.flat[0] += not arr.any()
+        out.append((f"rand{k}", Tensor(arr)))
+    return out
+
+
+def test_symmetric_functional_reports_the_last_iterate_without_a_second_spectrum(monkeypatch):
+    # each iterate's summed marginal is taken once, and the value, bits and
+    # witness are, bit for bit, those of the last iterate's spectrum
+    seen = []
+    summed = functionals._LegViews.summed_marginal
+    monkeypatch.setattr(functionals._LegViews, "summed_marginal",
+                        lambda self, s: seen.append((self, s)) or summed(self, s))
+    for label, t in _symmetric_reuse_corpus():
+        seen.clear()
+        cert = symmetric_quantum_functional(t)
+        assert len({id(s) for _, s in seen}) == len(seen), label
+        views, last = seen[-1]
+        lam = np.clip(functionals._sorted_eigh(summed(views, last))[0], 0.0, None)
+        p = lam / lam.sum()
+        bits = functionals.shannon_entropy(p)
+        assert cert.witness.probs[0].tobytes() == p.tobytes(), label
+        assert (cert.bits, cert.value) == (float(bits), float(2.0**bits)), label
+
+
 def test_symmetric_functional_submultiplicative():
     corpus = symmetric_corpus()
     for (n1, a), (n2, b) in [
@@ -736,9 +767,12 @@ def test_minimax_descents_stop_at_the_support_bound(label, monkeypatch):
         assert abs(rep.lhs - value) <= 1e-6 and abs(rep.rhs - value) <= 1e-6
 
 
-def test_minimax_open_bracket_reports_the_descent_flag():
+def test_minimax_open_bracket_reports_the_descent_flag(monkeypatch):
     t = random_tensor((2, 3, 4), np.random.default_rng(0))
-    rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST, lhs_max_iter=3)
+    descend = functionals.minimize_over_moment_polytope
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope",
+                        lambda *a, **k: descend(*a, **{**k, "max_iter": 3}))
+    rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST)
     assert rep.lhs - rep.rhs > 1e-6
     assert rep.converged is rep.lhs_certificate.converged is False
     assert rep.bases_scored == 2

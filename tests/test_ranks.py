@@ -242,8 +242,8 @@ def test_theta_route_runs_no_scaling_on_free_supports(name, xi, monkeypatch):
     monkeypatch.setattr(ranks, "entropic_scaling", refuse)
     monkeypatch.setattr(functionals, "entropic_scaling", refuse)
     weights = ThetaWeights.xi(xi)
-    _, final, (lo, hi), _, runs, _ = ranks._slice_rank_theta_route(t, weights, FAST)
-    assert runs == 0 and final.lower_end == "free_support"
+    _, _, (lo, hi), _, runs, solve = ranks._slice_rank_theta_route(t, weights, FAST)
+    assert runs == 0 and solve is not None
     rep = asymptotic_slice_rank(t, weights, FAST)
     assert rep.details["scaling_runs"] == 0
     value = rep.routes["quantum_theta_min"]
@@ -251,6 +251,25 @@ def test_theta_route_runs_no_scaling_on_free_supports(name, xi, monkeypatch):
     assert abs(np.log2(value / rep.routes["cover_entropy"])) <= ranks.THETA_BRACKET_BITS
     # the cuts are exact, so the bracket holds the known value
     assert lo - 1e-9 <= np.log2(known) <= hi + 1e-9
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 0.5, 1)])
+@pytest.mark.parametrize("name", ["w", "matmul222", "unit2+unit1"])
+def test_slice_rank_on_a_free_support_ends_at_the_max_min_solve(name, xi, monkeypatch):
+    # the theta route's value is the max-min program's lower end, and the
+    # identity's cover reuses that solve: no bracket at the best theta, and
+    # the two routes report one value
+    t = {"w": w_tensor(), "matmul222": matmul_tensor(2, 2, 2),
+         "unit2+unit1": direct_sum(make_unit(2, 3), make_unit(1, 3))}[name]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bracketed scaling on a free support")
+
+    monkeypatch.setattr(ranks, "_bracketed_scaling", refuse)
+    rep = asymptotic_slice_rank(t, ThetaWeights.xi(xi), FAST)
+    assert rep.routes["quantum_theta_min"] == rep.routes["cover_entropy"]
+    assert rep.gap == 0.0
+    assert rep.value == rep.details["theta_bracket"][0]
 
 
 def test_theta_route_closes_to_inner_tol_on_w_at_unequal_xi(w):
