@@ -19,9 +19,9 @@ library where it is called and records:
   ``entropic_scaling`` made from ``ranks`` or ``functionals``;
 * ``scaling_iterations``: the iterations of those calls, summed from each
   call's ``ScalingTrace.iterations``;
-* ``final_brackets``: the calls of ``ranks._bracketed_scaling``, the theta
-  route's bracket at its best theta (0 where the route ends at the max-min
-  solve);
+* ``final_brackets``: the calls of ``ranks._bracketed_scaling``, a scaling
+  run at the theta route's best theta on a checkout that still makes one
+  (0 where ``ranks`` has no such function);
 * ``masters`` and ``master_pivots``: the ``kelley_master`` calls of both
   routes and the iterations they report (simplex pivots, or HiGHS
   iterations on a checkout that solves the masters with HiGHS);
@@ -82,7 +82,9 @@ class Counts:
         cli, functionals, optim, ranks = self.modules
 
         def route(result):
-            self.cuts += result[3]
+            # (theta, bracket, cuts, solve); before the route ended at its
+            # bracket, (value, theta, bracket, cuts, runs, solve)
+            self.cuts += result[3] if len(result) == 6 else result[2]
 
         def scaling(result):
             self.scaling_calls += 1
@@ -103,7 +105,8 @@ class Counts:
 
         self._wrap(cli, "asymptotic_slice_rank", report)
         self._wrap(ranks, "_slice_rank_theta_route", route)
-        self._wrap(ranks, "_bracketed_scaling", final_bracket)
+        if hasattr(ranks, "_bracketed_scaling"):
+            self._wrap(ranks, "_bracketed_scaling", final_bracket)
         for module in (ranks, functionals):
             self._wrap(module, "entropic_scaling", scaling)
         for module in (ranks, optim):

@@ -7,10 +7,12 @@ Usage: python3 scripts/run_corpus.py [--seed N]
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from spectrumkit import (
     MatrixTuple,

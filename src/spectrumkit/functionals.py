@@ -615,11 +615,10 @@ def minimize_over_moment_polytope(
     best_val = objective.value(best_wit)
     best_acc = acc
     step, total, history = 1.0, 0, [best_val]
-    schedule = list(getattr(objective, "sharpness_schedule", SHARPNESS_SCHEDULE))
-    iters_per = max_iter // len(schedule) + 1
+    iters_per = max_iter // len(SHARPNESS_SCHEDULE) + 1
     met = bound is not None and best_val <= bound
 
-    for sharp in schedule:
+    for sharp in SHARPNESS_SCHEDULE:
         if met:
             break
         stall = 0

@@ -25,7 +25,6 @@ from .functionals import (
     MomentDescentResult,
     SearchConfig,
     _basis_search,
-    _bracketed_scaling,
     _descent_bound,
     _eigenbasis_unitary,
     _is_free,
@@ -103,38 +102,37 @@ THETA_MAX_CUTS = 60
 
 def _slice_rank_theta_route(
     t: Tensor, xi: ThetaWeights, cfg: SearchConfig
-) -> tuple[float, np.ndarray, tuple[float, float], int, int, SupportOptimum | None]:
-    """min over theta >= 0 with <theta, xi> = 1 of bits(theta) = log2 F_theta(t),
-    as 2^bits, with a bracket (lo, hi) in bits.
+) -> tuple[np.ndarray, tuple[float, float], int, SupportOptimum | None]:
+    """A bracket (lo, hi), in bits, on min over theta >= 0 with <theta, xi> = 1
+    of bits(theta) = log2 F_theta(t).  Its lower end is certified on every
+    support, so the route's value is 2^lo.
 
     On a free exact support (``_is_free``) bits(theta) is the entropy program
     there (Christandl, Vrana & Zuiddam, STOC 2018), so by minimax the route
     is the max-min program on that support (``max_min_weighted_entropy_witness``
-    to ``cfg.inner_tol``).  The route ends there: the value is 2^lo, lo is
-    the program's value, hi adds its certified gap, the cuts are its oracles
-    and the best theta is that of its least upper end.  No scaling runs.
+    to ``cfg.inner_tol``): lo is the program's value, attained by its
+    witness, hi adds its certified gap, the cuts are its oracles and the
+    best theta is that of its least upper end.  No scaling runs.
 
     Elsewhere the route runs Kelley cutting planes: the leg entropies h_k of
     any point of the moment polytope satisfy <theta, h_k> <= bits(theta), and
     each cut is the endpoint of one loose cold-started scaling run (a
     two-step run at a vertex theta = e_j).  lo is the value of the master LP
-    (``kelley_master``) on the legs with xi_j > 0, and hi the least cut model
-    max_k <theta, h_k> at the evaluated thetas.  From the vertices on, each
-    master's theta adds a cut until hi - lo <= THETA_BRACKET_BITS or
-    THETA_MAX_CUTS cuts.  The best theta is then bracketed as
-    ``quantum_functional`` brackets it, with at most 30,000 scaling
-    iterations, and the value is that bracket's bits clipped to [lo, hi].
+    (``kelley_master``) on the legs with xi_j > 0, a lower end because every
+    cut is a point of the polytope, and hi the least cut model
+    max_k <theta, h_k> at the evaluated thetas, attained at the best theta.
+    From the vertices on, each master's theta adds a cut until
+    hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts; the route ends there.
 
-    Returns the value, the best theta, (lo, hi), the cut count, the scaling
-    runs made (the final one included) and the max-min solve, or None off a
-    free support.
+    Returns the best theta, (lo, hi), the cut count (one scaling run each off
+    a free support) and the max-min solve, or None off a free support.
     """
     exact = support(t, 0.0)
     if _is_free(exact.points):
         solve, theta = max_min_weighted_entropy_witness(exact, xi, tol=cfg.inner_tol)
         lo = solve.value
-        return (float(2.0**lo), theta.values, (float(lo), float(lo + solve.certified_gap)),
-                solve.iterations, 0, solve)
+        return (theta.values, (float(lo), float(lo + solve.certified_gap)),
+                solve.iterations, solve)
     legs = np.flatnonzero(xi.values > 0)
 
     def weights_at(point: np.ndarray) -> ThetaWeights:
@@ -159,11 +157,7 @@ def _slice_rank_theta_route(
             break
         points.append(sol.x[:-1])
         cuts.append(cut(points[-1]))
-    cert = _bracketed_scaling(t, weights_at(points[best]), inner_tol=cfg.inner_tol,
-                              max_iter=30_000)[0]
-    final = cert.bits / float(cert.theta @ xi.values)
-    return (float(2.0 ** max(lo, min(hi, final))), cert.theta, (float(lo), float(hi)),
-            len(cuts), len(cuts) + (cert.lower_end == "scaling"), None)
+    return weights_at(points[best]).values, (float(lo), float(hi)), len(cuts), None
 
 
 def asymptotic_slice_rank(
@@ -176,16 +170,16 @@ def asymptotic_slice_rank(
     Route "quantum_theta_min" minimizes the quantum functional over entropy
     weights (``_slice_rank_theta_route``), with bracket
     ``details["theta_bracket"]``: on a free exact support by the max-min
-    entropy program there, whose lower end is the route's value, elsewhere
-    by Kelley cuts from loose scaling runs and a bracketed run at the best
-    theta.  ``details["scaling_runs"]`` counts the runs that scaled, 0 on a
-    free support.  A bracket wider than THETA_BRACKET_BITS when the cuts run
-    out adds a note and status "warn".  Route "cover_entropy" is the least
-    asymptotic cover number of the rotated support hypergraph over the
-    identity and the marginal eigenbasis (``unitary_candidates``).  A basis
-    whose ``cfg.eta`` support is the free exact support reuses the theta
-    route's solve: both routes are then one program, and they report the
-    same value.
+    entropy program there, elsewhere by Kelley cuts from loose scaling runs.
+    Either way the bracket's lower end is certified and is the route's
+    value.  ``details["scaling_runs"]`` counts the runs that scaled: one per
+    cut, 0 on a free support.  A bracket wider than THETA_BRACKET_BITS when
+    the cuts run out adds a note and status "warn".  Route "cover_entropy"
+    is the least asymptotic cover number of the rotated support hypergraph
+    over the identity and the marginal eigenbasis (``unitary_candidates``).
+    A basis whose ``cfg.eta`` support is the free exact support reuses the
+    theta route's solve: both routes are then one program, and they report
+    the same value.
     Every cover is at least 2^lo, so the search stops at the identity when
     its cover is within ``cfg.inner_tol`` bits of 2^hi: the eigenbasis could
     not lower the route by more than hi - lo + inner_tol bits.
@@ -197,7 +191,7 @@ def asymptotic_slice_rank(
     if xi.role != "xi":
         raise InvalidArgumentError("slice rank expects weights with role 'xi'")
 
-    val_a, theta, (lo, hi), cuts, runs, solve = _slice_rank_theta_route(t, xi, cfg)
+    theta, (lo, hi), cuts, solve = _slice_rank_theta_route(t, xi, cfg)
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
@@ -211,18 +205,18 @@ def asymptotic_slice_rank(
     val_b, best_u, _, scored = _basis_search(unitary_candidates(t), cover,
                                              lambda v, _: np.log2(v) <= hi + cfg.inner_tol)
 
-    routes = {"quantum_theta_min": float(val_a), "cover_entropy": float(val_b)}
+    routes = {"quantum_theta_min": float(2.0**lo), "cover_entropy": float(val_b)}
     gap = _route_gap(routes)
     return RankReport(
         quantity="asymptotic_slice_rank",
-        value=float(val_a),
+        value=routes["quantum_theta_min"],
         routes=routes,
         gap=gap,
         status="ok" if gap <= ROUTE_TOL and not notes else "warn",
         notes=notes,
         details={"theta": theta, "basis": best_u,
                  "theta_bracket": (float(2**lo), float(2**hi)),
-                 "scaling_runs": runs,
+                 "scaling_runs": 0 if solve is not None else cuts,
                  "cover_bases": scored},
     )
 

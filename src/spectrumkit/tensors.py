@@ -103,11 +103,6 @@ class GroupElement:
     def identity(dims: Sequence[int]) -> "GroupElement":
         return GroupElement(tuple(np.eye(n, dtype=complex) for n in dims), unitary=True)
 
-    def inverse(self) -> "GroupElement":
-        if self.unitary:
-            return GroupElement(tuple(f.conj().T for f in self.factors), unitary=True)
-        return GroupElement(tuple(np.linalg.inv(f) for f in self.factors))
-
 
 @dataclass(frozen=True)
 class SupportSet:

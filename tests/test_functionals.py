@@ -442,16 +442,15 @@ def test_scaling_matches_leg_by_leg_reference(label, t):
 
 @pytest.mark.parametrize("label, t", _kernel_cases(), ids=[c[0] for c in _kernel_cases()])
 @pytest.mark.parametrize("kind", ["linf", "l1"])
-def test_descent_matches_leg_by_leg_reference(label, t, kind):
+def test_descent_matches_leg_by_leg_reference(label, t, kind, monkeypatch):
     # at this sharpness every case takes steps; on e0 x rank-2 the l1 step
     # acts on the null space of the rank-1 marginal of leg 0
     sharp, steps = 16.0, 50
+    monkeypatch.setattr(functionals, "SHARPNESS_SCHEDULE", (sharp,))
     base = MaxInfNorm if kind == "linf" else L1FromUniform
     args = (ThetaWeights.alpha([1.0] * t.order),) if kind == "linf" else ()
 
     class Recorded(base):
-        sharpness_schedule = (sharp,)
-
         def value(self, p):
             self.seen.append((super().value(p), np.concatenate(p)))
             return self.seen[-1][0]
@@ -712,8 +711,6 @@ def test_symmetric_support_search_scores_the_identity_and_the_eigenbasis(w, monk
 def test_minimax_gap_examples(w, matmul222):
     # an objective without a support-side solver is rejected
     class Const:
-        sharpness_schedule = (1.0,)
-
         def value(self, p):
             return 0.0
 

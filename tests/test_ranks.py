@@ -171,7 +171,8 @@ def test_theta_route_beats_quarter_grid(name, w):
     grid = [np.array(c) / 4 for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
     bits = [quantum_functional(t, ThetaWeights.theta(th), max_iter=2000).bits for th in grid]
     for xi in ([1, 1, 1], [1, 0.5, 1]):
-        value, _, (lo, _), _, _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
+        _, (lo, _), _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
+        value = asymptotic_slice_rank(t, ThetaWeights.xi(xi), FAST).routes["quantum_theta_min"]
         assert 2.0**lo <= value
         for th, b in zip(grid, bits):
             assert value <= 2.0 ** (b / float(th @ np.array(xi))) + 1e-9
@@ -179,7 +180,7 @@ def test_theta_route_beats_quarter_grid(name, w):
 
 def test_theta_route_scaling_runs(monkeypatch):
     # sparse332's support is not free: every cut is a loose run, and the
-    # final bracket scales too
+    # route makes no other
     calls = []
 
     def counted(scaling):
@@ -242,8 +243,8 @@ def test_theta_route_runs_no_scaling_on_free_supports(name, xi, monkeypatch):
     monkeypatch.setattr(ranks, "entropic_scaling", refuse)
     monkeypatch.setattr(functionals, "entropic_scaling", refuse)
     weights = ThetaWeights.xi(xi)
-    _, _, (lo, hi), _, runs, solve = ranks._slice_rank_theta_route(t, weights, FAST)
-    assert runs == 0 and solve is not None
+    _, (lo, hi), _, solve = ranks._slice_rank_theta_route(t, weights, FAST)
+    assert solve is not None
     rep = asymptotic_slice_rank(t, weights, FAST)
     assert rep.details["scaling_runs"] == 0
     value = rep.routes["quantum_theta_min"]
@@ -265,11 +266,32 @@ def test_slice_rank_on_a_free_support_ends_at_the_max_min_solve(name, xi, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("bracketed scaling on a free support")
 
-    monkeypatch.setattr(ranks, "_bracketed_scaling", refuse)
+    monkeypatch.setattr(ranks, "_bracketed_scaling", refuse, raising=False)
     rep = asymptotic_slice_rank(t, ThetaWeights.xi(xi), FAST)
     assert rep.routes["quantum_theta_min"] == rep.routes["cover_entropy"]
     assert rep.gap == 0.0
     assert rep.value == rep.details["theta_bracket"][0]
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 0.5, 1)])
+@pytest.mark.parametrize("name", ["rand234", "sparse332", "gl_w"])
+def test_slice_rank_off_a_free_support_ends_at_the_kelley_bracket(name, xi, monkeypatch):
+    # every cut is a point of the moment polytope, so the master LP's value
+    # is a certified lower end: the route reports it, and scales only for
+    # its cuts
+    t = {"rand234": random_tensor((2, 3, 4), np.random.default_rng(5)),
+         "sparse332": sparse332(), "gl_w": gl_w_tensor()}[name]
+    assert not functionals._is_free(support(t, 0.0).points)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bracketed scaling after the Kelley cuts")
+
+    monkeypatch.setattr(ranks, "_bracketed_scaling", refuse, raising=False)
+    monkeypatch.setattr(functionals, "_bracketed_scaling", refuse)
+    route = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
+    rep = asymptotic_slice_rank(t, ThetaWeights.xi(xi), FAST)
+    assert rep.value == rep.details["theta_bracket"][0]
+    assert rep.details["scaling_runs"] == route[2]
 
 
 def test_theta_route_closes_to_inner_tol_on_w_at_unequal_xi(w):
