@@ -7,18 +7,19 @@ Usage: python3 scripts/bench_certified_lower_end.py [--seed N] [--repeats N] [--
 The cases are the jobs of ``perfbench/workloads.py`` for ``functionals`` at
 ``--seed`` (default 1), the same inputs and command lines the benchmark
 runs, less the ``functional symmetric`` jobs, which no bracket reaches.  For
-each it prints the exit code and perfbench's verdict, the scaling
-iterations and the moment-descent iterations the job ran (by wrapping
+each it prints the exit code and perfbench's verdict, the scaling calls
+and iterations and the moment-descent iterations the job ran (by wrapping
 ``functionals.entropic_scaling`` and
 ``functionals.minimize_over_moment_polytope``), the descent's stop, the
 CPU seconds of the job, ``bits`` and ``bracket`` (or the minimax ``lhs``
 and ``rhs``), and the certificate's ``lower_end``; on a checkout whose
 certificates lack that field every bracket comes from scaling, and the
-column says so.  Times are
-medians over ``--repeats`` runs, after one untimed pass over every case that
-pays for the lazy imports.  The summary sums the median CPU of three groups:
-the three scaling-tail jobs at theta = (3/5, 2/5, 0), the eight linf and
-l1-uniform ``check-minimax`` jobs, and all cases.  ``--src`` runs the same
+column says so.  Times are medians over ``--repeats`` runs, after one
+untimed pass over every case that pays for the lazy imports.  The summary
+sums the median CPU of three groups: the three scaling-tail jobs at
+theta = (3/5, 2/5, 0), the eight linf and l1-uniform ``check-minimax``
+jobs, and all cases, and the scaling calls and iterations of one pass
+over all cases.  ``--src`` runs the same
 cases against another checkout's ``src`` directory.  ``--json`` prints one
 JSON object in place of the table.  BLAS is pinned to one thread.
 """
@@ -45,7 +46,8 @@ TAIL = (
 
 
 class Work:
-    """Sums the iterations of the wrapped scaling runs and descents."""
+    """Counts the wrapped scaling runs and sums their iterations and the
+    descents'."""
 
     def __init__(self, functionals):
         self.functionals = functionals
@@ -54,11 +56,13 @@ class Work:
         self.reset()
 
     def reset(self):
-        self.scaling_iters, self.descent_iters, self.descent_stop = 0, 0, None
+        self.scaling_calls, self.scaling_iters = 0, 0
+        self.descent_iters, self.descent_stop = 0, None
 
     def __enter__(self):
         def scaling(*args, **kwargs):
             cert, trace = self.scaling(*args, **kwargs)
+            self.scaling_calls += 1
             self.scaling_iters += trace.iterations
             return cert, trace
 
@@ -115,6 +119,7 @@ def main() -> int:
                 "case": job.name,
                 "exit": code,
                 "status": job.judge(result).status,
+                "scaling_calls": work.scaling_calls,
                 "scaling_iters": work.scaling_iters,
                 "descent_iters": work.descent_iters,
                 "descent_stop": work.descent_stop,
@@ -132,17 +137,20 @@ def main() -> int:
     minimax = {r["case"] for r in rows if r["case"].startswith("check-minimax")
                and not r["case"].endswith("neg-entropy")}
     summary = {"tail_cpu_s": total(TAIL), "minimax_linf_l1_cpu_s": total(minimax),
-               "all_cpu_s": total({r["case"] for r in rows})}
+               "all_cpu_s": total({r["case"] for r in rows}),
+               "scaling_calls": sum(r["scaling_calls"] for r in rows),
+               "scaling_iters": sum(r["scaling_iters"] for r in rows)}
     if args.json:
         print(json.dumps({"seed": args.seed, "repeats": args.repeats, "summary": summary,
                           "cases": rows}))
         return 0
-    print(f"{'case':56s} {'exit':>4s} {'scale_it':>8s} {'desc_it':>7s} {'cpu_s':>8s}  "
+    print(f"{'case':56s} {'exit':>4s} {'scale':>5s} {'scale_it':>8s} {'desc_it':>7s} {'cpu_s':>8s}  "
           f"{'lower_end':13s} value")
     for r in rows:
         value = (f"{r['bits']:.12f}" if "bits" in r
                  else f"lhs {r.get('lhs', float('nan')):.12f} rhs {r.get('rhs', float('nan')):.12f}")
-        print(f"{r['case']:56s} {r['exit']:4d} {r['scaling_iters']:8d} {r['descent_iters']:7d} "
+        print(f"{r['case']:56s} {r['exit']:4d} {r['scaling_calls']:5d} {r['scaling_iters']:8d} "
+              f"{r['descent_iters']:7d} "
               f"{r['cpu_s']:8.4f}  {str(r['lower_end']):13s} {value}")
     print(" ".join(f"{k} {v}" for k, v in summary.items()))
     return 0

@@ -85,7 +85,8 @@ class FunctionalCertificate:
     gap: float | None = None
     bases_scored: int | None = None  # candidates scored by a basis search
     bracket: tuple[float, float] | None = None  # (lo, hi) bits of F_theta(t)
-    lower_end: str | None = None  # how lo was obtained: scaling, free_support or square_pencil
+    # how lo was obtained: scaling, free_support, square_pencil or semistable
+    lower_end: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -330,53 +331,161 @@ def _is_free(points: np.ndarray) -> bool:
                for j in range(points.shape[1]))
 
 
-def _square_pencil_bits(t: Tensor, th: np.ndarray) -> float | None:
-    """sum_j theta_j log2 n, the largest value any theta-functional of t can
-    take, when the legs of positive weight are two legs of one dimension n
-    and a seeded random combination of the slices along the other legs is
-    numerically nonsingular (sigma_min > PINV_CUTOFF sigma_max); else None."""
-    pos = np.flatnonzero(th > 0)
-    if pos.size != 2 or t.dims[pos[0]] != t.dims[pos[1]]:
+def _concise(t: Tensor) -> np.ndarray | None:
+    """t in orthonormal bases of the ranges of its flattenings, unit norm:
+    leg by leg, the left singular vectors of flattening j whose singular
+    values exceed PINV_CUTOFF times the largest.  Leg j has dimension r_j,
+    the rank of flattening j.  None when a rank is undecided, as a component
+    of t may lie below the cut: some entry is nonzero but at most
+    PINV_CUTOFF, or some singular value lies above rounding level (numpy's
+    ``matrix_rank`` tolerance, max(shape) eps sigma_max) but not above
+    PINV_CUTOFF sigma_max."""
+    c = _arr_unit(t.entries)
+    if np.any((c != 0) & (np.abs(c) <= PINV_CUTOFF)):
         return None
-    n = t.dims[pos[0]]
-    slices = np.moveaxis(t.entries, tuple(pos), (0, 1)).reshape(n, n, -1)
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(slices.shape[2]) + 1j * rng.standard_normal(slices.shape[2])
-    sv = np.linalg.svd(slices @ z, compute_uv=False)
-    return float(sum(th[j] * np.log2(n) for j in pos)) if sv[-1] > PINV_CUTOFF * sv[0] else None
+    for j in range(c.ndim):
+        before, after = c.shape[:j], c.shape[j + 1:]
+        v = c.reshape(math.prod(before), c.shape[j], math.prod(after))
+        flat = v.transpose(1, 0, 2).reshape(c.shape[j], -1)
+        u, sv, _ = np.linalg.svd(flat, full_matrices=False)
+        keep = sv > PINV_CUTOFF * sv[0]
+        if np.any(sv[~keep] > max(flat.shape) * np.finfo(float).eps * sv[0]):
+            return None
+        u = u[:, keep]
+        c = (u.conj().T @ v).reshape(before + (u.shape[1],) + after)
+    return c
+
+
+def _nonsingular(m: np.ndarray) -> bool:
+    """sigma_min > PINV_CUTOFF sigma_max."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv[-1] > PINV_CUTOFF * sv[0])
+
+
+def _pencil_discriminant(a: np.ndarray, b: np.ndarray) -> complex:
+    """The discriminant of the binary form det(xA + yB) of two n x n slices,
+    n in {2, 3}; for n = 2 it is Cayley's hyperdeterminant of the 2 x 2 x 2
+    tensor (A, B).  The coefficients come from det(xA + B) at the (n+1)-th
+    roots of unity."""
+    n = a.shape[0]
+    x = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    k = np.fft.fft(np.linalg.det(x[:, None, None] * a + b)) / (n + 1)  # k[i]: coefficient of x^i
+    if n == 2:
+        return k[1] ** 2 - 4 * k[2] * k[0]
+    k0, k1, k2, k3 = k
+    return ((k2 * k1) ** 2 - 4 * k3 * k1**3 - 4 * k2**3 * k0 - 27 * (k3 * k0) ** 2
+            + 18 * k3 * k2 * k1 * k0)
+
+
+def _boundary_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For two m x (m+1) slices: the m(m+1)-square matrix with A on the block
+    diagonal and B on the block subdiagonal, the coefficient map of
+    v(x, y) -> (xA + yB) v(x, y) on vectors v of degree m - 1 in (x, y).  Its
+    determinant is the hyperdeterminant of the boundary format 2 x m x (m+1)
+    (Gelfand, Kapranov & Zelevinsky, 1994, ch. 14)."""
+    m = a.shape[0]
+    return np.kron(np.eye(m + 1, m), a) + np.kron(np.eye(m + 1, m, -1), b)
+
+
+def _semistability_rule(c: np.ndarray, th: np.ndarray) -> str | None:
+    """The first rule that proves the concise tensor c semistable: under the
+    whole group (``semistable``), or under the two legs of positive weight
+    (``square_pencil``); None when none applies or its test fails.
+
+    (a) A square flattening, r_j = prod_{i != j} r_i (a leg of rank 1
+        included): flattening j is invertible.
+    (b) The legs of positive weight are two legs of one rank n, and a
+        seeded random combination of the n x n slices along the other legs
+        is nonsingular.
+    (c) Ranks (n, n, 2), n in {2, 3}: the discriminant of det(xA + yB), for
+        the slices A, B along the leg of rank 2, exceeds PINV_CUTOFF.
+    (d) Ranks (2, m, m+1): ``_boundary_matrix`` of the slices is nonsingular.
+    """
+    r = c.shape
+    if any(n * n == math.prod(r) for n in r):
+        return "semistable"
+    pos = np.flatnonzero(th > 0)
+    if pos.size == 2 and r[pos[0]] == r[pos[1]]:
+        n = r[pos[0]]
+        slices = np.moveaxis(c, tuple(pos), (0, 1)).reshape(n, n, -1)
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal(slices.shape[2]) + 1j * rng.standard_normal(slices.shape[2])
+        if _nonsingular(slices @ z):
+            return "square_pencil"
+    if len(r) != 3 or 2 not in r:
+        return None
+    a, b = np.moveaxis(c, r.index(2), 0)
+    if a.shape[0] > a.shape[1]:
+        a, b = a.T, b.T
+    m, k = a.shape
+    if m == k and m in (2, 3):
+        ok = abs(_pencil_discriminant(a, b)) > PINV_CUTOFF
+    else:
+        ok = k == m + 1 and _nonsingular(_boundary_matrix(a, b))
+    return "semistable" if ok else None
+
+
+@dataclass(frozen=True)
+class _RankMaximum:
+    """sum_j theta_j log2 r_j over the flattening ranks r_j, an upper bound on
+    log2 F_theta(t), and the rule (``_semistability_rule``) that proves it is
+    the value, if any."""
+
+    bits: float
+    ranks: tuple[int, ...]
+    rule: str | None
+
+
+def _rank_maximum(t: Tensor, th: np.ndarray) -> _RankMaximum | None:
+    """None when a flattening's rank is undecided (``_concise``)."""
+    c = _concise(t)
+    if c is None:
+        return None
+    bits = float(sum(w * np.log2(r) for w, r in zip(th, c.shape)))
+    return _RankMaximum(bits, c.shape, _semistability_rule(c, th))
 
 
 def _certified_lower_end(
-    t: Tensor, th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float
+    dims: tuple[int, ...], th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float,
+    free: bool, rank: _RankMaximum | None,
 ) -> FunctionalCertificate | None:
     """The quantum functional certified without a scaling run, given the
-    exact-support bound hi and its solve opt, or None.
+    upper end hi, the exact-support solve opt, whether its support is free
+    and the rank maximum (None if not taken), or None.
 
     * A free exact support (``_is_free``): the marginals of every
       distribution on it lie in the moment polytope, so lo = -opt.value
       (Christandl, Vrana & Zuiddam, "Universal points in the asymptotic
       spectrum of tensors", STOC 2018).
-    * A square pencil (``_square_pencil_bits``): a nonsingular matrix in the
-      span of the slices makes the pencil rank non-decreasing, so operator
-      scaling reaches uniform marginals on the two legs and lo = hi =
-      sum_j theta_j log2 n (Gurvits, "Classical complexity and quantum
-      entanglement", JCSS 2004).
+    * A semistable concise tensor (``_semistability_rule``): the uniform
+      point on the flattening ranks r_j lies in the moment polytope
+      (Kempf-Ness, Hilbert-Mumford), so lo = hi = sum_j theta_j log2 r_j.
+      ``square_pencil`` is rule (b): a nonsingular matrix in the span of
+      the slices makes the pencil rank non-decreasing, so operator scaling
+      reaches uniform marginals on the two legs (Gurvits, "Classical
+      complexity and quantum entanglement", JCSS 2004); ``semistable`` is
+      rules (a), (c) and (d), under the whole group.
 
     Neither is used when the solve missed its tolerance (certified gap above
-    ``bracket_width(inner_tol)``), nor the pencil when its value exceeds hi.
+    ``bracket_width(inner_tol)``), nor the rank maximum when it exceeds hi
+    or was not taken.
     The witness is the certified point of the moment polytope, sorted
-    non-increasing; no group element attains it.
+    non-increasing: uniform on the first r_j coordinates of every leg for
+    ``semistable``, of the two legs for ``square_pencil`` with (1, 0, ...)
+    on the others.  No group element attains it.
     """
     if opt.certified_gap > bracket_width(inner_tol):
         return None
-    if _is_free(opt.distribution.support.points):
+    if free:
         lo, end, probs = -opt.value, "free_support", opt.marginals.probs
     else:
-        lo = _square_pencil_bits(t, th)
-        if lo is None or lo > hi:
+        if rank is None or rank.rule is None or rank.bits > hi:
             return None
-        hi, end = lo, "square_pencil"
-        probs = [np.full(n, 1.0 / n) if w > 0 else np.eye(n)[0] for w, n in zip(th, t.dims)]
+        lo = hi = rank.bits
+        end = rank.rule
+        probs = [np.r_[np.full(r, 1.0 / r), np.zeros(n - r)]
+                 if end == "semistable" or w > 0 else np.eye(n)[0]
+                 for w, r, n in zip(th, rank.ranks, dims)]
     return FunctionalCertificate(
         value=float(2.0**lo),
         bits=float(lo),
@@ -390,13 +499,21 @@ def _certified_lower_end(
 def _bracketed_scaling(
     t: Tensor, theta: ThetaWeights, *, inner_tol: float, max_iter: int = 200_000,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
-    """The quantum functional's bracket against the exact-support bound: a
-    certified lower end (``_certified_lower_end``) where one applies, else a
-    cold scaling run, with ``entropic_scaling``'s default residual rule, that
-    stops once the bracket is ``bracket_width(inner_tol)`` wide.  Also
-    returns the bound's solve."""
+    """The quantum functional's bracket: the upper end is the exact-support
+    bound, capped by the rank maximum sum_j theta_j log2 r_j (every marginal
+    in the orbit closure has rank at most r_j) where its ranks are decided
+    and the support is not free (on a free support r_j is the number of
+    coordinates the support takes on leg j, which the bound already
+    respects).  The lower end is certified (``_certified_lower_end``) where
+    one applies, else a cold scaling run, with ``entropic_scaling``'s
+    default residual rule, that stops once the bracket is
+    ``bracket_width(inner_tol)`` wide.  Also returns the bound's solve."""
     hi, opt = exact_support_bound(t, theta, inner_tol)
-    cert = _certified_lower_end(t, theta.values, hi, opt, inner_tol)
+    free = _is_free(opt.distribution.support.points)
+    rank = None if free else _rank_maximum(t, theta.values)
+    if rank is not None:
+        hi = min(hi, rank.bits)
+    cert = _certified_lower_end(t.dims, theta.values, hi, opt, inner_tol, free, rank)
     if cert is None:
         cert, _ = entropic_scaling(t, theta, max_iter=max_iter,
                                    upper_bits=hi, width=bracket_width(inner_tol))
@@ -412,20 +529,27 @@ def quantum_functional(
 ) -> FunctionalCertificate:
     """max of 2^(sum_j theta_j H(p_j)) over the marginal-spectra polytope of t.
 
-    The entropy program on the exact support of t (eta = 0, solved to
-    ``inner_tol``) plus its certified gap bounds the value from above.  Two
-    inputs have a lower end known without scaling (``lower_end``): a free
-    exact support, where the program's own value is attained (Christandl,
-    Vrana & Zuiddam, STOC 2018), and two legs of positive weight and equal
-    dimension n whose pencil of slices holds a nonsingular matrix, where
-    the value is sum_j theta_j log2 n (Gurvits, JCSS 2004).  Their witness
-    is that point of the moment polytope, and ``group_factors`` is None.
-    Otherwise every scaling iterate bounds the value from below, and the
+    The value is at most the entropy program on the exact support of t
+    (eta = 0, solved to ``inner_tol``) plus its certified gap, and at most
+    the rank maximum sum_j theta_j log2 r_j over the flattening ranks r_j;
+    the lesser is the upper end, the rank maximum taken off free supports
+    where the ranks are decided (``_concise``).  Some inputs have a lower end known
+    without scaling (``lower_end``): a free exact support, where the
+    program's own value is attained (Christandl, Vrana & Zuiddam, STOC
+    2018), and a concise tensor that one of ``_semistability_rule``'s
+    invariants proves semistable, where the value is the rank maximum
+    (``square_pencil`` for two legs of positive weight whose pencil of
+    slices holds a nonsingular matrix, Gurvits, JCSS 2004; ``semistable``
+    for a square flattening, Cayley's hyperdeterminant, the discriminant of
+    a 3 x 3 x 2 pencil or a boundary-format hyperdeterminant).  Their
+    witness is that point of the moment polytope, and ``group_factors`` is
+    None.  Otherwise every scaling iterate bounds the value from below, and the
     run stops once the bracket is ``bracket_width(inner_tol)`` = 10
     inner_tol bits wide, else by the residual rule of ``entropic_scaling``
-    (objective moves below 1e-10 bits over its window) or after ``max_iter``
-    iterations; ``bits`` is the last iterate, which the witness and group
-    factors attain.  ``bracket`` holds (bits, upper bound).
+    (objective moves below 1e-10 bits over its window) or after
+    ``max_iter`` iterations; ``bits`` is the last iterate, which the
+    witness and group factors attain.  ``bracket`` holds (bits, upper
+    end).
     """
     return _bracketed_scaling(t, theta, max_iter=max_iter, inner_tol=inner_tol)[0]
 
@@ -516,9 +640,10 @@ def support_functional(
     ``bracket_width(cfg.inner_tol)`` bits of it; ``bases_scored`` counts the
     bases drawn.  Ties keep the earlier basis.  ``bracket`` is the quantum
     side's (lo, hi), and ``lower_end`` says how lo was obtained: on a free
-    exact support (Christandl, Vrana & Zuiddam, STOC 2018) or a square
-    pencil (Gurvits, JCSS 2004) it is certified without a scaling run.  This
-    value lies inside the bracket.  A candidate whose support is the exact
+    exact support (Christandl, Vrana & Zuiddam, STOC 2018), a square pencil
+    (Gurvits, JCSS 2004) or a semistable concise tensor (a nonzero
+    invariant, ``_semistability_rule``) it is certified without a scaling
+    run.  This value lies inside the bracket.  A candidate whose support is the exact
     one reuses the solve that gave hi.  ``compute_gap=False``
     skips the scaling run when the caller compares against its own quantum
     value; the search then scores both candidates.
@@ -804,13 +929,13 @@ def minimax_gap(
 
     For a negated weighted entropy the lhs is the bracket of
     ``quantum_functional``: a certified lower end on a free exact support
-    (Christandl, Vrana & Zuiddam, STOC 2018) or a square pencil (Gurvits,
-    JCSS 2004), else a scaling run stopped once its iterate is within
-    ``bracket_width(cfg.inner_tol)`` bits of the exact-support bound; so the
-    lhs may sit that far above the true value and the basis search allows
-    the same slack.  ``lhs_certificate.bracket`` holds (lo, hi) in bits of
-    F_theta(t), and a candidate whose support is the exact one reuses the
-    solve that gave hi.
+    (Christandl, Vrana & Zuiddam, STOC 2018), a square pencil (Gurvits,
+    JCSS 2004) or a semistable concise tensor, else a scaling run stopped
+    once its iterate is within ``bracket_width(cfg.inner_tol)`` bits of the
+    upper end; so the lhs may sit that far above the true value and the
+    basis search allows the same slack.  ``lhs_certificate.bracket`` holds
+    (lo, hi) in bits of F_theta(t), and a candidate whose support is the
+    exact one reuses the solve that gave hi.
 
     For any other F the identity basis is scored first.  Its rhs less its
     certified gap bounds the minimum from below, so the descent stops as

@@ -226,6 +226,18 @@ def test_tol_sets_the_bracket_width(tmp_path, capsys):
         assert code == 0 and 0.0 <= hi - lo <= width
 
 
+def test_tol_below_the_residual_rule_on_a_semistable_tensor(tmp_path, capsys):
+    # a dense 3x3x2 tensor whose discriminant certifies the rank maximum: the
+    # bracket is closed whatever --tol asks, with no scaling run
+    p = tmp_path / "dense332.json"
+    p.write_text(json.dumps(ser.tensor_to_json_dict(sparse_tensor((3, 3, 2), 18, 1))))
+    code, out = run(capsys, "functional", "quantum", str(p), "--theta", "1/3,1/3,1/3", "--tol", "1e-10")
+    payload = json.loads(out)
+    lo, hi = payload["bracket"]
+    assert code == 0 and payload["lower_end"] == "semistable" and hi - lo == 0.0
+    assert lo == payload["bits"] and abs(lo - (2 * np.log2(3) + 1) / 3) <= 1e-15
+
+
 def test_inverted_bracket_exit_3(files, capsys, monkeypatch):
     # an upper bound half a bit too low: every iterate lies above it
     bound = functionals.exact_support_bound

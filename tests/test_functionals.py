@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     F_W,
+    H13_BITS,
     basis_search_corpus,
     gl_w_tensor,
     sparse332,
@@ -220,39 +221,181 @@ def _seeded_tensor(dims: tuple[int, ...], points: list[tuple[int, ...]]) -> Tens
     return Tensor(arr)
 
 
-def _uncertified_cases() -> list[tuple[str, Tensor, ThetaWeights]]:
-    """Inputs on which neither certified lower end applies, on the supports
-    of the benchmark's sparse0, sparse5 and sparse11.  sparse0 is not free:
-    its exact support gives 0.8477 bits, its value is 2/3.  sparse5 and
-    sparse11 (3 x 2 x 2) have a rectangular pencil at TAIL_THETA: hi is the
-    trivial maximum 1.3510 bits, the value 1.3310.  The 3 x 3 x 2
-    singular-pencil tensor is not free, and rows 1 and 2 of each slice are
-    proportional, so its slices span only singular matrices."""
+QUARTER = ThetaWeights.theta([0.5, 0.25, 0.25])
+
+
+def _uncertified_cases() -> list[tuple[str, Tensor, ThetaWeights, str, float]]:
+    """Inputs whose concise tensor no semistability rule certifies: (label,
+    tensor, theta, lower end, log2 F_theta).  W and GL.W have Cayley's
+    hyperdeterminant 0 (GL.W up to rounding); W's lower end comes from its
+    free support.  sparse5 and sparse11 (3 x 2 x 2, ranks (3, 2, 2)) are
+    semistable only at a boundary-format invariant that vanishes, and have a
+    rectangular pencil at TAIL_THETA: their rank maximum is the trivial
+    1.3510 bits, their value 1.3310.  The 3 x 3 x 2 singular-pencil tensor
+    is not free, and rows 1 and 2 of each slice are proportional, so its
+    slices span only singular matrices and its discriminant is 0."""
+    w_bits = {"1/3": H13_BITS, "1/2": 0.9261429970376}
     return [
-        ("sparse0", _seeded_tensor((3, 2, 2), [(0, 0, 0), (1, 0, 1), (2, 0, 0)]), UNIFORM3),
+        ("w-uniform", w_tensor(), UNIFORM3, "free_support", w_bits["1/3"]),
+        ("w-quarter", w_tensor(), QUARTER, "free_support", w_bits["1/2"]),
+        ("gl.w-uniform", gl_w_tensor(), UNIFORM3, "scaling", w_bits["1/3"]),
+        ("gl.w-quarter", gl_w_tensor(), QUARTER, "scaling", w_bits["1/2"]),
         ("sparse5", _seeded_tensor((3, 2, 2), [(0, 1, 0), (1, 0, 0), (2, 0, 0), (2, 0, 1), (2, 1, 0)]),
-         TAIL_THETA),
+         TAIL_THETA, "scaling", 1.33097),
         ("sparse11", _seeded_tensor((3, 2, 2), [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (2, 1, 0)]),
-         TAIL_THETA),
+         TAIL_THETA, "scaling", 1.33097),
         ("singular-pencil",
-         _seeded_tensor((3, 3, 2), [(0, 0, 0), (0, 1, 0), (0, 2, 1), (1, 0, 0), (2, 0, 1)]), TAIL_THETA),
+         _seeded_tensor((3, 3, 2), [(0, 0, 0), (0, 1, 0), (0, 2, 1), (1, 0, 0), (2, 0, 1)]), TAIL_THETA,
+         "scaling", 1.50346),
     ]
 
 
-@pytest.mark.parametrize("label, t, theta", _uncertified_cases(),
+@pytest.mark.parametrize("label, t, theta, end, bits", _uncertified_cases(),
                          ids=[c[0] for c in _uncertified_cases()])
-def test_no_certificate_where_its_test_fails(label, t, theta):
-    hi, opt = exact_support_bound(t, theta, FAST.inner_tol)
-    ref, _ = entropic_scaling(t, theta, upper_bits=hi, width=bracket_width(FAST.inner_tol))
+def test_no_certificate_where_its_test_fails(label, t, theta, end, bits):
+    rank = functionals._rank_maximum(t, theta.values)
+    assert rank.rule is None
+    bound, opt = exact_support_bound(t, theta, FAST.inner_tol)
+    hi = min(bound, rank.bits)
     q = quantum_functional(t, theta, inner_tol=FAST.inner_tol)
-    assert q.lower_end == ref.lower_end == "scaling"
-    assert q.bits == ref.bits and q.bracket == ref.bracket
-    assert all(np.array_equal(f, g) for f, g in zip(q.group_factors, ref.group_factors))
+    assert q.lower_end == end and abs(q.bits - bits) <= 1e-5
+    if end == "scaling":
+        ref, _ = entropic_scaling(t, theta, upper_bits=hi, width=bracket_width(FAST.inner_tol))
+        assert q.bits == ref.bits and q.bracket == ref.bracket
+        assert all(np.array_equal(f, g) for f, g in zip(q.group_factors, ref.group_factors))
+    else:
+        assert q.bracket == (-opt.value, hi)
     # what a wrongly applied certificate would have claimed
-    claimed = {"sparse0": -opt.value, "sparse5": hi, "sparse11": hi, "singular-pencil": np.log2(3)}
-    assert abs(q.bits - {"sparse0": 2 / 3, "sparse5": 1.33097, "sparse11": 1.33097,
-                         "singular-pencil": 1.50346}[label]) <= 1e-5
-    assert claimed[label] - q.bits >= 0.015
+    assert rank.bits - q.bits >= 0.015
+
+
+def _semistable_cases() -> list[tuple[str, Tensor, ThetaWeights, tuple[int, ...]]]:
+    """Seeded inputs that each semistability rule certifies: (label, tensor,
+    theta, flattening ranks).  sparse0 (3 x 2 x 2 with ranks (2, 1, 2)) has a
+    leg of rank 1, so its flattening 2 is square; its value is 2/3."""
+    rng = np.random.default_rng(5)
+    return [
+        ("discriminant-222", random_tensor((2, 2, 2), rng), UNIFORM3, (2, 2, 2)),
+        ("discriminant-332", random_tensor((3, 3, 2), rng), UNIFORM3, (3, 3, 2)),
+        ("boundary-223", random_tensor((2, 2, 3), rng), QUARTER, (2, 2, 3)),
+        ("boundary-234", random_tensor((2, 3, 4), rng), UNIFORM3, (2, 3, 4)),
+        ("square-224", random_tensor((2, 2, 4), rng), QUARTER, (2, 2, 4)),
+        ("rank-one-leg", _seeded_tensor((3, 2, 2), [(0, 0, 0), (1, 0, 1), (2, 0, 0)]), UNIFORM3,
+         (2, 1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("label, t, theta, ranks", _semistable_cases(),
+                         ids=[c[0] for c in _semistable_cases()])
+def test_semistability_certifies_the_rank_maximum(label, t, theta, ranks):
+    bits = float(sum(w * np.log2(r) for w, r in zip(theta.values, ranks)))
+    q = quantum_functional(t, theta, inner_tol=FAST.inner_tol)
+    assert q.lower_end == "semistable" and q.group_factors is None and q.converged
+    assert q.bits == bits and q.bracket == (bits, bits)
+    if label == "rank-one-leg":
+        assert abs(bits - 2 / 3) <= 1e-15
+    for p, r, n in zip(q.witness.probs, ranks, t.dims):
+        assert p.tolist() == [1.0 / r] * r + [0.0] * (n - r)
+    hi, _ = exact_support_bound(t, theta, FAST.inner_tol)
+    assert bits <= hi
+    # the scaling reaches the certified value: it is the value, not just a bound
+    ref, trace = entropic_scaling(t, theta, upper_bits=bits, width=bracket_width(FAST.inner_tol))
+    assert trace.stop == "bracket" and bits - bracket_width(FAST.inner_tol) <= ref.bits <= bits + 1e-12
+
+
+def test_pencil_discriminant_is_cayleys_hyperdeterminant():
+    def cayley(a):
+        return (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+                + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+                - 2 * (a[0, 0, 0] * a[0, 0, 1] * a[1, 1, 0] * a[1, 1, 1]
+                       + a[0, 0, 0] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 1]
+                       + a[0, 0, 0] * a[1, 0, 0] * a[0, 1, 1] * a[1, 1, 1]
+                       + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 0]
+                       + a[0, 0, 1] * a[1, 0, 0] * a[0, 1, 1] * a[1, 1, 0]
+                       + a[0, 1, 0] * a[1, 0, 0] * a[0, 1, 1] * a[1, 0, 1])
+                + 4 * (a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
+                       + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1]))
+
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        a = random_tensor((2, 2, 2), rng).entries
+        disc = functionals._pencil_discriminant(a[:, :, 0], a[:, :, 1])
+        assert abs(disc - cayley(a)) <= 1e-12 * max(1.0, abs(cayley(a)))
+    w = w_tensor().entries
+    assert abs(functionals._pencil_discriminant(w[:, :, 0], w[:, :, 1])) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_boundary_matrix_is_singular_at_a_common_kernel_vector(m):
+    rng = np.random.default_rng(m)
+    a, b = (rng.standard_normal((m, m + 1)) + 1j * rng.standard_normal((m, m + 1)) for _ in range(2))
+    assert functionals._nonsingular(functionals._boundary_matrix(a, b))
+    v = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+    project = np.eye(m + 1) - np.outer(v, v.conj()) / np.vdot(v, v)
+    sv = np.linalg.svd(functionals._boundary_matrix(a @ project, b @ project), compute_uv=False)
+    assert sv[-1] <= 1e-15 * sv[0]
+
+
+def test_rank_maximum_caps_the_upper_end():
+    # GL_3 elements on W in 3 x 3 x 3: full support, so the exact-support
+    # bound is log2 3, but every flattening has rank 2
+    rng = np.random.default_rng(4)
+    mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
+    t = Tensor(np.einsum("ai,bj,ck,ijk->abc", *mats, np.pad(w_tensor().entries, ((0, 1),) * 3)))
+    bound, _ = exact_support_bound(t, UNIFORM3, FAST.inner_tol)
+    rank = functionals._rank_maximum(t, UNIFORM3.values)
+    assert rank.ranks == (2, 2, 2) and rank.rule is None and bound - rank.bits >= 0.5
+    q = quantum_functional(t, UNIFORM3, inner_tol=FAST.inner_tol)
+    assert q.lower_end == "scaling" and q.bracket == (q.bits, rank.bits)
+    assert abs(q.bits - H13_BITS) <= 1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-17])
+def test_a_small_component_on_a_free_support_keeps_its_certificate(eps):
+    # e_000 + eps e_111 has ranks (2, 2, 2) and value 1 bit; a rank cut at
+    # PINV_CUTOFF would read (1, 1, 1) and put hi at 0, below lo
+    a = np.zeros((2, 2, 2), complex)
+    a[0, 0, 0], a[1, 1, 1] = 1.0, eps
+    q = quantum_functional(Tensor(a), UNIFORM3, inner_tol=FAST.inner_tol)
+    lo, hi = q.bracket
+    assert q.lower_end == "free_support" and abs(lo - 1.0) <= 1e-9
+    assert lo <= hi <= lo + bracket_width(FAST.inner_tol)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-17])
+def test_a_component_below_the_rank_cut_leaves_the_rank_maximum_unused(eps):
+    # e_000 + e_111 + eps (e_222 + e_221) is GL-equivalent to the unit
+    # tensor <3>: ranks (3, 3, 3), value log2 3.  Its small entries leave
+    # the ranks undecided, so neither hi nor a certificate comes from them.
+    a = np.zeros((3, 3, 3), complex)
+    a[0, 0, 0] = a[1, 1, 1] = 1.0
+    a[2, 2, 2] = a[2, 2, 1] = eps
+    t = Tensor(a)
+    assert functionals._rank_maximum(t, UNIFORM3.values) is None
+    bound, _ = exact_support_bound(t, UNIFORM3, FAST.inner_tol)
+    assert abs(bound - np.log2(3)) <= bracket_width(FAST.inner_tol)
+    ref, _ = entropic_scaling(t, UNIFORM3, upper_bits=bound, width=bracket_width(FAST.inner_tol))
+    q = quantum_functional(t, UNIFORM3, inner_tol=FAST.inner_tol)
+    assert q.lower_end == "scaling" and q.bits == ref.bits and q.bracket == ref.bracket
+    assert q.bracket[1] == bound
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-14])
+def test_a_singular_value_between_rounding_and_the_cut_leaves_the_rank_undecided(eps):
+    # GL_3 elements on e_000 + e_111 + eps e_222: all entries are of order 1,
+    # and the third singular value of each flattening is 0 up to rounding or
+    # about eps
+    rng = np.random.default_rng(4)
+    mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
+    core = np.zeros((3, 3, 3), complex)
+    core[0, 0, 0], core[1, 1, 1], core[2, 2, 2] = 1.0, 1.0, eps
+    t = Tensor(np.einsum("ai,bj,ck,ijk->abc", *mats, core))
+    rank = functionals._rank_maximum(t, UNIFORM3.values)
+    if eps == 0.0:
+        assert rank.ranks == (2, 2, 2) and rank.rule == "semistable"
+    else:
+        assert rank is None
+        assert quantum_functional(t, UNIFORM3, inner_tol=FAST.inner_tol).lower_end == "scaling"
 
 
 def test_is_free_matches_the_unique_rows_definition():
@@ -315,7 +458,7 @@ def test_certificate_needs_the_solve_tolerance_and_a_pencil_value_within_hi(monk
 
 
 def test_bracket_stopped_factors_witness_the_endpoint():
-    _, t, theta = _uncertified_cases()[-1]
+    _, t, theta, _, _ = _uncertified_cases()[-1]
     cert = quantum_functional(t, theta)
     assert cert.lower_end == "scaling"
     assert cert.bracket[1] - cert.bracket[0] <= bracket_width(1e-8)
