@@ -8,9 +8,12 @@ identity3, row_pencil, skew3, rand663_0 and rand663_1, built by
 ``perfbench/workloads.py`` from the workload seed (default 1) exactly as the
 benchmark builds them, and run in process.  For each job it prints the
 descent iterations, its ``converged`` flag and why it stopped (``bracket``,
-``tol`` or ``cap``; ``-`` on a checkout whose result does not record it), all
-read by wrapping ``minimize_over_moment_polytope`` where ``ranks`` calls it,
-the moment route (``moment_linf`` for the G-stable rank, the raw ``moment_l1``
+``tol``, ``stall`` or ``cap``; ``-`` on a checkout whose result does not
+record it), all read by wrapping ``minimize_over_moment_polytope`` where
+``ranks`` calls it.  A job that makes no descent because its moment route
+is certified prints 0 iterations, ``converged`` True and the certificate
+(``free_support``, ``semistable`` or ``square_pencil``, from the report's
+``details["moment_certificate"]``) as its stop.  Then come the moment route (``moment_linf`` for the G-stable rank, the raw ``moment_l1``
 value for ncrank), the reported rank, the benchmark's verdict, and the CPU
 seconds of the descent and of the whole job, the medians over ``--repeats``
 runs after one untimed run of every job.  ``--src`` runs the same jobs
@@ -44,11 +47,13 @@ class DescentProbe:
         self.cpu_s = 0.0
         self.stop = "-"
         self.converged = None
+        self.calls = 0
 
     def __call__(self, *args, **kwargs):
         start = time.process_time()
         res = self.descent(*args, **kwargs)
         self.cpu_s += time.process_time() - start
+        self.calls += 1
         self.iterations += res.iterations
         self.stop = getattr(res, "stop", "-")
         self.converged = res.converged
@@ -86,11 +91,13 @@ def main() -> int:
                     ranks.minimize_over_moment_polytope = probe.descent
                 descent_cpu.append(probe.cpu_s)
             route = rep.details["moment_raw"] if rep.quantity == "ncrank" else rep.routes["moment_linf"]
+            certificate = rep.details.get("moment_certificate")
+            skipped = probe.calls == 0 and certificate is not None
             rows.append({
                 "job": job.name,
                 "iterations": probe.iterations,
-                "stop": probe.stop,
-                "converged": probe.converged,
+                "stop": certificate if skipped else probe.stop,
+                "converged": True if skipped else probe.converged,
                 "route": route,
                 "value": rep.value,
                 "verdict": job.judge(rep).status,
@@ -100,10 +107,10 @@ def main() -> int:
     if args.json:
         print(json.dumps({"seed": args.seed, "repeats": args.repeats, "jobs": rows}))
         return 0
-    print(f"{'job':24s} {'iters':>6s} {'conv':>5s} {'stop':>7s} {'route':>18s} {'value':>6s} "
+    print(f"{'job':24s} {'iters':>6s} {'conv':>5s} {'stop':>13s} {'route':>18s} {'value':>6s} "
           f"{'verdict':>8s} {'desc_s':>7s} {'cpu_s':>7s}")
     for r in rows:
-        print(f"{r['job']:24s} {r['iterations']:6d} {str(r['converged']):>5s} {r['stop']:>7s} {r['route']:18.15f} "
+        print(f"{r['job']:24s} {r['iterations']:6d} {str(r['converged']):>5s} {r['stop']:>13s} {r['route']:18.15f} "
               f"{r['value']:6.3g} {r['verdict']:>8s} {r['descent_cpu_s']:7.4f} {r['cpu_s']:7.4f}")
     return 0
 

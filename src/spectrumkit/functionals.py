@@ -445,6 +445,21 @@ def _rank_maximum(t: Tensor, th: np.ndarray) -> _RankMaximum | None:
     return _RankMaximum(bits, c.shape, _semistability_rule(c, th))
 
 
+def _semistable_ranks(t: Tensor, legs: Sequence[int]) -> _RankMaximum | None:
+    """The rank maximum at weights spread over ``legs``, where a rule of
+    ``_semistability_rule`` passes, else None.  The point uniform on the
+    first r_j coordinates of each of the legs then lies in the moment
+    polytope of their group, so log2 F_theta(t) = sum_j theta_j log2 r_j at
+    every theta on the legs.  Rules (a), (c) and (d) prove semistability
+    under the whole group, and so under the group of any legs (an invariant
+    of the group is one of the subgroup); rule (b) counts only when ``legs``
+    are exactly its two legs of positive weight."""
+    th = np.zeros(t.order)
+    th[list(legs)] = 1.0 / len(legs)
+    rank = _rank_maximum(t, th)
+    return rank if rank is not None and rank.rule is not None else None
+
+
 def _certified_lower_end(
     dims: tuple[int, ...], th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float,
     free: bool, rank: _RankMaximum | None,
@@ -679,6 +694,56 @@ def support_functional(
 
 # ---------------------------------------------------------------------------
 # generic descent over the moment polytope (convex symmetric objectives)
+
+
+@dataclass(frozen=True)
+class MomentCertificate:
+    """The minimum of a convex symmetric objective over a moment polytope,
+    known without a descent: it lies in [value - gap, value], and
+    ``witness`` (sorted non-increasing spectra, one per leg of the
+    objective) is a point of the polytope at ``value``.  ``how`` is
+    ``free_support``, ``semistable`` or ``square_pencil``; ``solve`` is the
+    exact-support program behind a ``free_support`` certificate."""
+
+    value: float
+    gap: float
+    witness: MarginalTuple
+    how: str
+    solve: SupportOptimum | None = None
+
+
+def _moment_certificate(t: Tensor, objective, legs: Sequence[int]) -> MomentCertificate | None:
+    """min of a convex symmetric ``objective`` of the spectra on ``legs`` over
+    the moment polytope of t under the group of those legs, where one of two
+    facts gives it without a descent; None elsewhere.
+
+    * ``free_support``: every leg is in ``legs`` and the exact support is
+      free (``_is_free``).  The polytope then holds the marginals of every
+      distribution on the support (Christandl, Vrana & Zuiddam, STOC 2018),
+      and by the minimax formula no point below the support program, so the
+      minimum is that program (``min_convex_over_support``), attained,
+      within its certified gap.
+    * ``semistable`` or ``square_pencil`` (``_semistable_ranks``): the point
+      uniform on the first r_j coordinates of each leg, r_j the rank of
+      flattening j, lies in the polytope (Kempf-Ness; Gurvits, JCSS 2004 for
+      the square pencil).  Every spectrum there has at most r_j nonzeros,
+      so it majorizes that point, and a convex symmetric objective is
+      Schur-convex: the minimum is the objective at that point, exactly.
+      Undecided ranks (``_concise``) give None.
+    """
+    legs = list(legs)
+    if len(legs) == t.order:
+        exact = support(t, 0.0)
+        if _is_free(exact.points):
+            opt = min_convex_over_support(exact, objective)
+            witness = MarginalTuple(tuple(np.sort(p)[::-1] for p in opt.marginals.probs))
+            return MomentCertificate(opt.value, opt.certified_gap, witness, "free_support", opt)
+    rank = _semistable_ranks(t, legs)
+    if rank is None:
+        return None
+    witness = MarginalTuple(tuple(np.r_[np.full(rank.ranks[j], 1.0 / rank.ranks[j]),
+                                        np.zeros(t.dims[j] - rank.ranks[j])] for j in legs))
+    return MomentCertificate(objective.value(witness.probs), 0.0, witness, rank.rule)
 
 
 @dataclass(frozen=True)
@@ -921,10 +986,10 @@ def minimax_gap(
 
     The two agree in exact arithmetic; ``gap = lhs - rhs`` is reported
     signed.  The lhs is computed by entropic scaling when F is a negated
-    weighted entropy and by subgradient scaling descent otherwise.  The lhs
-    bounds the true value from above and (rhs - its certified gap) from
-    below, so the basis search stops once that bracket is as narrow as the
-    lhs is loose.  A bracket closed to max(10 inner_tol, 1e-6) reports
+    weighted entropy, and otherwise by a certificate or by subgradient
+    scaling descent.  The lhs bounds the true value from above and (rhs -
+    its certified gap) from below, so the basis search stops once that
+    bracket is as narrow as the lhs is loose.  A bracket closed to max(10 inner_tol, 1e-6) reports
     ``converged=True``; an open one reports the lhs solver's own flag.
 
     For a negated weighted entropy the lhs is the bracket of
@@ -937,11 +1002,18 @@ def minimax_gap(
     (lo, hi) in bits of F_theta(t), and a candidate whose support is the
     exact one reuses the solve that gave hi.
 
-    For any other F the identity basis is scored first.  Its rhs less its
-    certified gap bounds the minimum from below, so the descent stops as
-    soon as its value passes the report's closed test against it, and the
-    lhs may sit max(10 inner_tol, 1e-6) above that bound; the basis search
-    allows the same slack and reuses the identity's solve.
+    For any other F the lhs is certified without a descent where
+    ``_moment_certificate`` applies: on a free exact support it is the
+    support program there, and on a concise tensor that one of
+    ``_semistability_rule``'s invariants proves semistable it is F at the
+    point uniform on the flattening ranks; ``lhs_certificate.lower_end``
+    names the certificate, and a candidate whose support is the exact one
+    reuses the free support's solve.  Elsewhere the identity basis is
+    scored first.  Its rhs less its certified gap bounds the minimum from
+    below, so the descent stops as soon as its value passes the report's
+    closed test against it, and the lhs may sit max(10 inner_tol, 1e-6)
+    above that bound; the basis search allows the same slack and reuses
+    the identity's solve.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
@@ -955,22 +1027,21 @@ def minimax_gap(
         lhs_cert = replace(q, value=lhs, bits=lhs)
         lhs_converged = q.converged
     else:
-        _, known = _support_score(t, objective, cfg, None)(GroupElement.identity(t.dims))
-        floor = known.value - known.certified_gap
-        bound = _descent_bound(lambda v: v - floor <= closed_tol, floor + closed_tol)
-        res = minimize_over_moment_polytope(t, objective, bound=bound)
         slack = closed_tol
-        lhs = res.value
-        lhs_cert = FunctionalCertificate(
-            value=lhs,
-            bits=float("nan"),
-            witness=res.witness,
-            theta=None,
-            group_factors=res.group_factors,
-            converged=res.converged,
-            gap=None,
-        )
-        lhs_converged = res.converged
+        cert = _moment_certificate(t, objective, range(t.order))
+        if cert is not None:
+            known, lhs, lhs_converged = cert.solve, cert.value, True
+            lhs_cert = FunctionalCertificate(value=lhs, bits=float("nan"), witness=cert.witness,
+                                             lower_end=cert.how)
+        else:
+            _, known = _support_score(t, objective, cfg, None)(GroupElement.identity(t.dims))
+            floor = known.value - known.certified_gap
+            bound = _descent_bound(lambda v: v - floor <= closed_tol, floor + closed_tol)
+            res = minimize_over_moment_polytope(t, objective, bound=bound)
+            lhs, lhs_converged = res.value, res.converged
+            lhs_cert = FunctionalCertificate(value=lhs, bits=float("nan"), witness=res.witness,
+                                             group_factors=res.group_factors,
+                                             converged=res.converged)
 
     neg_rhs, best_u, rhs_opt, scored = _basis_search(
         unitary_candidates(t),

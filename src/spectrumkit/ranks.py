@@ -22,12 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import (
+    MomentCertificate,
     MomentDescentResult,
     SearchConfig,
     _basis_search,
     _descent_bound,
     _eigenbasis_unitary,
     _is_free,
+    _moment_certificate,
+    _semistable_ranks,
     entropic_scaling,
     minimize_over_moment_polytope,
     unitary_candidates,
@@ -102,7 +105,7 @@ THETA_MAX_CUTS = 60
 
 def _slice_rank_theta_route(
     t: Tensor, xi: ThetaWeights, cfg: SearchConfig
-) -> tuple[np.ndarray, tuple[float, float], int, SupportOptimum | None]:
+) -> tuple[np.ndarray, tuple[float, float], int, SupportOptimum | None, str | None]:
     """A bracket (lo, hi), in bits, on min over theta >= 0 with <theta, xi> = 1
     of bits(theta) = log2 F_theta(t).  Its lower end is certified on every
     support, so the route's value is 2^lo.
@@ -114,6 +117,12 @@ def _slice_rank_theta_route(
     witness, hi adds its certified gap, the cuts are its oracles and the
     best theta is that of its least upper end.  No scaling runs.
 
+    Where a rule of ``_semistability_rule`` passes for the legs with
+    xi_j > 0 (``_semistable_ranks``), bits(theta) = sum_j theta_j log2 r_j
+    at every theta on them, r_j the rank of flattening j.  That is linear
+    in theta, so the route is least at a vertex: lo = hi = min over those
+    legs of log2 r_j / xi_j, at theta = e_j, with no cut.
+
     Elsewhere the route runs Kelley cutting planes: the leg entropies h_k of
     any point of the moment polytope satisfy <theta, h_k> <= bits(theta), and
     each cut is the endpoint of one loose cold-started scaling run (a
@@ -124,16 +133,25 @@ def _slice_rank_theta_route(
     From the vertices on, each master's theta adds a cut until
     hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts; the route ends there.
 
-    Returns the best theta, (lo, hi), the cut count (one scaling run each off
-    a free support) and the max-min solve, or None off a free support.
+    Returns the best theta, (lo, hi), the cut count (one scaling run each
+    on the Kelley path), the max-min solve, or None off a free support, and
+    the certificate that ended the route (``free_support``, ``semistable``
+    or ``square_pencil``), or None after Kelley cuts.
     """
     exact = support(t, 0.0)
     if _is_free(exact.points):
         solve, theta = max_min_weighted_entropy_witness(exact, xi, tol=cfg.inner_tol)
         lo = solve.value
         return (theta.values, (float(lo), float(lo + solve.certified_gap)),
-                solve.iterations, solve)
+                solve.iterations, solve, "free_support")
     legs = np.flatnonzero(xi.values > 0)
+    rank = _semistable_ranks(t, legs)
+    if rank is not None:
+        ends = np.log2(np.array(rank.ranks)[legs]) / xi.values[legs]
+        vertex = np.zeros(t.order)
+        vertex[legs[np.argmin(ends)]] = 1.0
+        lo = float(ends.min())
+        return vertex, (lo, lo), 0, None, rank.rule
 
     def weights_at(point: np.ndarray) -> ThetaWeights:
         theta = np.zeros(t.order)
@@ -157,7 +175,7 @@ def _slice_rank_theta_route(
             break
         points.append(sol.x[:-1])
         cuts.append(cut(points[-1]))
-    return weights_at(points[best]).values, (float(lo), float(hi)), len(cuts), None
+    return weights_at(points[best]).values, (float(lo), float(hi)), len(cuts), None, None
 
 
 def asymptotic_slice_rank(
@@ -170,10 +188,14 @@ def asymptotic_slice_rank(
     Route "quantum_theta_min" minimizes the quantum functional over entropy
     weights (``_slice_rank_theta_route``), with bracket
     ``details["theta_bracket"]``: on a free exact support by the max-min
-    entropy program there, elsewhere by Kelley cuts from loose scaling runs.
-    Either way the bracket's lower end is certified and is the route's
-    value.  ``details["scaling_runs"]`` counts the runs that scaled: one per
-    cut, 0 on a free support.  A bracket wider than THETA_BRACKET_BITS when
+    entropy program there, on a concise tensor that a semistability rule
+    certifies by the least log2 r_j / xi_j over the flattening ranks r_j,
+    elsewhere by Kelley cuts from loose scaling runs.  Each way the
+    bracket's lower end is certified and is the route's value;
+    ``details["moment_certificate"]`` names the first two (``free_support``,
+    ``semistable`` or ``square_pencil``) and is None after Kelley cuts.
+    ``details["scaling_runs"]`` counts the runs that scaled: one per
+    Kelley cut, else 0.  A bracket wider than THETA_BRACKET_BITS when
     the cuts run out adds a note and status "warn".  Route "cover_entropy"
     is the least asymptotic cover number of the rotated support hypergraph
     over the identity and the marginal eigenbasis (``unitary_candidates``).
@@ -191,7 +213,7 @@ def asymptotic_slice_rank(
     if xi.role != "xi":
         raise InvalidArgumentError("slice rank expects weights with role 'xi'")
 
-    theta, (lo, hi), cuts, solve = _slice_rank_theta_route(t, xi, cfg)
+    theta, (lo, hi), cuts, solve, certificate = _slice_rank_theta_route(t, xi, cfg)
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
     notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
@@ -216,13 +238,23 @@ def asymptotic_slice_rank(
         notes=notes,
         details={"theta": theta, "basis": best_u,
                  "theta_bracket": (float(2**lo), float(2**hi)),
-                 "scaling_runs": 0 if solve is not None else cuts,
-                 "cover_bases": scored},
+                 "scaling_runs": 0 if certificate else cuts,
+                 "cover_bases": scored, "moment_certificate": certificate},
     )
 
 
 # ---------------------------------------------------------------------------
 # G-stable rank
+
+
+def _moment_details(res: MomentDescentResult | MomentCertificate) -> dict:
+    """How a moment route ended: a descent's steps and stop reason, or 0 steps
+    and the certificate's name in both ``descent_stop`` and
+    ``moment_certificate``."""
+    if isinstance(res, MomentCertificate):
+        return {"descent_iterations": 0, "descent_stop": res.how, "moment_certificate": res.how}
+    return {"descent_iterations": res.iterations, "descent_stop": res.stop,
+            "moment_certificate": None}
 
 
 def g_stable_rank(
@@ -236,18 +268,32 @@ def g_stable_rank(
     marginal eigenbasis ("cover_lp", ``unitary_candidates``) and by the
     reciprocal inf-norm program over marginal spectra ("moment_linf").
 
-    Every cover LP is an upper end and every descent point's 1 / value a
-    lower end, so the descent stops once cover_lp - 1 / value <= route_tol;
-    ``details["descent_iterations"]`` and ``details["descent_stop"]`` say
-    how it ended.  A moment route above the cover route by more than
-    route_tol is an inverted bracket: a note and status "warn".  The cover
-    route scores both bases; ``details["cover_bases"]`` counts them."""
+    Every cover LP is an upper end and every moment point's 1 / value a
+    lower end.  Where ``_moment_certificate`` applies (a free exact support
+    or a semistable concise tensor), the inf-norm minimum v is known, within
+    its certified gap g, without a descent: "moment_linf" is 1 / v, and
+    ``details["moment_certificate"]`` names the certificate.  The fractional
+    cover LP is the LP dual of the inf-norm program, so a basis whose
+    ``cfg.eta`` support is the free exact support takes its cover, 1 / (v -
+    g), from the certificate's solve.  The G-stable rank is at most
+    1 / (v - g), so the basis search stops at the first cover within
+    ``cfg.inner_tol`` bits of it.  Elsewhere the cover route scores both
+    bases, and a moment descent runs until cover_lp - 1 / value <=
+    route_tol.  ``details["descent_iterations"]`` and
+    ``details["descent_stop"]`` say how the moment route ended (0 and the
+    certificate's name where there was no descent).  A moment route above
+    the cover route by more than route_tol is an inverted bracket: a note
+    and status "warn".  ``details["cover_bases"]`` counts the bases
+    scored."""
     t.require_nonzero()
     cfg = cfg or SearchConfig()
     alpha = alpha or ThetaWeights.alpha(np.ones(t.order))
     if alpha.role != "alpha":
         raise InvalidArgumentError("G-stable rank expects weights with role 'alpha'")
 
+    objective = MaxInfNorm(alpha)
+    cert = _moment_certificate(t, objective, range(t.order))
+    solve = cert.solve if cert is not None else None
     # equal supports have equal covers: one LP per support, and the first
     # basis reaching it
     cover_of: dict[Hypergraph, float] = {}
@@ -255,18 +301,26 @@ def g_stable_rank(
     def cover(u):
         h = hypergraph_of(apply_group(u, t), cfg.eta)
         if h not in cover_of:
-            cover_of[h] = fractional_vertex_cover(h, alpha).value
+            if solve is not None and np.array_equal(h.as_support().points,
+                                                    solve.distribution.support.points):
+                cover_of[h] = 1.0 / (solve.value - solve.certified_gap)
+            else:
+                cover_of[h] = fractional_vertex_cover(h, alpha).value
         return cover_of[h], None
 
-    val_a, best_u, _, scored = _basis_search(unitary_candidates(t), cover)
+    top = -np.inf if cert is None else 2.0**cfg.inner_tol / (cert.value - cert.gap)
+    val_a, best_u, _, scored = _basis_search(unitary_candidates(t), cover,
+                                             lambda best, _: best <= top)
     val_a = float(val_a)
-    bound = None
-    if val_a > route_tol:
-        bound = _descent_bound(lambda v: val_a - 1.0 / v <= route_tol, 1.0 / (val_a - route_tol))
-    descent = minimize_over_moment_polytope(
-        t, MaxInfNorm(alpha), max_iter=6000, bound=bound
-    )
-    val_b = 1.0 / descent.value
+    if cert is None:
+        bound = None
+        if val_a > route_tol:
+            bound = _descent_bound(lambda v: val_a - 1.0 / v <= route_tol,
+                                   1.0 / (val_a - route_tol))
+        res = minimize_over_moment_polytope(t, objective, max_iter=6000, bound=bound)
+    else:
+        res = cert
+    val_b = 1.0 / res.value
 
     routes = {"cover_lp": val_a, "moment_linf": float(val_b)}
     gap = _route_gap(routes)
@@ -280,8 +334,8 @@ def g_stable_rank(
         gap=gap,
         status="ok" if gap <= route_tol and not notes else "warn",
         notes=notes,
-        details={"basis": best_u, "witness": descent.witness, "cover_bases": scored,
-                 "descent_iterations": descent.iterations, "descent_stop": descent.stop},
+        details={"basis": best_u, "witness": res.witness, "cover_bases": scored,
+                 **_moment_details(res)},
     )
 
 
@@ -363,31 +417,39 @@ def ncrank_moment(
     a: MatrixTuple,
     *,
     upper: float | None = None,
-) -> tuple[float, int, MomentDescentResult]:
+) -> tuple[float, int, MomentDescentResult | MomentCertificate]:
     """Marginal-uniformity route: ncrk = n - (n/2) * min over the left-right
     orbit of ||p_1 - 1/n||_1 + ||p_2 - 1/n||_1, where p_1, p_2 are the row
-    and column marginal spectra.  Every orbit point gives a lower end, so
-    with an upper end ``upper`` (a cover number) the descent stops once
-    upper - raw <= ROUTE_TOL.  The descent runs at most 6000 iterations, as
-    in ``g_stable_rank``.  Returns the raw value, its rounding and the
+    and column marginal spectra.  Where ``_moment_certificate`` applies on
+    the row and column legs (a semistable concise tensor: a leg of rank 1
+    or another square flattening, a 2 x 2 or 3 x 3 pencil, or a square
+    pencil holding a nonsingular matrix), the minimum is known without a
+    descent.  Elsewhere every orbit point gives a lower end, so with an
+    upper end ``upper`` (a cover number) the descent stops once upper - raw
+    <= ROUTE_TOL; it runs at most 6000 iterations, as in ``g_stable_rank``.
+    Returns the raw value, its rounding and the certificate or the
     descent."""
     t = a.as_tensor()
-    bound = None
-    if upper is not None:
-        bound = _descent_bound(lambda v: upper - _moment_raw(a.n, v) <= ROUTE_TOL,
-                               2.0 * (a.n - upper + ROUTE_TOL) / a.n)
-    res = minimize_over_moment_polytope(
-        t, L1FromUniform(), active_legs=(0, 1), max_iter=6000, bound=bound
-    )
+    res = _moment_certificate(t, L1FromUniform(), (0, 1))
+    if res is None:
+        bound = None
+        if upper is not None:
+            bound = _descent_bound(lambda v: upper - _moment_raw(a.n, v) <= ROUTE_TOL,
+                                   2.0 * (a.n - upper + ROUTE_TOL) / a.n)
+        res = minimize_over_moment_polytope(
+            t, L1FromUniform(), active_legs=(0, 1), max_iter=6000, bound=bound
+        )
     raw = _moment_raw(a.n, res.value)
     return float(raw), int(np.floor(raw + 0.5)), res
 
 
 def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
     """All three noncommutative rank routes with exact-agreement status.  The
-    moment descent stops once its raw value is within ROUTE_TOL of the
-    bipartite cover; a raw value above the cover by more than 0.25 is an
-    inverted bracket (a note and status "warn")."""
+    moment route is certified where ``ncrank_moment`` can
+    (``details["moment_certificate"]``), else its descent stops once its raw
+    value is within ROUTE_TOL of the bipartite cover; a raw value above the
+    cover by more than 0.25 is an inverted bracket (a note and status
+    "warn")."""
     cfg = cfg or SearchConfig()
     notes = _tuple_degeneracy_notes(a)
     fr, fr_cert = ncrank_fr(a, cfg)
@@ -415,6 +477,5 @@ def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
         gap=gap,
         status=status,
         notes=notes,
-        details={"moment_raw": raw, "fr_certificate": fr_cert,
-                 "descent_iterations": descent.iterations, "descent_stop": descent.stop},
+        details={"moment_raw": raw, "fr_certificate": fr_cert, **_moment_details(descent)},
     )

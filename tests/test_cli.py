@@ -9,16 +9,20 @@ import pytest
 
 import spectrumkit
 from conftest import gl_w_tensor, sparse_tensor
-from spectrumkit import MatrixTuple, cli, functionals, hypergraphs, make_unit, w_tensor
+from spectrumkit import MatrixTuple, cli, functionals, hypergraphs, make_unit, ranks, w_tensor
 from spectrumkit import serialize as ser
 from spectrumkit.cli import main
 from spectrumkit.linprog import LpError
+from spectrumkit.tensors import random_tensor
 
 
 @pytest.fixture()
 def files(tmp_path):
     paths = {}
-    for name, t in (("unit3", make_unit(3, 3)), ("w", w_tensor()), ("unit2", make_unit(2, 3))):
+    for name, t in (("unit3", make_unit(3, 3)), ("w", w_tensor()), ("unit2", make_unit(2, 3)),
+                    ("gl_w", gl_w_tensor()),
+                    ("ww", spectrumkit.tensor_product(w_tensor(), w_tensor())),
+                    ("rand334", random_tensor((3, 3, 4), np.random.default_rng(0)))):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(ser.tensor_to_json_dict(t)))
         paths[name] = str(p)
@@ -118,17 +122,32 @@ def test_rank_gstable_w(files, capsys):
     assert abs(payload["value"] - 1.5) <= 1e-3
 
 
-def test_rank_gstable_route_tol_sets_the_descent_stop(tmp_path, capsys):
-    # the descent on W x W ends 7.1e-4 below the cover LP's 3 when it runs to
-    # its cap; --route-tol 1e-3 stops it earlier, within 1e-3
-    p = tmp_path / "ww.json"
-    p.write_text(json.dumps(ser.tensor_to_json_dict(spectrumkit.tensor_product(w_tensor(), w_tensor()))))
-    for tol, expected in (("1e-3", 0), ("1e-4", 3)):
-        code, out = run(capsys, "rank", "gstable", str(p), "--route-tol", tol)
+def test_rank_gstable_route_tol_sets_the_descent_stop(files, capsys, monkeypatch):
+    # a generic 3x3x4 tensor is neither free nor certified semistable, so its
+    # moment route is a descent that runs until it is within --route-tol of
+    # the cover LP's 3: a tighter tolerance takes more steps
+    steps = []
+    descend = ranks.minimize_over_moment_polytope
+
+    def counted(*args, **kwargs):
+        res = descend(*args, **kwargs)
+        steps.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(ranks, "minimize_over_moment_polytope", counted)
+    for tol in ("5e-3", "1e-3", "1e-4"):
+        code, out = run(capsys, "rank", "gstable", files["rand334"], "--route-tol", tol)
         payload = json.loads(out)
-        assert code == expected
-        assert payload["value"] == 3.0
-        assert (payload["gap"] <= float(tol)) == (expected == 0)
+        assert code == 0
+        assert abs(payload["value"] - 3.0) <= 1e-9
+        assert payload["gap"] <= float(tol)
+    assert steps[0] < steps[1] < steps[2] <= 6000
+    # a descent cut short leaves the routes further apart than --route-tol:
+    # exit 3
+    monkeypatch.setattr(ranks, "minimize_over_moment_polytope",
+                        lambda *a, **k: descend(*a, **{**k, "max_iter": 3}))
+    code, out = run(capsys, "rank", "gstable", files["rand334"], "--route-tol", "1e-4")
+    assert code == 3 and json.loads(out)["gap"] > 1e-4
 
 
 def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
@@ -136,7 +155,7 @@ def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
         raise LpError("iteration limit reached")
 
     monkeypatch.setattr(hypergraphs, "solve_lp", failing)
-    code = main(["rank", "gstable", files["w"]])
+    code = main(["rank", "gstable", files["gl_w"]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -148,7 +167,7 @@ def test_rank_gstable_size_cap_exit_2(files, capsys, monkeypatch):
         raise hypergraphs.ResourceLimitError("4096^2 edges exceeds the cap 1000000")
 
     monkeypatch.setattr(hypergraphs, "solve_lp", capped)
-    code = main(["rank", "gstable", files["w"]])
+    code = main(["rank", "gstable", files["gl_w"]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -387,6 +406,13 @@ def test_functional_and_minimax_runs_leave_scipy_unloaded(files):
     runs = [f"functional quantum {w} --theta 3/5,2/5,0", f"functional quantum {w} --theta 1/2,1/4,1/4",
             f"functional support {w} --theta 3/5,2/5,0", f"functional support {w} --theta 1/3,1/3,1/3"]
     runs += [f"check-minimax {w} --objective {o}" for o in ("linf", "l1-uniform", "neg-entropy")]
+    assert _fresh_process(_CLI_RUNS, *runs).strip() == f"{[0] * len(runs)} []"
+
+
+def test_gstable_runs_on_free_supports_leave_scipy_unloaded(files):
+    # on a free support the cover LP of the identity basis is the dual of
+    # the inf-norm program that certifies the moment route, so no HiGHS solve
+    runs = [f"rank gstable {files['w']}", f"rank gstable {files['ww']}"]
     assert _fresh_process(_CLI_RUNS, *runs).strip() == f"{[0] * len(runs)} []"
 
 

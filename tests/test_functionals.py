@@ -336,6 +336,86 @@ def test_boundary_matrix_is_singular_at_a_common_kernel_vector(m):
     assert sv[-1] <= 1e-15 * sv[0]
 
 
+def _certificate_case(label: str) -> Tensor:
+    if label == "wxw":
+        return tensor_product(w_tensor(), w_tensor())
+    dims = {"rand222": (2, 2, 2), "rand332": (3, 3, 2), "rand234": (2, 3, 4), "rand331": (3, 3, 1)}
+    return random_tensor(dims[label], np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("objective, legs", [
+    (MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), (0, 1, 2)),
+    (L1FromUniform(), (0, 1, 2)),
+    (L1FromUniform(), (0, 1)),
+], ids=["linf", "l1", "l1-rows-cols"])
+@pytest.mark.parametrize("label", ["rand222", "rand332", "rand234", "rand331", "wxw"])
+def test_moment_certificate_is_the_minimum_a_descent_approaches(label, objective, legs):
+    # every descent value is attained in the moment polytope, so an
+    # unbounded descent never ends below the certified minimum (less its
+    # gap); it ends near it
+    t = _certificate_case(label)
+    cert = functionals._moment_certificate(t, objective, legs)
+    free = label == "wxw" and len(legs) == 3
+    pencil = label in ("rand222", "rand332", "wxw") and len(legs) == 2
+    assert cert.how == ("free_support" if free else "square_pencil" if pencil else "semistable")
+    assert (cert.solve is not None) == free
+    assert cert.gap <= 1e-15 and (free or cert.gap == 0.0)
+    assert len(cert.witness.probs) == len(legs)
+    assert objective.value(cert.witness.probs) == pytest.approx(cert.value, abs=1e-15)
+    for p in cert.witness.probs:
+        assert np.all(np.diff(p) <= 0.0)
+    ref = minimize_over_moment_polytope(t, objective, active_legs=legs, max_iter=6000)
+    assert ref.value >= cert.value - cert.gap - 1e-12
+    assert ref.value - cert.value <= 1e-3
+
+
+def _skew3() -> Tensor:
+    arr = np.zeros((3, 3, 3), dtype=complex)
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        arr[i, j, k], arr[j, i, k] = 1.0, -1.0
+    return Tensor(arr)
+
+
+def test_moment_certificate_needs_a_free_support_or_a_rule():
+    # W and GL.W have Cayley hyperdeterminant 0, no rule covers 3 x 3 x 3,
+    # and the odd skew pencil holds no nonsingular matrix
+    linf = MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))
+    rand333 = random_tensor((3, 3, 3), np.random.default_rng(7))
+    for t in (w_tensor(), gl_w_tensor(), _skew3(), rand333):
+        assert functionals._semistable_ranks(t, range(3)) is None
+    for t in (gl_w_tensor(), rand333):
+        for objective in (linf, L1FromUniform()):
+            assert functionals._moment_certificate(t, objective, range(3)) is None
+    # the skew tensor's support is free, but on the row and column legs the
+    # third leg is no part of the group
+    assert functionals._moment_certificate(_skew3(), linf, range(3)).how == "free_support"
+    assert functionals._moment_certificate(_skew3(), L1FromUniform(), (0, 1)) is None
+    # undecided ranks: e_000 + e_111 + 1e-14 (e_222 + e_221) is not free
+    a = np.zeros((3, 3, 3), complex)
+    a[0, 0, 0] = a[1, 1, 1] = 1.0
+    a[2, 2, 2] = a[2, 2, 1] = 1e-14
+    assert functionals._moment_certificate(Tensor(a), linf, range(3)) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimax_on_a_semistable_tensor_makes_no_descent(seed, monkeypatch):
+    # Cayley's hyperdeterminant certifies a random 2 x 2 x 2 tensor: the
+    # uniform point is the minimum of every convex symmetric objective
+    t = random_tensor((2, 2, 2), np.random.default_rng(seed))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moment descent on a semistable tensor")
+
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope", refuse)
+    for objective, value in ((MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), 0.5),
+                             (MaxInfNorm(ThetaWeights.alpha([1, 2, 1])), 0.5),
+                             (L1FromUniform(), 0.0)):
+        rep = minimax_gap(t, objective, FAST)
+        assert rep.lhs_certificate.lower_end == "semistable"
+        assert rep.lhs == value and rep.converged
+        assert abs(rep.gap) <= 1e-9
+
+
 def test_rank_maximum_caps_the_upper_end():
     # GL_3 elements on W in 3 x 3 x 3: full support, so the exact-support
     # bound is log2 3, but every flattening has rank 2
@@ -883,32 +963,55 @@ def test_minimax_gap_examples(w, matmul222):
 
 
 def test_minimax_closed_bracket_converges_and_stops_the_search():
-    t = random_tensor((2, 3, 4), np.random.default_rng(0))
+    t = random_tensor((3, 3, 3), np.random.default_rng(7))
     rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST)
-    # the descent stops once its value meets the identity basis's support bound
+    # no certificate covers a generic 3x3x3 tensor: the descent stops once
+    # its value meets the identity basis's support bound
+    assert rep.lhs_certificate.lower_end is None
     assert rep.lhs_certificate.converged is True
     assert rep.converged is True and rep.bases_scored == 1
     assert abs(rep.gap) <= 1e-6
 
 
 @pytest.mark.parametrize("label", ["w", "matmul222", "unit3"])
-def test_minimax_descents_stop_at_the_support_bound(label, monkeypatch):
+def test_minimax_on_a_free_support_makes_no_descent(label, monkeypatch):
     t = {"w": w_tensor(), "matmul222": matmul_tensor(2, 2, 2), "unit3": make_unit(3, 3)}[label]
-    descents = []
-    descend = functionals.minimize_over_moment_polytope
-    monkeypatch.setattr(functionals, "minimize_over_moment_polytope",
-                        lambda *a, **k: descents.append(descend(*a, **k)) or descents[-1])
-    # the linf minima are 1 / (G-stable rank); each l1 minimum is at the start
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moment descent on a free support")
+
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope", refuse)
+    # the linf minima are 1 / (G-stable rank), the l1 minima of W and the
+    # unit tensors are at the start; on a free support both are the support
+    # programs, whose solve the identity basis reuses
     known = {"w": (2 / 3, 1.0), "matmul222": (0.25, 0.0), "unit3": (1 / 3, 0.0)}[label]
     for objective, value in zip((MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), L1FromUniform()), known):
         rep = minimax_gap(t, objective, FAST)
-        assert (descents[-1].stop, descents[-1].iterations) == ("bracket", 0)
+        assert rep.lhs_certificate.lower_end == "free_support"
         assert rep.converged and rep.bases_scored == 1
         assert abs(rep.lhs - value) <= 1e-6 and abs(rep.rhs - value) <= 1e-6
 
 
+@pytest.mark.parametrize("label", ["rand333", "sparse332"])
+def test_minimax_descents_stop_at_the_support_bound(label, monkeypatch):
+    # neither tensor is free or certified semistable, so each objective
+    # runs a descent, which stops once it meets the identity's support bound
+    t = {"rand333": random_tensor((3, 3, 3), np.random.default_rng(7)),
+         "sparse332": sparse332()}[label]
+    descents = []
+    descend = functionals.minimize_over_moment_polytope
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope",
+                        lambda *a, **k: descents.append(descend(*a, **k)) or descents[-1])
+    for objective in (MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), L1FromUniform()):
+        rep = minimax_gap(t, objective, FAST)
+        assert descents[-1].stop == "bracket"
+        assert rep.lhs_certificate.lower_end is None
+        assert rep.converged and rep.bases_scored == 1
+        assert abs(rep.gap) <= 1e-6
+
+
 def test_minimax_open_bracket_reports_the_descent_flag(monkeypatch):
-    t = random_tensor((2, 3, 4), np.random.default_rng(0))
+    t = random_tensor((3, 3, 3), np.random.default_rng(7))
     descend = functionals.minimize_over_moment_polytope
     monkeypatch.setattr(functionals, "minimize_over_moment_polytope",
                         lambda *a, **k: descend(*a, **{**k, "max_iter": 3}))

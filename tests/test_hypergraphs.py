@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import F_W
+from conftest import F_W, gl_w_tensor
 from oracles import brute_force_vertex_cover, brute_force_weighted_cover
 from spectrumkit import (
     BipartiteGraph,
@@ -206,8 +206,11 @@ def test_g_stable_rank_solves_one_lp_per_support(monkeypatch):
         return fractional_vertex_cover(h, alpha)
 
     monkeypatch.setattr(ranks, "fractional_vertex_cover", counted)
+    # W's support is free: the identity's cover comes from the inf-norm
+    # program's solve, with no cover LP
     rep = g_stable_rank(w_tensor())
-    assert abs(rep.value - 1.5) <= 1e-9
+    assert abs(rep.value - 1.5) <= 1e-9 and calls == []
+    g_stable_rank(gl_w_tensor())
     assert 1 <= len(calls) <= 2 and len(set(calls)) == len(calls)
 
 

@@ -171,7 +171,7 @@ def test_theta_route_beats_quarter_grid(name, w):
     grid = [np.array(c) / 4 for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
     bits = [quantum_functional(t, ThetaWeights.theta(th), max_iter=2000).bits for th in grid]
     for xi in ([1, 1, 1], [1, 0.5, 1]):
-        _, (lo, _), _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
+        _, (lo, _), _, _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
         value = asymptotic_slice_rank(t, ThetaWeights.xi(xi), FAST).routes["quantum_theta_min"]
         assert 2.0**lo <= value
         for th, b in zip(grid, bits):
@@ -197,10 +197,12 @@ def test_theta_route_scaling_runs(monkeypatch):
 
 
 def test_theta_route_vertex_cuts_are_two_step_runs(monkeypatch):
-    # rand234's support is not free, so every cut is a loose run; at the
-    # vertices theta = e_j each run stops at its one-step fixed point
-    t = random_tensor((2, 3, 4), np.random.default_rng(5))
+    # a generic 3x3x3 tensor: its support is not free and no semistability
+    # rule covers 3x3x3, so every cut is a loose run; at the vertices
+    # theta = e_j each run stops at its one-step fixed point
+    t = random_tensor((3, 3, 3), np.random.default_rng(7))
     assert not functionals._is_free(support(t, 0.0).points)
+    assert functionals._semistable_ranks(t, range(3)) is None
     runs = []
 
     def counted(*args, **kwargs):
@@ -212,7 +214,52 @@ def test_theta_route_vertex_cuts_are_two_step_runs(monkeypatch):
     rep = asymptotic_slice_rank(t, XI1, FAST)
     vertex = [its for theta, its in runs if np.count_nonzero(theta) == 1]
     assert len(vertex) == 3 and max(vertex) <= 2
+    assert rep.details["moment_certificate"] is None
+    assert rep.details["scaling_runs"] == len(runs) > 3
+    lo, hi = rep.details["theta_bracket"]
+    assert lo <= 3.0 <= hi * 2.0**1e-9 and np.log2(hi / lo) <= ranks.THETA_BRACKET_BITS
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 0.5, 1), (1, 1, 0)])
+def test_theta_route_on_a_semistable_tensor_makes_no_scaling_run(xi, monkeypatch):
+    # rand234 is a generic tensor of the boundary format 2 x 3 x 4, whose
+    # hyperdeterminant (rule d) certifies bits(theta) = sum_j theta_j log2 r_j
+    # at every theta: the route is least at the vertex of leg 0, 1 bit
+    t = random_tensor((2, 3, 4), np.random.default_rng(5))
+    assert not functionals._is_free(support(t, 0.0).points)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scaling run on a certified tensor")
+
+    monkeypatch.setattr(ranks, "entropic_scaling", refuse)
+    monkeypatch.setattr(functionals, "entropic_scaling", refuse)
+    theta, bracket, cuts, solve, certificate = ranks._slice_rank_theta_route(
+        t, ThetaWeights.xi(xi), FAST)
+    assert (bracket, cuts, solve, certificate) == ((1.0, 1.0), 0, None, "semistable")
+    assert np.array_equal(theta, [1.0, 0.0, 0.0])
+    rep = asymptotic_slice_rank(t, ThetaWeights.xi(xi), FAST)
+    assert rep.details["scaling_runs"] == 0
+    assert rep.details["moment_certificate"] == "semistable"
     assert rep.value == 2.0 and rep.details["theta_bracket"] == (2.0, 2.0)
+    assert rep.status == "ok" and not rep.notes
+
+
+@pytest.mark.parametrize("xi", [(1, 1, 1), (1, 0.5, 1), (1, 1, 0)])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 2), (2, 3, 4), (3, 3, 1)])
+def test_certified_theta_route_lies_in_the_kelley_bracket(dims, xi, monkeypatch):
+    # the certified value is the least log2 r_j / xi_j; Kelley's cuts, run
+    # with the rules switched off, bracket the same minimum: the certified
+    # lower end of the cuts is never above it
+    t = random_tensor(dims, np.random.default_rng(3))
+    weights = ThetaWeights.xi(xi)
+    _, (lo, hi), cuts, _, certificate = ranks._slice_rank_theta_route(t, weights, FAST)
+    assert certificate in ("semistable", "square_pencil") and cuts == 0 and lo == hi
+    monkeypatch.setattr(ranks, "_semistable_ranks", lambda t, legs: None)
+    _, (ref_lo, ref_hi), ref_cuts, _, ref_certificate = ranks._slice_rank_theta_route(
+        t, weights, FAST)
+    assert ref_certificate is None and ref_cuts >= 2
+    assert ref_lo <= lo + 1e-12
+    assert lo <= ref_hi + ranks.THETA_BRACKET_BITS
 
 
 def _w_slice_rank_half_middle() -> float:
@@ -243,8 +290,8 @@ def test_theta_route_runs_no_scaling_on_free_supports(name, xi, monkeypatch):
     monkeypatch.setattr(ranks, "entropic_scaling", refuse)
     monkeypatch.setattr(functionals, "entropic_scaling", refuse)
     weights = ThetaWeights.xi(xi)
-    _, (lo, hi), _, solve = ranks._slice_rank_theta_route(t, weights, FAST)
-    assert solve is not None
+    _, (lo, hi), _, solve, certificate = ranks._slice_rank_theta_route(t, weights, FAST)
+    assert solve is not None and certificate == "free_support"
     rep = asymptotic_slice_rank(t, weights, FAST)
     assert rep.details["scaling_runs"] == 0
     value = rep.routes["quantum_theta_min"]
@@ -400,7 +447,9 @@ def test_g_stable_rank_examples(w):
 
 
 def test_g_stable_cover_route_scores_every_basis(w, monkeypatch):
-    assert g_stable_rank(w, AL1, FAST).details["cover_bases"] == 2
+    # W's support is free: the identity's cover is the certificate's solve,
+    # which meets the certified upper end, so the search stops there
+    assert g_stable_rank(w, AL1, FAST).details["cover_bases"] == 1
     seen = []
     cover = ranks.fractional_vertex_cover
     monkeypatch.setattr(ranks, "fractional_vertex_cover",
@@ -410,20 +459,49 @@ def test_g_stable_cover_route_scores_every_basis(w, monkeypatch):
     assert len(seen) == len(set(seen)) <= 2  # one LP per distinct support
 
 
-def test_g_stable_descent_stops_at_the_bracket(w):
-    rep = g_stable_rank(tensor_product(w, w), AL1, FAST)
+def test_g_stable_descent_stops_at_the_bracket():
+    # a generic 3x3x4 tensor: not free, and no semistability rule covers it
+    t = random_tensor((3, 3, 4), np.random.default_rng(0))
+    rep = g_stable_rank(t, AL1, FAST)
+    assert rep.details["moment_certificate"] is None
     assert rep.details["descent_stop"] == "bracket"
-    assert rep.details["descent_iterations"] <= 200
-    assert rep.value == 3.0 and rep.routes["cover_lp"] == 3.0
+    assert 0 < rep.details["descent_iterations"] <= 200
+    assert abs(rep.value - 3.0) <= 1e-9
     assert rep.gap <= ranks.ROUTE_TOL and rep.status == "ok"
-    rep = g_stable_rank(w, AL1, FAST)
-    assert (rep.details["descent_iterations"], rep.details["descent_stop"]) == (0, "bracket")
 
 
-def test_g_stable_inverted_bracket_warns(w, monkeypatch):
-    # a cover route 0.5 below the moment route's 1.5 on W
+@pytest.mark.parametrize("name", ["w", "wxw", "unit2", "rand234", "rand222"])
+def test_g_stable_rank_certified_without_a_descent(name, monkeypatch):
+    # free supports (W, W x W, a unit tensor) and semistable concise tensors
+    # (the boundary format 2 x 3 x 4, Cayley's 2 x 2 x 2) make no descent;
+    # on a free support no cover LP either
+    t = {"w": w_tensor(), "wxw": tensor_product(w_tensor(), w_tensor()),
+         "unit2": make_unit(2, 3), "rand234": random_tensor((2, 3, 4), np.random.default_rng(5)),
+         "rand222": random_tensor((2, 2, 2), np.random.default_rng(3))}[name]
+    known, how = {"w": (1.5, "free_support"), "wxw": (3.0, "free_support"),
+                  "unit2": (2.0, "free_support"), "rand234": (2.0, "semistable"),
+                  "rand222": (2.0, "semistable")}[name]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moment descent on a certified tensor")
+
+    monkeypatch.setattr(ranks, "minimize_over_moment_polytope", refuse)
+    if how == "free_support":
+        monkeypatch.setattr(ranks, "fractional_vertex_cover", refuse)
+    rep = g_stable_rank(t, AL1, FAST)
+    assert rep.details["moment_certificate"] == rep.details["descent_stop"] == how
+    assert rep.details["descent_iterations"] == 0
+    assert rep.details["cover_bases"] == 1
+    for v in rep.routes.values():
+        assert abs(v - known) <= 1e-12
+    assert rep.status == "ok" and not rep.notes
+
+
+def test_g_stable_inverted_bracket_warns(monkeypatch):
+    # a cover route of 1 below the moment route of a generic 3x3x4 tensor,
+    # whose descent stops at its start (1 / value >= 1 there)
     monkeypatch.setattr(ranks, "fractional_vertex_cover", lambda h, alpha: SimpleNamespace(value=1.0))
-    rep = g_stable_rank(w, AL1, FAST)
+    rep = g_stable_rank(random_tensor((3, 3, 4), np.random.default_rng(0)), AL1, FAST)
     assert rep.status == "warn"
     assert [n for n in rep.notes if n.startswith("inverted bracket: ")]
     assert rep.routes["moment_linf"] - rep.routes["cover_lp"] > ranks.ROUTE_TOL
@@ -463,23 +541,56 @@ def test_ncrank_skew_basis():
 
 @pytest.mark.parametrize("label", ["identity", "row_pencil", "skew"])
 def test_ncrank_moment_stops_at_the_start(label):
+    # the 3 x 3 identity has a leg of rank 1, and the row pencil's concise
+    # ranks (1, 2, 2) give a square flattening: both are certified; the
+    # skew pencil (ranks 3, 3, 3) meets the cover at the descent's start
     a = {"identity": MatrixTuple(np.eye(3)[None, :, :]), "row_pencil": row_pencil(),
          "skew": skew_basis3()}[label]
+    stop = {"identity": "semistable", "row_pencil": "semistable", "skew": "bracket"}[label]
     rep = ncrank(a, FAST)
-    assert (rep.details["descent_iterations"], rep.details["descent_stop"]) == (0, "bracket")
+    assert (rep.details["descent_iterations"], rep.details["descent_stop"]) == (0, stop)
+    assert rep.details["moment_certificate"] == (None if stop == "bracket" else stop)
     assert rep.value - rep.details["moment_raw"] <= ranks.ROUTE_TOL
 
 
+def _block_tuple() -> MatrixTuple:
+    """Three 3 x 3 matrices nonzero only in the first row and column: the
+    2 x 2 zero block below them gives ncrank 2."""
+    rng = np.random.default_rng(1)
+    mats = np.zeros((3, 3, 3), dtype=complex)
+    for k in range(3):
+        mats[k, 0, :] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        mats[k, :, 0] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return MatrixTuple(mats)
+
+
 def test_ncrank_moment_stops_within_route_tol_of_the_cover():
-    rng = np.random.default_rng(4)
-    a = MatrixTuple(rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6)))
+    a = _block_tuple()
     rep = ncrank(a, FAST)
-    assert rep.value == 6.0 and rep.status == "ok"
+    assert rep.value == 2.0 and rep.status == "ok"
+    assert rep.details["moment_certificate"] is None
     assert rep.details["descent_stop"] == "bracket"
     assert 0.0 <= rep.value - rep.details["moment_raw"] <= ranks.ROUTE_TOL
     raw, rounded, res = ncrank_moment(a)  # no upper end: the descent runs on
-    assert rounded == 6 and res.stop != "bracket"
+    assert rounded == 2 and res.stop != "bracket"
     assert res.iterations > rep.details["descent_iterations"]
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_ncrank_moment_on_a_square_pencil_makes_no_descent(seed, monkeypatch):
+    # a random 6 x 6 pencil of three slices holds a nonsingular matrix, so
+    # left-right scaling reaches the uniform marginals (Gurvits)
+    rng = np.random.default_rng(seed)
+    a = MatrixTuple(rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moment descent on a certified tuple")
+
+    monkeypatch.setattr(ranks, "minimize_over_moment_polytope", refuse)
+    rep = ncrank(a, FAST)
+    assert rep.details["moment_certificate"] == rep.details["descent_stop"] == "square_pencil"
+    assert rep.details["descent_iterations"] == 0
+    assert rep.details["moment_raw"] == 6.0 and rep.value == 6.0 and rep.status == "ok"
 
 
 def test_ncrank_inverted_bracket_warns(monkeypatch):
@@ -514,12 +625,7 @@ def test_ncrank_blowup_needs_size_two_for_skew():
 
 def test_ncrank_rank_deficient_block_tuple():
     # matrices with a 2x2 zero block in rows {2,3} x cols {2,3}: ncrank 2
-    rng = np.random.default_rng(1)
-    mats = np.zeros((3, 3, 3), dtype=complex)
-    for k in range(3):
-        mats[k, 0, :] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        mats[k, :, 0] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    a = MatrixTuple(mats)
+    a = _block_tuple()
     fr, _ = ncrank_fr(a, FAST)
     assert fr == 2
     assert ncrank_blowup(a) == 2
