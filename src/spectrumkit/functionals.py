@@ -767,6 +767,7 @@ def _descent_bound(meets, guess: float) -> float:
     return guess
 
 
+@np.errstate(all="ignore")  # a step that leaves no finite tensor is scored, not warned about
 def minimize_over_moment_polytope(
     t: Tensor,
     objective,
@@ -833,7 +834,14 @@ def minimize_over_moment_polytope(
             def candidate(eta: float):
                 fs = [_spectral(vec, np.exp(-0.5 * eta * g)) for vec, g in zip(vecs, grads)]
                 x = views.apply(s, fs)
-                return x, fs, objective.smooth_value(sorted_spectra(x), sharp)
+                # a step that overflows, or underflows the whole tensor,
+                # leaves no finite tensor and scores +inf: the line search
+                # halves it and the doubling stops at it
+                try:
+                    v = objective.smooth_value(sorted_spectra(x), sharp)
+                except np.linalg.LinAlgError:
+                    v = np.inf
+                return x, fs, v if math.isfinite(v) else np.inf
 
             eta = step
             x, fs, v = candidate(eta)

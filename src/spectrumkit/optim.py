@@ -580,7 +580,8 @@ def min_convex_over_support(
 
 
 #: the max-min program stops once its bracket is tol wide, or at this many
-#: oracle solves
+#: oracle solves; the Kelley loop of the slice-rank theta route
+#: (``ranks._slice_rank_theta_route``) stops at this many cuts
 MAX_MIN_CUTS = 60
 
 #: each max-min oracle after the first starts from the previous oracle's
@@ -595,16 +596,19 @@ THETA_STEP_TO_BOUNDARY = 0.9
 def kelley_master(cuts: np.ndarray, xi: np.ndarray) -> LpSolution:
     """The master LP of Kelley's cutting planes over entropy weights:
     min z subject to z >= <theta, h_k> for every cut h_k (a row of ``cuts``),
-    theta >= 0 and <theta, xi> = 1 (xi > 0).  ``x`` is (theta, z); the first
-    entries of ``y`` are the cut duals, which sum to 1 when z > 0, and the
-    last is the dual of <theta, xi> = 1, which equals ``value``.
+    theta >= 0 and <theta, xi> = 1 (xi > 0).  ``x`` is (theta, z); ``y`` is
+    the dual solution (y_1, ..., y_n, mu): the cut weights, then the dual of
+    <theta, xi> = 1, which is ``value``.
 
     ``slack_simplex`` solves the dual, max mu subject to
     mu xi_j - sum_k y_k h_kj <= 0 on every leg, sum_k y_k <= 1 and y, mu >= 0,
     whose right-hand side (0, ..., 0, 1) makes the slack basis feasible.  Its
     row duals are (theta, z), with <theta, xi> >= 1; the entropies are
     nonnegative, so scaling theta down to <theta, xi> = 1 keeps it optimal.
-    ``value`` is mu, a lower end of the master for any dual-feasible (y, mu).
+    ``value`` is the simplex's mu, which is not checked against the dual
+    constraints, so rounding can put it above the master's optimum.  A lower
+    end that holds whatever the rounding is min_j (y.h)_j / xi_j with the
+    cut weights clipped at 0 and divided by max(1, sum_k y_k).
     """
     n = len(cuts)
     g = np.block([[-cuts.T, xi[:, None]], [np.ones((1, n)), np.zeros((1, 1))]])

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import optim
 from .functionals import (
     MomentCertificate,
     MomentDescentResult,
@@ -98,9 +99,8 @@ def _route_gap(routes: dict[str, float]) -> float:
 
 
 #: off a free support the theta route stops once its bracket is this
-#: narrow, in bits, or at this many cuts; a wider bracket warns
+#: narrow, in bits, or at ``optim.MAX_MIN_CUTS`` cuts; a wider bracket warns
 THETA_BRACKET_BITS = 1e-4
-THETA_MAX_CUTS = 60
 
 
 def _slice_rank_theta_route(
@@ -126,12 +126,15 @@ def _slice_rank_theta_route(
     Elsewhere the route runs Kelley cutting planes: the leg entropies h_k of
     any point of the moment polytope satisfy <theta, h_k> <= bits(theta), and
     each cut is the endpoint of one loose cold-started scaling run (a
-    two-step run at a vertex theta = e_j).  lo is the value of the master LP
-    (``kelley_master``) on the legs with xi_j > 0, a lower end because every
-    cut is a point of the polytope, and hi the least cut model
-    max_k <theta, h_k> at the evaluated thetas, attained at the best theta.
-    From the vertices on, each master's theta adds a cut until
-    hi - lo <= THETA_BRACKET_BITS or THETA_MAX_CUTS cuts; the route ends there.
+    two-step run at a vertex theta = e_j).  Every cut is a point of the
+    polytope, so for cut weights y >= 0 with sum(y) <= 1 the mixture
+    <theta, y.h> is at most bits(theta), and lo = min_j (y.h)_j / xi_j over
+    the legs with xi_j > 0 is a lower end, whatever the simplex's rounding,
+    for y the master's (``kelley_master``) cut weights clipped at 0 and
+    divided by max(1, sum(y)).  hi is the least cut model max_k <theta, h_k>
+    at the evaluated thetas, attained at the best theta.  From the vertices
+    on, each master's theta adds a cut until hi - lo <= THETA_BRACKET_BITS or
+    ``optim.MAX_MIN_CUTS`` cuts; the route ends there.
 
     Returns the best theta, (lo, hi), the cut count (one scaling run each
     on the Kelley path), the max-min solve, or None off a free support, and
@@ -170,8 +173,10 @@ def _slice_rank_theta_route(
         model = (np.array(points) @ h.T).max(axis=1)
         best = int(np.argmin(model))
         sol = kelley_master(h, xi.values[legs])
-        lo, hi = sol.value, max(sol.value, float(model[best]))
-        if hi - lo <= THETA_BRACKET_BITS or len(cuts) >= THETA_MAX_CUTS:
+        weights = np.clip(sol.y[: len(cuts)], 0.0, None)
+        lo = float((weights @ h / max(1.0, weights.sum()) / xi.values[legs]).min())
+        hi = max(lo, float(model[best]))
+        if hi - lo <= THETA_BRACKET_BITS or len(cuts) >= optim.MAX_MIN_CUTS:
             break
         points.append(sol.x[:-1])
         cuts.append(cut(points[-1]))

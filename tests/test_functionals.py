@@ -615,6 +615,17 @@ def test_unbounded_descent_on_ww_runs_to_the_cap(w):
     assert res.stop == "cap" and not res.converged
 
 
+def test_descent_whose_step_underflows_the_tensor_still_ends():
+    # the doubled step gives the leg of dimension 1 a factor of about 4e-223,
+    # which underflows the whole tensor; that step scores +inf, and the run
+    # ends at the minimum 1/alpha_2 = 2, fixed by the leg of dimension 1
+    t = random_tensor((3, 3, 1), np.random.default_rng(3))
+    res = minimize_over_moment_polytope(t, MaxInfNorm(ThetaWeights.alpha([1, 2, 0.5])), max_iter=6000)
+    assert res.converged and res.stop == "tol"
+    assert abs(res.value - 2.0) <= 1e-9
+    _assert_factors_witness(res.group_factors, t, res.witness)
+
+
 def test_descent_bound_never_met_leaves_the_run_unchanged():
     t = random_tensor((2, 3, 4), np.random.default_rng(0))
     objective = MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))

@@ -395,17 +395,36 @@ def test_theta_route_drops_legs_with_zero_xi(w):
 def test_theta_route_warns_when_bracket_stays_open(w, monkeypatch):
     # W's support is free, so its route is the max-min program and stops at
     # that program's oracle cap; the rounded GL.W's is not, and its Kelley
-    # loop stops at THETA_MAX_CUTS (it needs 17 cuts)
+    # loop stops at the same cap (it needs 17 cuts)
     assert not functionals._is_free(support(gl_w_tensor(), 0.0).points)
-    for t, xi, module, cap in ((w, ThetaWeights.xi([1, 0.5, 1]), optim, "MAX_MIN_CUTS"),
-                               (gl_w_tensor(), XI1, ranks, "THETA_MAX_CUTS")):
+    for t, xi in ((w, ThetaWeights.xi([1, 0.5, 1])), (gl_w_tensor(), XI1)):
         with monkeypatch.context() as m:
-            m.setattr(module, cap, 3)
+            m.setattr(optim, "MAX_MIN_CUTS", 3)
             rep = asymptotic_slice_rank(t, xi, FAST)
         lo, hi = rep.details["theta_bracket"]
-        assert np.log2(hi / lo) > ranks.THETA_BRACKET_BITS, cap
-        assert rep.status == "warn", cap
-        assert any("not closed after 3 cuts" in n for n in rep.notes), cap
+        assert np.log2(hi / lo) > ranks.THETA_BRACKET_BITS
+        assert rep.status == "warn"
+        assert any("not closed after 3 cuts" in n for n in rep.notes)
+
+
+def test_kelley_lower_end_holds_whatever_the_simplex_rounding(monkeypatch):
+    # the second draw of the soundness corpus: a 3x2x2 tensor on the support
+    # 000, 011, 110, 111, 200, 201; legs 1 and 2 have dimension 2, so no cut
+    # exceeds 1 bit there and the minimum over theta is at most 1 bit, where
+    # the master's mu read 1 + 2.5e-11
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        dims = tuple(int(d) for d in rng.integers(2, 4, size=3))
+        nnz = int(rng.integers(3, 10))
+        flat = np.zeros(int(np.prod(dims)), dtype=complex)
+        idx = rng.choice(flat.size, nnz, replace=False)
+        flat[idx] = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    t = Tensor(flat.reshape(dims))
+    assert dims == (3, 2, 2) and support(t, 0.0).size == 6
+    monkeypatch.setattr(ranks, "_semistable_ranks", lambda *args: None)
+    _, (lo, hi), cuts, solve, certificate = ranks._slice_rank_theta_route(t, XI1, FAST)
+    assert solve is None and certificate is None and cuts > 3
+    assert lo <= 1.0 and hi - lo <= ranks.THETA_BRACKET_BITS
 
 
 @pytest.mark.parametrize("label,t", basis_search_corpus())
