@@ -9,11 +9,13 @@ Subcommands:
   built-in objective.
 
 Exit codes: 0 converged / in-tolerance (and ``--help``), 1 input error
-(also an argparse usage error, such as an unknown flag), 2 finished without
-convergence (result still printed) or a solver failure or size cap on valid
-input (one ``error:`` line, no result), 3 route disagreement above threshold
-or an inverted bracket (a scaling iterate above the exact-support bound by
-more than the bracket width; result printed, one ``error:`` line).
+(among them an argparse usage error such as an unknown flag; a non-finite
+tensor or matrix entry; a negative or non-finite --tol, --route-tol or
+--bound), 2 finished without convergence (result still printed) or a
+solver failure or size cap on valid input (one ``error:`` line, no
+result), 3 route disagreement above threshold or an inverted bracket (a
+scaling iterate above the exact-support bound by more than the bracket
+width; result printed, one ``error:`` line).
 All randomness is derived from --seed (default: $SPECTRUMKIT_SEED, else 0),
 so equal invocations produce byte-identical output.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -310,6 +313,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "functional" and args.kind != "symmetric" and not args.theta:
         sys.stderr.write("error: --theta is required for this functional\n")
         return EXIT_INPUT
+    for flag in ("tol", "route_tol", "bound"):
+        value = getattr(args, flag, 0.0)
+        if not (math.isfinite(value) and value >= 0):
+            sys.stderr.write(f"error: --{flag.replace('_', '-')} must be finite and >= 0, "
+                             f"got {value!r}\n")
+            return EXIT_INPUT
     try:
         return args.func(args)
     except InvalidArgumentError as e:

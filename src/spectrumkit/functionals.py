@@ -387,16 +387,15 @@ def _boundary_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(m + 1, m), a) + np.kron(np.eye(m + 1, m, -1), b)
 
 
-def _semistability_rule(c: np.ndarray, th: np.ndarray) -> str | None:
+def _semistability_rule(c: np.ndarray, legs: Sequence[int]) -> str | None:
     """The first rule that proves the concise tensor c semistable: under the
-    whole group (``semistable``), or under the two legs of positive weight
+    whole group (``semistable``), or under the group of ``legs``
     (``square_pencil``); None when none applies or its test fails.
 
     (a) A square flattening, r_j = prod_{i != j} r_i (a leg of rank 1
         included): flattening j is invertible.
-    (b) The legs of positive weight are two legs of one rank n, and a
-        seeded random combination of the n x n slices along the other legs
-        is nonsingular.
+    (b) ``legs`` are two legs of one rank n, and a seeded random combination
+        of the n x n slices along the other legs is nonsingular.
     (c) Ranks (n, n, 2), n in {2, 3}: the discriminant of det(xA + yB), for
         the slices A, B along the leg of rank 2, exceeds PINV_CUTOFF.
     (d) Ranks (2, m, m+1): ``_boundary_matrix`` of the slices is nonsingular.
@@ -404,10 +403,9 @@ def _semistability_rule(c: np.ndarray, th: np.ndarray) -> str | None:
     r = c.shape
     if any(n * n == math.prod(r) for n in r):
         return "semistable"
-    pos = np.flatnonzero(th > 0)
-    if pos.size == 2 and r[pos[0]] == r[pos[1]]:
-        n = r[pos[0]]
-        slices = np.moveaxis(c, tuple(pos), (0, 1)).reshape(n, n, -1)
+    if len(legs) == 2 and r[legs[0]] == r[legs[1]]:
+        n = r[legs[0]]
+        slices = np.moveaxis(c, tuple(legs), (0, 1)).reshape(n, n, -1)
         rng = np.random.default_rng(0)
         z = rng.standard_normal(slices.shape[2]) + 1j * rng.standard_normal(slices.shape[2])
         if _nonsingular(slices @ z):
@@ -425,121 +423,122 @@ def _semistability_rule(c: np.ndarray, th: np.ndarray) -> str | None:
     return "semistable" if ok else None
 
 
-@dataclass(frozen=True)
-class _RankMaximum:
-    """sum_j theta_j log2 r_j over the flattening ranks r_j, an upper bound on
-    log2 F_theta(t), and the rule (``_semistability_rule``) that proves it is
-    the value, if any."""
-
-    bits: float
-    ranks: tuple[int, ...]
-    rule: str | None
-
-
-def _rank_maximum(t: Tensor, th: np.ndarray) -> _RankMaximum | None:
-    """None when a flattening's rank is undecided (``_concise``)."""
+def _flattening_ranks(t: Tensor, legs: Sequence[int]) -> tuple[tuple[int, ...], str | None] | None:
+    """The flattening ranks r_j of t and the rule of ``_semistability_rule``
+    that proves its concise tensor semistable for the group of ``legs``
+    (None if none does), or None when a rank is undecided (``_concise``).
+    Rules (a), (c) and (d) prove semistability under the whole group, and
+    so under the group of any legs (an invariant of the group is one of the
+    subgroup); rule (b) only under the group of its two legs."""
     c = _concise(t)
-    if c is None:
-        return None
-    bits = float(sum(w * np.log2(r) for w, r in zip(th, c.shape)))
-    return _RankMaximum(bits, c.shape, _semistability_rule(c, th))
+    return None if c is None else (c.shape, _semistability_rule(c, legs))
 
 
-def _semistable_ranks(t: Tensor, legs: Sequence[int]) -> _RankMaximum | None:
-    """The rank maximum at weights spread over ``legs``, where a rule of
-    ``_semistability_rule`` passes, else None.  The point uniform on the
-    first r_j coordinates of each of the legs then lies in the moment
-    polytope of their group, so log2 F_theta(t) = sum_j theta_j log2 r_j at
-    every theta on the legs.  Rules (a), (c) and (d) prove semistability
-    under the whole group, and so under the group of any legs (an invariant
-    of the group is one of the subgroup); rule (b) counts only when ``legs``
-    are exactly its two legs of positive weight."""
-    th = np.zeros(t.order)
-    th[list(legs)] = 1.0 / len(legs)
-    rank = _rank_maximum(t, th)
-    return rank if rank is not None and rank.rule is not None else None
+@dataclass(frozen=True)
+class MomentCertificate:
+    """The minimum of a convex symmetric objective over a moment polytope,
+    known without a descent: it lies in [value - gap, value], and
+    ``witness`` (sorted non-increasing spectra, one per leg of the group)
+    is a point at ``value``.  ``how`` is
+    ``free_support``, ``semistable`` or ``square_pencil``; ``solve`` is the
+    exact-support program behind a ``free_support`` certificate."""
+
+    value: float
+    gap: float
+    witness: MarginalTuple
+    how: str
+    solve: SupportOptimum | None = None
 
 
-def _certified_lower_end(
-    dims: tuple[int, ...], th: np.ndarray, hi: float, opt: SupportOptimum, inner_tol: float,
-    free: bool, rank: _RankMaximum | None,
-) -> FunctionalCertificate | None:
-    """The quantum functional certified without a scaling run, given the
-    upper end hi, the exact-support solve opt, whether its support is free
-    and the rank maximum (None if not taken), or None.
+def _moment_certificate(
+    t: Tensor, objective, legs: Sequence[int], solve: SupportOptimum | None = None,
+    flat: tuple[tuple[int, ...], str | None] | None = None,
+) -> MomentCertificate | None:
+    """min of a convex symmetric ``objective`` of the spectra over the moment
+    polytope of t under the group of ``legs``, where one of two facts gives
+    it without a descent; None elsewhere.
 
-    * A free exact support (``_is_free``): the marginals of every
-      distribution on it lie in the moment polytope, so lo = -opt.value
-      (Christandl, Vrana & Zuiddam, "Universal points in the asymptotic
-      spectrum of tensors", STOC 2018).
-    * A semistable concise tensor (``_semistability_rule``): the uniform
-      point on the flattening ranks r_j lies in the moment polytope
-      (Kempf-Ness, Hilbert-Mumford), so lo = hi = sum_j theta_j log2 r_j.
-      ``square_pencil`` is rule (b): a nonsingular matrix in the span of
-      the slices makes the pencil rank non-decreasing, so operator scaling
-      reaches uniform marginals on the two legs (Gurvits, "Classical
-      complexity and quantum entanglement", JCSS 2004); ``semistable`` is
-      rules (a), (c) and (d), under the whole group.
+    * ``free_support``: the group is that of every leg and the exact
+      support is free (``_is_free``).  The polytope then holds the
+      marginals of every distribution on the support (Christandl, Vrana &
+      Zuiddam, STOC 2018), and by the minimax formula no point below the
+      support program, so the minimum is that program
+      (``min_convex_over_support``), attained, within its certified gap.
+    * ``semistable`` or ``square_pencil`` (``_flattening_ranks``): the point
+      uniform on the first r_j coordinates of each leg, r_j the rank of
+      flattening j, lies in the polytope (Kempf-Ness; Gurvits, JCSS 2004 for
+      the square pencil, whose group is that of ``legs``).  Every spectrum
+      there has at most r_j nonzeros, so it majorizes that point, and a
+      convex symmetric objective is Schur-convex: the minimum is the
+      objective at that point, exactly.  Undecided ranks give None.
 
-    Neither is used when the solve missed its tolerance (certified gap above
-    ``bracket_width(inner_tol)``), nor the rank maximum when it exceeds hi
-    or was not taken.
-    The witness is the certified point of the moment polytope, sorted
-    non-increasing: uniform on the first r_j coordinates of every leg for
-    ``semistable``, of the two legs for ``square_pencil`` with (1, 0, ...)
-    on the others.  No group element attains it.
+    A caller that has solved the objective's program on the exact support
+    passes it as ``solve``, with ``flat``, its ``_flattening_ranks(t, legs)``
+    where that support is not free; no test is then made twice.  The group
+    is that of every leg, of which the objective depends only on
+    ``legs``, and the witness, a point of the objective's value that no
+    group element need attain, is (1, 0, ...) on the legs that a
+    ``square_pencil`` does not cover.
     """
-    if opt.certified_gap > bracket_width(inner_tol):
+    legs = list(legs)
+    whole = solve is not None or len(legs) == t.order
+    if solve is None:
+        exact = support(t, 0.0) if whole else None
+        if exact is not None and _is_free(exact.points):
+            solve = min_convex_over_support(exact, objective)
+        else:
+            flat = _flattening_ranks(t, legs)
+    elif not _is_free(solve.distribution.support.points):
+        solve = None
+    if solve is not None:
+        witness = MarginalTuple(tuple(np.sort(p)[::-1] for p in solve.marginals.probs))
+        return MomentCertificate(solve.value, solve.certified_gap, witness, "free_support", solve)
+    if flat is None or flat[1] is None:
         return None
-    if free:
-        lo, end, probs = -opt.value, "free_support", opt.marginals.probs
-    else:
-        if rank is None or rank.rule is None or rank.bits > hi:
-            return None
-        lo = hi = rank.bits
-        end = rank.rule
-        probs = [np.r_[np.full(r, 1.0 / r), np.zeros(n - r)]
-                 if end == "semistable" or w > 0 else np.eye(n)[0]
-                 for w, r, n in zip(th, rank.ranks, dims)]
-    return FunctionalCertificate(
-        value=float(2.0**lo),
-        bits=float(lo),
-        witness=MarginalTuple(tuple(np.sort(p)[::-1] for p in probs)),
-        theta=th.copy(),
-        bracket=(float(lo), float(hi)),
-        lower_end=end,
-    )
+    ranks, rule = flat
+    witness = MarginalTuple(tuple(
+        np.r_[np.full(r, 1.0 / r), np.zeros(n - r)] if rule == "semistable" or j in legs
+        else np.eye(n)[0]
+        for j, (r, n) in enumerate(zip(ranks, t.dims)) if whole or j in legs))
+    return MomentCertificate(objective.value(witness.probs), 0.0, witness, rule)
 
 
 def _bracketed_scaling(
-    t: Tensor, theta: ThetaWeights, *, inner_tol: float, max_iter: int = 200_000,
+    t: Tensor, theta: ThetaWeights, *, inner_tol: float,
 ) -> tuple[FunctionalCertificate, SupportOptimum]:
     """The quantum functional's bracket: the upper end is the exact-support
     bound, capped by the rank maximum sum_j theta_j log2 r_j (every marginal
     in the orbit closure has rank at most r_j) where its ranks are decided
     and the support is not free (on a free support r_j is the number of
     coordinates the support takes on leg j, which the bound already
-    respects).  The lower end is certified (``_certified_lower_end``) where
-    one applies, else a cold scaling run, with ``entropic_scaling``'s
-    default residual rule, that stops once the bracket is
-    ``bracket_width(inner_tol)`` wide.  Also returns the bound's solve."""
+    respects).  The lower end is certified (``_moment_certificate`` on the
+    legs of positive weight) unless the bound's solve missed its tolerance
+    (certified gap above ``bracket_width(inner_tol)``) or the rank maximum
+    exceeds the bound; a rule's lower end is the rank maximum itself, which
+    the entropy at the witness matches only up to rounding.  Else it comes
+    from a cold scaling run, with
+    ``entropic_scaling``'s default residual rule, that stops once the
+    bracket is ``bracket_width(inner_tol)`` wide.  Also returns the bound's
+    solve."""
     hi, opt = exact_support_bound(t, theta, inner_tol)
-    free = _is_free(opt.distribution.support.points)
-    rank = None if free else _rank_maximum(t, theta.values)
-    if rank is not None:
-        hi = min(hi, rank.bits)
-    cert = _certified_lower_end(t.dims, theta.values, hi, opt, inner_tol, free, rank)
-    if cert is None:
-        cert, _ = entropic_scaling(t, theta, max_iter=max_iter,
-                                   upper_bits=hi, width=bracket_width(inner_tol))
-    return cert, opt
+    pos = np.flatnonzero(theta.values > 0)
+    flat = None if _is_free(opt.distribution.support.points) else _flattening_ranks(t, pos)
+    cert = _moment_certificate(t, NegWeightedEntropy(theta), pos, opt, flat)
+    lo = -opt.value
+    if flat is not None:
+        lo = float(sum(w * np.log2(r) for w, r in zip(theta.values, flat[0])))
+        cert, hi = cert if lo <= hi else None, min(hi, lo)
+    if cert is None or opt.certified_gap > bracket_width(inner_tol):
+        return entropic_scaling(t, theta, upper_bits=hi, width=bracket_width(inner_tol))[0], opt
+    return FunctionalCertificate(value=float(2.0**lo), bits=lo, witness=cert.witness,
+                                 theta=theta.values.copy(), bracket=(lo, hi),
+                                 lower_end=cert.how), opt
 
 
 def quantum_functional(
     t: Tensor,
     theta: ThetaWeights,
     *,
-    max_iter: int = 200_000,
     inner_tol: float = 1e-8,
 ) -> FunctionalCertificate:
     """max of 2^(sum_j theta_j H(p_j)) over the marginal-spectra polytope of t.
@@ -561,12 +560,11 @@ def quantum_functional(
     None.  Otherwise every scaling iterate bounds the value from below, and the
     run stops once the bracket is ``bracket_width(inner_tol)`` = 10
     inner_tol bits wide, else by the residual rule of ``entropic_scaling``
-    (objective moves below 1e-10 bits over its window) or after
-    ``max_iter`` iterations; ``bits`` is the last iterate, which the
-    witness and group factors attain.  ``bracket`` holds (bits, upper
-    end).
+    (objective moves below 1e-10 bits over its window) or after 200,000
+    iterations; ``bits`` is the last iterate, which the witness and group
+    factors attain.  ``bracket`` holds (bits, upper end).
     """
-    return _bracketed_scaling(t, theta, max_iter=max_iter, inner_tol=inner_tol)[0]
+    return _bracketed_scaling(t, theta, inner_tol=inner_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -694,56 +692,6 @@ def support_functional(
 
 # ---------------------------------------------------------------------------
 # generic descent over the moment polytope (convex symmetric objectives)
-
-
-@dataclass(frozen=True)
-class MomentCertificate:
-    """The minimum of a convex symmetric objective over a moment polytope,
-    known without a descent: it lies in [value - gap, value], and
-    ``witness`` (sorted non-increasing spectra, one per leg of the
-    objective) is a point of the polytope at ``value``.  ``how`` is
-    ``free_support``, ``semistable`` or ``square_pencil``; ``solve`` is the
-    exact-support program behind a ``free_support`` certificate."""
-
-    value: float
-    gap: float
-    witness: MarginalTuple
-    how: str
-    solve: SupportOptimum | None = None
-
-
-def _moment_certificate(t: Tensor, objective, legs: Sequence[int]) -> MomentCertificate | None:
-    """min of a convex symmetric ``objective`` of the spectra on ``legs`` over
-    the moment polytope of t under the group of those legs, where one of two
-    facts gives it without a descent; None elsewhere.
-
-    * ``free_support``: every leg is in ``legs`` and the exact support is
-      free (``_is_free``).  The polytope then holds the marginals of every
-      distribution on the support (Christandl, Vrana & Zuiddam, STOC 2018),
-      and by the minimax formula no point below the support program, so the
-      minimum is that program (``min_convex_over_support``), attained,
-      within its certified gap.
-    * ``semistable`` or ``square_pencil`` (``_semistable_ranks``): the point
-      uniform on the first r_j coordinates of each leg, r_j the rank of
-      flattening j, lies in the polytope (Kempf-Ness; Gurvits, JCSS 2004 for
-      the square pencil).  Every spectrum there has at most r_j nonzeros,
-      so it majorizes that point, and a convex symmetric objective is
-      Schur-convex: the minimum is the objective at that point, exactly.
-      Undecided ranks (``_concise``) give None.
-    """
-    legs = list(legs)
-    if len(legs) == t.order:
-        exact = support(t, 0.0)
-        if _is_free(exact.points):
-            opt = min_convex_over_support(exact, objective)
-            witness = MarginalTuple(tuple(np.sort(p)[::-1] for p in opt.marginals.probs))
-            return MomentCertificate(opt.value, opt.certified_gap, witness, "free_support", opt)
-    rank = _semistable_ranks(t, legs)
-    if rank is None:
-        return None
-    witness = MarginalTuple(tuple(np.r_[np.full(rank.ranks[j], 1.0 / rank.ranks[j]),
-                                        np.zeros(t.dims[j] - rank.ranks[j])] for j in legs))
-    return MomentCertificate(objective.value(witness.probs), 0.0, witness, rank.rule)
 
 
 @dataclass(frozen=True)

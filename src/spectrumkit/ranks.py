@@ -29,9 +29,9 @@ from .functionals import (
     _basis_search,
     _descent_bound,
     _eigenbasis_unitary,
+    _flattening_ranks,
     _is_free,
     _moment_certificate,
-    _semistable_ranks,
     entropic_scaling,
     minimize_over_moment_polytope,
     unitary_candidates,
@@ -118,7 +118,7 @@ def _slice_rank_theta_route(
     best theta is that of its least upper end.  No scaling runs.
 
     Where a rule of ``_semistability_rule`` passes for the legs with
-    xi_j > 0 (``_semistable_ranks``), bits(theta) = sum_j theta_j log2 r_j
+    xi_j > 0 (``_flattening_ranks``), bits(theta) = sum_j theta_j log2 r_j
     at every theta on them, r_j the rank of flattening j.  That is linear
     in theta, so the route is least at a vertex: lo = hi = min over those
     legs of log2 r_j / xi_j, at theta = e_j, with no cut.
@@ -148,13 +148,13 @@ def _slice_rank_theta_route(
         return (theta.values, (float(lo), float(lo + solve.certified_gap)),
                 solve.iterations, solve, "free_support")
     legs = np.flatnonzero(xi.values > 0)
-    rank = _semistable_ranks(t, legs)
-    if rank is not None:
-        ends = np.log2(np.array(rank.ranks)[legs]) / xi.values[legs]
+    flat = _flattening_ranks(t, legs)
+    if flat is not None and flat[1] is not None:
+        ends = np.log2(np.array(flat[0])[legs]) / xi.values[legs]
         vertex = np.zeros(t.order)
         vertex[legs[np.argmin(ends)]] = 1.0
         lo = float(ends.min())
-        return vertex, (lo, lo), 0, None, rank.rule
+        return vertex, (lo, lo), 0, None, flat[1]
 
     def weights_at(point: np.ndarray) -> ThetaWeights:
         theta = np.zeros(t.order)

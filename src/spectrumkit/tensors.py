@@ -42,6 +42,8 @@ class Tensor:
             raise InvalidArgumentError(f"tensor order must be >= 2, got {arr.ndim}")
         if any(n < 1 for n in arr.shape):
             raise InvalidArgumentError(f"all dimensions must be positive, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidArgumentError("tensor has non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -155,6 +157,8 @@ class MatrixTuple:
             raise InvalidArgumentError(f"expected an (m, n, n) array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidArgumentError("matrix tuple needs at least one matrix")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidArgumentError("matrix tuple has non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "mats", arr)
 

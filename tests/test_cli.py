@@ -91,6 +91,58 @@ def test_unknown_flag_exit_1(files, capsys):
         assert f"unrecognized arguments: {flag}" in captured.err
 
 
+def _nonfinite_inputs(tmp_path) -> dict:
+    paths = {}
+    for name, v in (("nan_tensor", float("nan")), ("inf_tensor", float("inf"))):
+        entries = [{"idx": [1, 1, 1], "re": v}, {"idx": [2, 2, 2], "re": 1.0}]
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"dims": [2, 2, 2], "entries": entries}))
+    paths["nan_tuple"] = tmp_path / "nan_tuple.json"
+    paths["nan_tuple"].write_text(json.dumps({"n": 2, "mats": [[[[float("nan"), 0], [0, 0]],
+                                                                [[0, 0], [1, 0]]]]}))
+    return paths
+
+
+THIRDS = ("--theta", "1/3,1/3,1/3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("functional", "quantum", "nan_tensor", *THIRDS),
+    ("functional", "quantum", "inf_tensor", *THIRDS),
+    ("functional", "support", "nan_tensor", *THIRDS),
+    ("functional", "symmetric", "nan_tensor"),
+    ("functional", "symmetric", "inf_tensor"),
+    ("rank", "slice", "nan_tensor"),
+    ("rank", "gstable", "inf_tensor"),
+    ("rank", "ncrank", "nan_tuple"),
+    ("check-minimax", "nan_tensor", "--objective", "linf"),
+    ("functional", "quantum", "w", *THIRDS, "--tol", "-1"),
+    ("functional", "quantum", "w", *THIRDS, "--tol", "nan"),
+    ("functional", "support", "w", *THIRDS, "--tol", "inf"),
+    ("rank", "slice", "w", "--tol", "nan"),
+    ("rank", "gstable", "w", "--route-tol", "-1"),
+    ("rank", "gstable", "w", "--route-tol", "nan"),
+    ("check-minimax", "w", "--objective", "linf", "--bound", "-1"),
+    ("check-minimax", "w", "--objective", "l1-uniform", "--bound", "nan"),
+], ids=lambda argv: " ".join(argv))
+def test_nonfinite_input_and_bad_thresholds_exit_1(argv, files, tmp_path, capsys):
+    # NaN entries used to vanish from the support, and a NaN --tol to
+    # fail neither bracket test
+    paths = {**files, **_nonfinite_inputs(tmp_path)}
+    code = main([str(paths.get(a, a)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    flag = next((a for a in argv if a in ("--tol", "--route-tol", "--bound")), None)
+    assert (flag or "non-finite entries") in captured.err
+
+
+def test_tol_0_stays_valid(files, capsys):
+    code, out = run(capsys, "functional", "quantum", files["w"], *THIRDS, "--tol", "0")
+    assert code == 0 and json.loads(out)["lower_end"] == "scaling"
+
+
 def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
     assert "usage: spectrumkit" in capsys.readouterr().out

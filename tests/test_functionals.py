@@ -253,10 +253,11 @@ def _uncertified_cases() -> list[tuple[str, Tensor, ThetaWeights, str, float]]:
 @pytest.mark.parametrize("label, t, theta, end, bits", _uncertified_cases(),
                          ids=[c[0] for c in _uncertified_cases()])
 def test_no_certificate_where_its_test_fails(label, t, theta, end, bits):
-    rank = functionals._rank_maximum(t, theta.values)
-    assert rank.rule is None
+    ranks, rule = functionals._flattening_ranks(t, np.flatnonzero(theta.values > 0))
+    assert rule is None
+    rank_bits = float(sum(w * np.log2(r) for w, r in zip(theta.values, ranks)))
     bound, opt = exact_support_bound(t, theta, FAST.inner_tol)
-    hi = min(bound, rank.bits)
+    hi = min(bound, rank_bits)
     q = quantum_functional(t, theta, inner_tol=FAST.inner_tol)
     assert q.lower_end == end and abs(q.bits - bits) <= 1e-5
     if end == "scaling":
@@ -266,7 +267,7 @@ def test_no_certificate_where_its_test_fails(label, t, theta, end, bits):
     else:
         assert q.bracket == (-opt.value, hi)
     # what a wrongly applied certificate would have claimed
-    assert rank.bits - q.bits >= 0.015
+    assert rank_bits - q.bits >= 0.015
 
 
 def _semistable_cases() -> list[tuple[str, Tensor, ThetaWeights, tuple[int, ...]]]:
@@ -347,26 +348,45 @@ def _certificate_case(label: str) -> Tensor:
     (MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), (0, 1, 2)),
     (L1FromUniform(), (0, 1, 2)),
     (L1FromUniform(), (0, 1)),
-], ids=["linf", "l1", "l1-rows-cols"])
+    (NegWeightedEntropy(ThetaWeights.theta([0.5, 0.5, 0.0])), (0, 1)),
+], ids=["linf", "l1", "l1-rows-cols", "entropy-zero-weight"])
 @pytest.mark.parametrize("label", ["rand222", "rand332", "rand234", "rand331", "wxw"])
 def test_moment_certificate_is_the_minimum_a_descent_approaches(label, objective, legs):
     # every descent value is attained in the moment polytope, so an
     # unbounded descent never ends below the certified minimum (less its
-    # gap); it ends near it
+    # gap); it ends near it.  The entropy is certified as the quantum
+    # functional certifies it: on the legs of positive weight, given the
+    # exact-support solve, under the group of every leg
     t = _certificate_case(label)
-    cert = functionals._moment_certificate(t, objective, legs)
-    free = label == "wxw" and len(legs) == 3
+    entropy = isinstance(objective, NegWeightedEntropy)
+    solve = flat = None
+    if entropy:
+        theta = ThetaWeights.theta(objective.theta)
+        _, solve = exact_support_bound(t, theta, FAST.inner_tol)
+        flat = functionals._flattening_ranks(t, legs)
+    cert = functionals._moment_certificate(t, objective, legs, solve, flat)
+    free = label == "wxw" and (len(legs) == 3 or entropy)
     pencil = label in ("rand222", "rand332", "wxw") and len(legs) == 2
     assert cert.how == ("free_support" if free else "square_pencil" if pencil else "semistable")
     assert (cert.solve is not None) == free
     assert cert.gap <= 1e-15 and (free or cert.gap == 0.0)
-    assert len(cert.witness.probs) == len(legs)
+    assert len(cert.witness.probs) == (t.order if entropy else len(legs))
     assert objective.value(cert.witness.probs) == pytest.approx(cert.value, abs=1e-15)
     for p in cert.witness.probs:
         assert np.all(np.diff(p) <= 0.0)
-    ref = minimize_over_moment_polytope(t, objective, active_legs=legs, max_iter=6000)
-    assert ref.value >= cert.value - cert.gap - 1e-12
-    assert ref.value - cert.value <= 1e-3
+    if entropy:
+        if cert.how == "square_pencil":  # (1, 0, ...) on the leg of weight 0
+            assert cert.witness.probs[2].tolist() == [1.0] + [0.0] * (t.dims[2] - 1)
+        q = quantum_functional(t, theta, inner_tol=FAST.inner_tol)
+        assert q.lower_end == cert.how and abs(q.bits + cert.value) <= 1e-15
+        assert all(np.array_equal(p, r) for p, r in zip(q.witness.probs, cert.witness.probs))
+        scaled, _ = entropic_scaling(t, theta, upper_bits=cert.gap - cert.value, width=1e-4)
+        ref_value = -scaled.bits
+    else:
+        ref_value = minimize_over_moment_polytope(t, objective, active_legs=legs,
+                                                  max_iter=6000).value
+    assert ref_value >= cert.value - cert.gap - 1e-12
+    assert ref_value - cert.value <= 1e-3
 
 
 def _skew3() -> Tensor:
@@ -382,7 +402,8 @@ def test_moment_certificate_needs_a_free_support_or_a_rule():
     linf = MaxInfNorm(ThetaWeights.alpha([1, 1, 1]))
     rand333 = random_tensor((3, 3, 3), np.random.default_rng(7))
     for t in (w_tensor(), gl_w_tensor(), _skew3(), rand333):
-        assert functionals._semistable_ranks(t, range(3)) is None
+        flat = functionals._flattening_ranks(t, range(3))
+        assert flat is None or flat[1] is None
     for t in (gl_w_tensor(), rand333):
         for objective in (linf, L1FromUniform()):
             assert functionals._moment_certificate(t, objective, range(3)) is None
@@ -423,10 +444,11 @@ def test_rank_maximum_caps_the_upper_end():
     mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
     t = Tensor(np.einsum("ai,bj,ck,ijk->abc", *mats, np.pad(w_tensor().entries, ((0, 1),) * 3)))
     bound, _ = exact_support_bound(t, UNIFORM3, FAST.inner_tol)
-    rank = functionals._rank_maximum(t, UNIFORM3.values)
-    assert rank.ranks == (2, 2, 2) and rank.rule is None and bound - rank.bits >= 0.5
+    ranks, rule = functionals._flattening_ranks(t, range(3))
+    rank_bits = float(sum(w * np.log2(r) for w, r in zip(UNIFORM3.values, ranks)))
+    assert ranks == (2, 2, 2) and rule is None and bound - rank_bits >= 0.5
     q = quantum_functional(t, UNIFORM3, inner_tol=FAST.inner_tol)
-    assert q.lower_end == "scaling" and q.bracket == (q.bits, rank.bits)
+    assert q.lower_end == "scaling" and q.bracket == (q.bits, rank_bits)
     assert abs(q.bits - H13_BITS) <= 1e-6
 
 
@@ -451,7 +473,7 @@ def test_a_component_below_the_rank_cut_leaves_the_rank_maximum_unused(eps):
     a[0, 0, 0] = a[1, 1, 1] = 1.0
     a[2, 2, 2] = a[2, 2, 1] = eps
     t = Tensor(a)
-    assert functionals._rank_maximum(t, UNIFORM3.values) is None
+    assert functionals._flattening_ranks(t, range(3)) is None
     bound, _ = exact_support_bound(t, UNIFORM3, FAST.inner_tol)
     assert abs(bound - np.log2(3)) <= bracket_width(FAST.inner_tol)
     ref, _ = entropic_scaling(t, UNIFORM3, upper_bits=bound, width=bracket_width(FAST.inner_tol))
@@ -470,11 +492,11 @@ def test_a_singular_value_between_rounding_and_the_cut_leaves_the_rank_undecided
     core = np.zeros((3, 3, 3), complex)
     core[0, 0, 0], core[1, 1, 1], core[2, 2, 2] = 1.0, 1.0, eps
     t = Tensor(np.einsum("ai,bj,ck,ijk->abc", *mats, core))
-    rank = functionals._rank_maximum(t, UNIFORM3.values)
+    flat = functionals._flattening_ranks(t, range(3))
     if eps == 0.0:
-        assert rank.ranks == (2, 2, 2) and rank.rule == "semistable"
+        assert flat == ((2, 2, 2), "semistable")
     else:
-        assert rank is None
+        assert flat is None
         assert quantum_functional(t, UNIFORM3, inner_tol=FAST.inner_tol).lower_end == "scaling"
 
 

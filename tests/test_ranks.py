@@ -169,7 +169,7 @@ def test_theta_route_beats_quarter_grid(name, w):
     # full-tolerance runs at the points of the 1/4 theta grid; a run stopped
     # at its cap only underestimates bits(theta), which makes the check stricter
     grid = [np.array(c) / 4 for c in itertools.product(range(5), repeat=3) if sum(c) == 4]
-    bits = [quantum_functional(t, ThetaWeights.theta(th), max_iter=2000).bits for th in grid]
+    bits = [quantum_functional(t, ThetaWeights.theta(th)).bits for th in grid]
     for xi in ([1, 1, 1], [1, 0.5, 1]):
         _, (lo, _), _, _, _ = ranks._slice_rank_theta_route(t, ThetaWeights.xi(xi), FAST)
         value = asymptotic_slice_rank(t, ThetaWeights.xi(xi), FAST).routes["quantum_theta_min"]
@@ -202,7 +202,7 @@ def test_theta_route_vertex_cuts_are_two_step_runs(monkeypatch):
     # theta = e_j each run stops at its one-step fixed point
     t = random_tensor((3, 3, 3), np.random.default_rng(7))
     assert not functionals._is_free(support(t, 0.0).points)
-    assert functionals._semistable_ranks(t, range(3)) is None
+    assert functionals._flattening_ranks(t, range(3)) == ((3, 3, 3), None)
     runs = []
 
     def counted(*args, **kwargs):
@@ -254,7 +254,7 @@ def test_certified_theta_route_lies_in_the_kelley_bracket(dims, xi, monkeypatch)
     weights = ThetaWeights.xi(xi)
     _, (lo, hi), cuts, _, certificate = ranks._slice_rank_theta_route(t, weights, FAST)
     assert certificate in ("semistable", "square_pencil") and cuts == 0 and lo == hi
-    monkeypatch.setattr(ranks, "_semistable_ranks", lambda t, legs: None)
+    monkeypatch.setattr(ranks, "_flattening_ranks", lambda t, legs: None)
     _, (ref_lo, ref_hi), ref_cuts, _, ref_certificate = ranks._slice_rank_theta_route(
         t, weights, FAST)
     assert ref_certificate is None and ref_cuts >= 2
@@ -421,7 +421,7 @@ def test_kelley_lower_end_holds_whatever_the_simplex_rounding(monkeypatch):
         flat[idx] = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
     t = Tensor(flat.reshape(dims))
     assert dims == (3, 2, 2) and support(t, 0.0).size == 6
-    monkeypatch.setattr(ranks, "_semistable_ranks", lambda *args: None)
+    monkeypatch.setattr(ranks, "_flattening_ranks", lambda *args: None)
     _, (lo, hi), cuts, solve, certificate = ranks._slice_rank_theta_route(t, XI1, FAST)
     assert solve is None and certificate is None and cuts > 3
     assert lo <= 1.0 and hi - lo <= ranks.THETA_BRACKET_BITS
@@ -671,3 +671,40 @@ def test_rank_report_json_shape():
     assert d["quantity"] == "ncrank"
     assert d["routes"]["moment_l1"]["rounded"] == 1
     assert set(d) >= {"quantity", "value", "routes", "gap", "status"}
+
+
+def _undecided_ranks() -> Tensor:
+    # e_000 + e_111 + 1e-14 (e_222 + e_221): entries below the rank cut
+    a = np.zeros((3, 3, 3), complex)
+    a[0, 0, 0] = a[1, 1, 1] = 1.0
+    a[2, 2, 2] = a[2, 2, 1] = 1e-14
+    return Tensor(a)
+
+
+@pytest.mark.parametrize("label", ["free", "semistable", "no-rule", "undecided"])
+def test_each_call_takes_the_flattening_ranks_at_most_once(label, monkeypatch):
+    # the certificate, the quantum functional's rank cap and the slice
+    # route's vertex branch share one concise tensor per call
+    t = {"free": w_tensor(), "semistable": random_tensor((2, 2, 2), np.random.default_rng(0)),
+         "no-rule": sparse332(), "undecided": _undecided_ranks()}[label]
+    concise, calls = functionals._concise, []
+
+    def counted(x):
+        calls.append(x)
+        return concise(x)
+
+    monkeypatch.setattr(functionals, "_concise", counted)
+    uniform = ThetaWeights.uniform(3)
+    runs = [
+        lambda: quantum_functional(t, uniform, inner_tol=FAST.inner_tol),
+        lambda: functionals.support_functional(t, uniform, FAST),
+        lambda: functionals.minimax_gap(t, NegWeightedEntropy(uniform), FAST),
+        lambda: functionals.minimax_gap(t, MaxInfNorm(AL1), FAST),
+        lambda: g_stable_rank(t, AL1, FAST),
+        lambda: asymptotic_slice_rank(t, XI1, FAST),
+        lambda: ncrank_moment(MatrixTuple(np.moveaxis(t.entries[:2, :2], 2, 0))),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) <= 1
