@@ -33,8 +33,8 @@ jobs of ``perfbench/workloads.py`` built from the workload seed ``--seed``
   xi): the theta route's cuts, the scaling runs and iterations, the max-min
   solves, the Kelley masters and their pivots, and the theta bracket;
 * ``moment_route`` (``g_stable_rank`` and ``ncrank`` in ``covers``): the
-  descent steps, its stop or the certificate that made it unneeded, and the
-  moment route's value;
+  descent steps, its stop or the certificate that made it unneeded, the
+  moment route's value, and the report's gap and status;
 * ``cover_lp`` (``fractional_vertex_cover`` in ``covers``): the LP rows,
   the HiGHS iterations, the duality gap and the value;
 * ``matching`` (``bipartite_vertex_cover`` in ``covers``): the edges and
@@ -382,7 +382,7 @@ def moment_route(seed, workdir):
         certificate = rep.details.get("moment_certificate")
         return {**({"stop": certificate, "converged": True} if certificate else {}),
                 "route": rep.details["moment_raw"] if rep.quantity == "ncrank" else rep.routes["moment_linf"],
-                "value": rep.value}
+                "value": rep.value, "gap": rep.gap, "status": rep.status}
 
     return ("descent_iters",), [lib_case(job, fields, probes)
                                 for job in jobs("covers", seed, workdir, ("g_stable_rank ", "ncrank "))]

@@ -10,12 +10,14 @@ Subcommands:
 
 Exit codes: 0 converged / in-tolerance (and ``--help``), 1 input error
 (among them an argparse usage error such as an unknown flag; a non-finite
-tensor or matrix entry; a negative or non-finite --tol, --route-tol or
---bound), 2 finished without convergence (result still printed) or a
-solver failure or size cap on valid input (one ``error:`` line, no
-result), 3 route disagreement above threshold or an inverted bracket (a
+tensor or matrix entry; a negative or non-finite --eta, --tol, --route-tol
+or --bound; a negative seed), 2 finished without convergence (result still
+printed) or a solver failure or size cap on valid input (one ``error:``
+line, no result), 3 a ``rank`` report of status ``warn`` (exactly then:
+routes further apart than --route-tol, or than 0 for ncrank, or a warning
+note) or, for ``functional`` and ``check-minimax``, an inverted bracket (a
 scaling iterate above the exact-support bound by more than the bracket
-width; result printed, one ``error:`` line).
+width); exit 3 prints the result and one ``error:`` line.
 All randomness is derived from --seed (default: $SPECTRUMKIT_SEED, else 0),
 so equal invocations produce byte-identical output.
 """
@@ -95,14 +97,17 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
 
 
 def _seed(args) -> int:
-    """--seed, else $SPECTRUMKIT_SEED as it is at this call, else 0."""
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get("SPECTRUMKIT_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidArgumentError(f"SPECTRUMKIT_SEED must be an integer, got {text!r}")
+    """--seed, else $SPECTRUMKIT_SEED as it is at this call, else 0; not negative."""
+    name, seed = "--seed", args.seed
+    if seed is None:
+        name, text = "SPECTRUMKIT_SEED", os.environ.get("SPECTRUMKIT_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InvalidArgumentError(f"SPECTRUMKIT_SEED must be an integer, got {text!r}")
+    if seed < 0:
+        raise InvalidArgumentError(f"{name} must be >= 0, got {seed}")
+    return seed
 
 
 def _config(args) -> SearchConfig:
@@ -165,24 +170,16 @@ def _cmd_rank(args) -> int:
     if args.kind == "ncrank":
         a = serialize.matrix_tuple_from_json_dict(obj)
         rep = ncrank(a, cfg)
-        threshold = 0.5
     else:
         t = serialize.tensor_from_json_dict(obj)
         if t.is_zero():
             raise InvalidArgumentError("the zero tensor has no rank values")
         if args.kind == "slice":
-            xi = (
-                _parse_weights(args.xi, t.order, "xi")
-                if args.xi
-                else ThetaWeights.xi(np.ones(t.order))
-            )
-            rep = asymptotic_slice_rank(t, xi, cfg)
+            xi = _parse_weights(args.xi, t.order, "xi") if args.xi else None
+            rep = asymptotic_slice_rank(t, xi, cfg, route_tol=args.route_tol)
         else:
-            alpha = (
-                _parse_weights(args.alpha, t.order, "alpha")
-                if args.alpha
-                else ThetaWeights.alpha(np.ones(t.order))
-            )
+            alpha = (_parse_weights(args.alpha, t.order, "alpha") if args.alpha
+                     else ThetaWeights.alpha(np.ones(t.order)))
             rep = g_stable_rank(t, alpha, cfg, route_tol=args.route_tol)
             if args.dump_lp:
                 from .hypergraphs import build_cover_lp, hypergraph_of
@@ -190,7 +187,6 @@ def _cmd_rank(args) -> int:
                 lp = build_cover_lp(hypergraph_of(t, cfg.eta), alpha)
                 with open(args.dump_lp, "w") as f:
                     f.write(serialize.dumps(lp.to_json_dict()))
-        threshold = args.route_tol
     payload = serialize.rank_report_to_json_dict(rep)
     lines = [f"{rep.quantity}", f"  value  {rep.value:.10g}"]
     for name, val in sorted(rep.routes.items()):
@@ -200,7 +196,11 @@ def _cmd_rank(args) -> int:
     for note in rep.notes:
         lines.append(f"  note   {note}")
     _emit(args, payload, lines)
-    return EXIT_DISAGREE if rep.gap > threshold else EXIT_OK
+    if rep.status == "ok":
+        return EXIT_OK
+    reasons = (f"route gap {rep.gap:.3e}", *rep.notes)
+    sys.stderr.write(f"error: rank status warn: {'; '.join(reasons)}\n")
+    return EXIT_DISAGREE
 
 
 def _parse_objective(spec: str, d: int):
@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="tensor or matrix-tuple JSON file")
     p.add_argument("--xi", type=str, default=None, help="cover weights (slice)")
     p.add_argument("--alpha", type=str, default=None, help="cover weights (gstable)")
-    p.add_argument("--route-tol", type=float, default=ROUTE_TOL, dest="route_tol")
+    p.add_argument("--route-tol", type=float, default=ROUTE_TOL, dest="route_tol",
+                   help="route gap above which slice and gstable report status warn "
+                        "and exit 3; gstable's moment descent stops within it")
     p.add_argument("--dump-lp", type=str, default=None, dest="dump_lp",
                    help="write the identity-basis cover LP as debug JSON (gstable)")
     common(p)
@@ -313,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "functional" and args.kind != "symmetric" and not args.theta:
         sys.stderr.write("error: --theta is required for this functional\n")
         return EXIT_INPUT
-    for flag in ("tol", "route_tol", "bound"):
+    for flag in ("eta", "tol", "route_tol", "bound"):
         value = getattr(args, flag, 0.0)
         if not (math.isfinite(value) and value >= 0):
             sys.stderr.write(f"error: --{flag.replace('_', '-')} must be finite and >= 0, "

@@ -71,27 +71,22 @@ class RankReport:
     notes: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "value": self.value,
-            "routes": dict(sorted(self.routes.items())),
-            "gap": self.gap,
-            "status": self.status,
-            "notes": list(self.notes),
-        }
-
 
 #: routes within this distance of each other count as agreeing, and a
 #: moment descent stops once its route is this close to the other route
 ROUTE_TOL = 5e-3
 
 
-def _route_gap(routes: dict[str, float]) -> float:
+def _rank_report(quantity: str, value: float, routes: dict[str, float], tol: float, *,
+                 warnings: tuple[str, ...] = (), notes: tuple[str, ...] = (),
+                 details: dict) -> RankReport:
+    """The one rule for every rank report: ``gap`` is the spread of the finite
+    routes, and ``status`` is "ok" iff gap <= tol and no warning was raised.
+    ``notes`` only inform; they come before the warnings in the report."""
     vals = [v for v in routes.values() if np.isfinite(v)]
-    if len(vals) < 2:
-        return 0.0
-    return float(max(vals) - min(vals))
+    gap = float(max(vals) - min(vals)) if len(vals) > 1 else 0.0
+    return RankReport(quantity, value, routes, gap,
+                      "ok" if gap <= tol and not warnings else "warn", notes + warnings, details)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +182,8 @@ def asymptotic_slice_rank(
     t: Tensor,
     xi: ThetaWeights | None = None,
     cfg: SearchConfig | None = None,
+    *,
+    route_tol: float = ROUTE_TOL,
 ) -> RankReport:
     """The weighted asymptotic slice rank, by two routes.
 
@@ -200,10 +197,11 @@ def asymptotic_slice_rank(
     ``details["moment_certificate"]`` names the first two (``free_support``,
     ``semistable`` or ``square_pencil``) and is None after Kelley cuts.
     ``details["scaling_runs"]`` counts the runs that scaled: one per
-    Kelley cut, else 0.  A bracket wider than THETA_BRACKET_BITS when
-    the cuts run out adds a note and status "warn".  Route "cover_entropy"
-    is the least asymptotic cover number of the rotated support hypergraph
-    over the identity and the marginal eigenbasis (``unitary_candidates``).
+    Kelley cut, else 0.  A bracket wider than THETA_BRACKET_BITS when the
+    cuts run out, or routes more than route_tol apart, give status "warn"
+    (the bracket with a note).  Route "cover_entropy" is the least
+    asymptotic cover number of the rotated support hypergraph over the
+    identity and the marginal eigenbasis (``unitary_candidates``).
     A basis whose ``cfg.eta`` support is the free exact support reuses the
     theta route's solve: both routes are then one program, and they report
     the same value.
@@ -220,7 +218,6 @@ def asymptotic_slice_rank(
 
     theta, (lo, hi), cuts, solve, certificate = _slice_rank_theta_route(t, xi, cfg)
     open_bracket = f"theta route bracket [{2**lo:.6f}, {2**hi:.6f}] not closed after {cuts} cuts"
-    notes = (open_bracket,) if hi - lo > THETA_BRACKET_BITS else ()
 
     def cover(u):
         h = hypergraph_of(apply_group(u, t), cfg.eta)
@@ -233,14 +230,9 @@ def asymptotic_slice_rank(
                                              lambda v, _: np.log2(v) <= hi + cfg.inner_tol)
 
     routes = {"quantum_theta_min": float(2.0**lo), "cover_entropy": float(val_b)}
-    gap = _route_gap(routes)
-    return RankReport(
-        quantity="asymptotic_slice_rank",
-        value=routes["quantum_theta_min"],
-        routes=routes,
-        gap=gap,
-        status="ok" if gap <= ROUTE_TOL and not notes else "warn",
-        notes=notes,
+    return _rank_report(
+        "asymptotic_slice_rank", routes["quantum_theta_min"], routes, route_tol,
+        warnings=(open_bracket,) if hi - lo > THETA_BRACKET_BITS else (),
         details={"theta": theta, "basis": best_u,
                  "theta_bracket": (float(2**lo), float(2**hi)),
                  "scaling_runs": 0 if certificate else cuts,
@@ -327,18 +319,10 @@ def g_stable_rank(
         res = cert
     val_b = 1.0 / res.value
 
-    routes = {"cover_lp": val_a, "moment_linf": float(val_b)}
-    gap = _route_gap(routes)
-    notes = ()
-    if val_b - val_a > route_tol:
-        notes = (f"inverted bracket: moment_linf {val_b:.6f} above cover_lp {val_a:.6f}",)
-    return RankReport(
-        quantity="g_stable_rank",
-        value=val_a,
-        routes=routes,
-        gap=gap,
-        status="ok" if gap <= route_tol and not notes else "warn",
-        notes=notes,
+    inverted = f"inverted bracket: moment_linf {val_b:.6f} above cover_lp {val_a:.6f}"
+    return _rank_report(
+        "g_stable_rank", val_a, {"cover_lp": val_a, "moment_linf": float(val_b)}, route_tol,
+        warnings=(inverted,) if val_b - val_a > route_tol else (),
         details={"basis": best_u, "witness": res.witness, "cover_bases": scored,
                  **_moment_details(res)},
     )
@@ -449,38 +433,23 @@ def ncrank_moment(
 
 
 def ncrank(a: MatrixTuple, cfg: SearchConfig | None = None) -> RankReport:
-    """All three noncommutative rank routes with exact-agreement status.  The
-    moment route is certified where ``ncrank_moment`` can
-    (``details["moment_certificate"]``), else its descent stops once its raw
-    value is within ROUTE_TOL of the bipartite cover; a raw value above the
-    cover by more than 0.25 is an inverted bracket (a note and status
-    "warn")."""
+    """All three noncommutative rank routes, with status "ok" iff they agree
+    exactly and no warning was raised; a shared kernel or cokernel of the
+    slices is a note that does not warn.  The moment route is certified where
+    ``ncrank_moment`` can (``details["moment_certificate"]``), else its
+    descent stops once its raw value is within ROUTE_TOL of the bipartite
+    cover; a raw value more than 0.25 off its rounding, or above the cover
+    by more than 0.25 (an inverted bracket), warns with a note."""
     cfg = cfg or SearchConfig()
-    notes = _tuple_degeneracy_notes(a)
     fr, fr_cert = ncrank_fr(a, cfg)
     blow = ncrank_blowup(a, seed=cfg.seed)
     raw, rounded, descent = ncrank_moment(a, upper=float(fr))
-    routes = {
-        "fortin_reutenauer": float(fr),
-        "blowup": float(blow),
-        "moment_l1": float(rounded),
-    }
-    gap = _route_gap(routes)
-    status = "ok"
-    if gap > 0:
-        status = "warn"
-    if abs(raw - rounded) > 0.25:
-        status = "warn"
-        notes = notes + (f"moment route rounds {raw:.4f} -> {rounded}",)
-    if raw - fr > 0.25:
-        status = "warn"
-        notes = notes + (f"inverted bracket: moment raw {raw:.4f} above fortin_reutenauer {fr}",)
-    return RankReport(
-        quantity="ncrank",
-        value=float(fr),
-        routes=routes,
-        gap=gap,
-        status=status,
-        notes=notes,
+    routes = {"fortin_reutenauer": float(fr), "blowup": float(blow), "moment_l1": float(rounded)}
+    warnings = tuple(note for note, raised in (
+        (f"moment route rounds {raw:.4f} -> {rounded}", abs(raw - rounded) > 0.25),
+        (f"inverted bracket: moment raw {raw:.4f} above fortin_reutenauer {fr}", raw - fr > 0.25),
+    ) if raised)
+    return _rank_report(
+        "ncrank", float(fr), routes, 0.0, warnings=warnings, notes=_tuple_degeneracy_notes(a),
         details={"moment_raw": raw, "fr_certificate": fr_cert, **_moment_details(descent)},
     )

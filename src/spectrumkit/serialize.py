@@ -163,14 +163,12 @@ def minimax_to_json_dict(rep: MinimaxReport) -> dict:
 
 
 def rank_report_to_json_dict(rep: RankReport) -> dict:
-    out = rep.to_json_dict()
+    routes: dict[str, Any] = dict(sorted(rep.routes.items()))
     if rep.quantity == "ncrank" and "moment_raw" in rep.details:
-        out["routes"] = dict(out["routes"])
-        out["routes"]["moment_l1"] = {
-            "raw": float(rep.details["moment_raw"]),
-            "rounded": int(rep.routes["moment_l1"]),
-        }
-    return out
+        routes["moment_l1"] = {"raw": float(rep.details["moment_raw"]),
+                               "rounded": int(rep.routes["moment_l1"])}
+    return {"quantity": rep.quantity, "value": rep.value, "routes": routes, "gap": rep.gap,
+            "status": rep.status, "notes": list(rep.notes)}
 
 
 def dumps(obj: dict) -> str:

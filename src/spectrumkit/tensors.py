@@ -314,7 +314,7 @@ def hermitian_spectrum(h: np.ndarray) -> np.ndarray:
 def support(t: Tensor, eta: float = DEFAULT_ETA) -> SupportSet:
     """Index tuples whose magnitude exceeds eta times the largest magnitude."""
     t.require_nonzero()
-    if eta < 0:
+    if not eta >= 0:
         raise InvalidArgumentError(f"support threshold must be >= 0, got {eta}")
     mags = np.abs(t.entries)
     if eta == 0:

@@ -9,7 +9,7 @@ import pytest
 
 import spectrumkit
 from conftest import gl_w_tensor, sparse_tensor
-from spectrumkit import MatrixTuple, cli, functionals, hypergraphs, make_unit, ranks, w_tensor
+from spectrumkit import MatrixTuple, cli, functionals, hypergraphs, make_unit, optim, ranks, w_tensor
 from spectrumkit import serialize as ser
 from spectrumkit.cli import main
 from spectrumkit.linprog import LpError
@@ -124,18 +124,28 @@ THIRDS = ("--theta", "1/3,1/3,1/3")
     ("rank", "gstable", "w", "--route-tol", "nan"),
     ("check-minimax", "w", "--objective", "linf", "--bound", "-1"),
     ("check-minimax", "w", "--objective", "l1-uniform", "--bound", "nan"),
+    ("rank", "ncrank", "row_pencil", "--seed", "-1"),
+    ("SPECTRUMKIT_SEED=-1", "rank", "ncrank", "row_pencil"),
+    ("functional", "quantum", "w", *THIRDS, "--eta", "nan"),
+    ("functional", "support", "w", *THIRDS, "--eta", "inf"),
+    ("rank", "gstable", "w", "--eta", "-1"),
 ], ids=lambda argv: " ".join(argv))
-def test_nonfinite_input_and_bad_thresholds_exit_1(argv, files, tmp_path, capsys):
-    # NaN entries used to vanish from the support, and a NaN --tol to
-    # fail neither bracket test
+def test_nonfinite_input_and_bad_thresholds_exit_1(argv, files, tmp_path, capsys, monkeypatch):
+    # NaN entries used to vanish from the support, a NaN --tol to fail
+    # neither bracket test, a NaN --eta to empty the support, and a negative
+    # seed to raise in numpy's SeedSequence
+    env = dict(a.split("=", 1) for a in argv if "=" in a)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
     paths = {**files, **_nonfinite_inputs(tmp_path)}
-    code = main([str(paths.get(a, a)) for a in argv])
+    code = main([str(paths.get(a, a)) for a in argv if a.split("=")[0] not in env])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
-    flag = next((a for a in argv if a in ("--tol", "--route-tol", "--bound")), None)
-    assert (flag or "non-finite entries") in captured.err
+    flag = next((a for a in argv if a in ("--eta", "--seed", "--tol", "--route-tol", "--bound")),
+                None)
+    assert (flag or next(iter(env), "non-finite entries")) in captured.err
 
 
 def test_tol_0_stays_valid(files, capsys):
@@ -328,6 +338,57 @@ def test_inverted_bracket_exit_3(files, capsys, monkeypatch):
         assert code == 3
         assert captured.err.startswith("error: inverted bracket") and captured.err.count("\n") == 1
         assert captured.out  # the result is still printed
+
+
+def _moment_raw_above(monkeypatch, shift):
+    """``ranks.ncrank_moment`` with its raw value moved up by ``shift`` and
+    its rounding kept."""
+    moment = ranks.ncrank_moment
+
+    def shifted(*args, **kwargs):
+        raw, rounded, res = moment(*args, **kwargs)
+        return raw + shift, rounded, res
+
+    monkeypatch.setattr(ranks, "ncrank_moment", shifted)
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "slice", "gl_w"),
+    ("rank", "gstable", "gl_w"),
+    ("rank", "ncrank", "row_pencil"),
+    ("rank", "slice", "w", "--xi", "1,1/2,1"),
+], ids=lambda argv: " ".join(argv))
+def test_rank_warn_exit_3(argv, files, capsys, monkeypatch):
+    # GL.W's routes lie further apart than --route-tol; the row pencil's
+    # moment raw, 0.3 above its rounding and the cover, and W's theta
+    # bracket, left open at 3 cuts, agree with the other routes yet warn,
+    # and now exit 3 as well
+    if argv[1] == "ncrank":
+        _moment_raw_above(monkeypatch, 0.3)
+    if "--xi" in argv:
+        monkeypatch.setattr(optim, "MAX_MIN_CUTS", 3)
+    code = main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)  # the result is still printed
+    assert code == 3 and payload["status"] == "warn"
+    assert captured.err.startswith("error: rank status warn: ") and captured.err.count("\n") == 1
+    if argv[1] == "ncrank":
+        # the cokernel note informs; the two warnings follow it
+        assert payload["gap"] == 0.0
+        assert [n.split()[0] for n in payload["notes"]] == ["slices", "moment", "inverted"]
+        assert "inverted bracket: moment raw 1.3" in captured.err
+    if "--xi" in argv:
+        assert "not closed after 3 cuts" in captured.err
+
+
+def test_rank_slice_route_tol_sets_the_status(files, capsys):
+    # GL.W's routes lie 0.11 apart: within --route-tol 1, so the status and
+    # the exit code both say ok
+    code, out = run(capsys, "rank", "slice", files["gl_w"], "--route-tol", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "ok" and 0.1 <= payload["gap"] <= 1.0
+    code, out = run(capsys, "rank", "slice", files["gl_w"])
+    assert code == 3 and json.loads(out)["status"] == "warn"
 
 
 def test_output_deterministic(files, tmp_path, capsys):

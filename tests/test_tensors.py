@@ -106,6 +106,13 @@ def test_apply_group_permutation_moves_support():
     ]
 
 
+@pytest.mark.parametrize("eta", [-1.0, float("nan")])
+def test_support_rejects_a_negative_or_nan_threshold(eta):
+    # a NaN threshold used to pass the check and leave no entry in the support
+    with pytest.raises(InvalidArgumentError, match="support threshold must be >= 0"):
+        support(w_tensor(), eta)
+
+
 def test_apply_group_shape_mismatch():
     with pytest.raises(InvalidArgumentError):
         apply_group(GroupElement.identity((2, 2)), w_tensor())
