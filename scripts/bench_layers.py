@@ -375,8 +375,11 @@ def slice_route(seed, workdir):
 
 @layer
 def moment_route(seed, workdir):
-    probes = ((ranks, "minimize_over_moment_polytope",
-               lambda r, a: {"descent_iters": r.iterations, "stop": r.stop, "converged": r.converged}),)
+    # ncrank descends through the name in ranks, g_stable_rank through the
+    # one in functionals
+    probes = tuple((m, "minimize_over_moment_polytope",
+                    lambda r, a: {"descent_iters": r.iterations, "stop": r.stop, "converged": r.converged})
+                   for m in (ranks, functionals))
 
     def fields(rep):
         certificate = rep.details.get("moment_certificate")

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import serialize
 from .functionals import (
-    FunctionalCertificate,
     SearchConfig,
     bracket_width,
     minimax_gap,
@@ -48,7 +47,7 @@ from .hypergraphs import ResourceLimitError
 from .linprog import LpError
 from .optim import L1FromUniform, MaxInfNorm, NegWeightedEntropy, ThetaWeights
 from .ranks import ROUTE_TOL, asymptotic_slice_rank, g_stable_rank, ncrank
-from .tensors import InvalidArgumentError, Tensor
+from .tensors import InvalidArgumentError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -118,18 +117,17 @@ def _config(args) -> SearchConfig:
     )
 
 
-def _inverted(cert: FunctionalCertificate, cfg: SearchConfig) -> bool:
-    """A scaling iterate above the exact-support bound by more than the
-    bracket width is no value: one of the two sides is wrong.  Says so on
-    stderr."""
-    if cert.bracket is None:
-        return False
-    lo, hi = cert.bracket
-    if lo <= hi + bracket_width(cfg.inner_tol):
-        return False
-    sys.stderr.write(f"error: inverted bracket: scaling iterate {lo!r} bits "
-                     f"above the exact-support bound {hi!r} bits\n")
-    return True
+def _bracket_exit(bracket: tuple[float, float] | None, width: float, passed: bool) -> int:
+    """The exit code of ``functional`` and ``check-minimax``: 3 for a
+    bracket whose lower end, a scaling iterate, lies above its upper end,
+    the exact-support bound, by more than ``width`` (no value: one of the
+    two sides is wrong; said on stderr), else 0 if the command's own test
+    ``passed``, else 2."""
+    if bracket is not None and not bracket[0] <= bracket[1] + width:
+        sys.stderr.write(f"error: inverted bracket: scaling iterate {bracket[0]!r} bits "
+                         f"above the exact-support bound {bracket[1]!r} bits\n")
+        return EXIT_DISAGREE
+    return EXIT_OK if passed else EXIT_NOT_CONVERGED
 
 
 def _cmd_functional(args) -> int:
@@ -159,9 +157,7 @@ def _cmd_functional(args) -> int:
         lines.append(f"  bracket    [{cert.bracket[0]:.10g}, {cert.bracket[1]:.10g}] bits")
         lines.append(f"  lower end  {cert.lower_end}")
     _emit(args, payload, lines)
-    if _inverted(cert, cfg):
-        return EXIT_DISAGREE
-    return EXIT_OK if cert.converged else EXIT_NOT_CONVERGED
+    return _bracket_exit(cert.bracket, bracket_width(cfg.inner_tol), cert.converged)
 
 
 def _cmd_rank(args) -> int:
@@ -243,9 +239,8 @@ def _cmd_check_minimax(args) -> int:
         f"  gap  {rep.gap:.3e}",
     ]
     _emit(args, payload, lines)
-    if _inverted(rep.lhs_certificate, cfg):
-        return EXIT_DISAGREE
-    return EXIT_OK if abs(rep.gap) <= args.bound else EXIT_NOT_CONVERGED
+    return _bracket_exit(rep.lhs_certificate.bracket, bracket_width(cfg.inner_tol),
+                         abs(rep.gap) <= args.bound)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -620,16 +620,18 @@ def unitary_candidates(t: Tensor) -> Iterator[GroupElement]:
 
 def _support_score(t: Tensor, objective, cfg: SearchConfig, known: SupportOptimum | None):
     """The basis-search score of a basis change u: the negated value of the
-    support program of u.t on its ``cfg.eta`` support, and the solve.
-    ``known``, a solve of the same program on some support, stands in for
-    the solve when the candidate's support is that one."""
+    support program of u.t on its ``cfg.eta`` support, and the solve.  Each
+    distinct support is solved once: a basis whose support an earlier one
+    had takes that solve, and ``known``, a solve of the same program on some
+    support, stands in for the solve of that support."""
+    solves = {} if known is None else {known.distribution.support.points.tobytes(): known}
 
     def score(u: GroupElement) -> tuple[float, SupportOptimum]:
         s = support(apply_group(u, t), cfg.eta)
-        if known is not None and np.array_equal(s.points, known.distribution.support.points):
-            return -known.value, known
-        opt = min_convex_over_support(s, objective, tol=cfg.inner_tol)
-        return -opt.value, opt
+        key = s.points.tobytes()
+        if key not in solves:
+            solves[key] = min_convex_over_support(s, objective, tol=cfg.inner_tol)
+        return -solves[key].value, solves[key]
 
     return score
 
@@ -931,6 +933,37 @@ class MinimaxReport:
     bases_scored: int | None = None  # candidates scored on the support side
 
 
+def _minimax_sides(
+    t: Tensor, objective, cfg: SearchConfig, close: Callable[[float, float], bool],
+    guess: Callable[[float], float | None], *, max_iter: int = 4000,
+) -> tuple[MomentCertificate | MomentDescentResult, tuple]:
+    """Both sides of the minimax formula for a convex symmetric objective
+    that is not an entropy: the least value over the moment polytope of t
+    (a certificate or a descent), and the greatest support program over
+    ``unitary_candidates`` (``_support_score``'s basis search).
+
+    ``close(value, floor)``, which holds at and below some value, says when
+    a moment value is near enough to floor, a support program's value less
+    its certified gap: a lower end of the minimum.  Where
+    ``_moment_certificate`` applies, the search stops at the first basis
+    whose floor its value is close to.  Elsewhere every basis is scored,
+    then a descent of at most ``max_iter`` steps runs to the bound
+    ``_descent_bound`` finds from ``guess(floor)`` of the best basis (no
+    bound where that is None).
+    """
+    cert = _moment_certificate(t, objective, range(t.order))
+    score = _support_score(t, objective, cfg, cert.solve if cert is not None else None)
+    if cert is not None:
+        return cert, _basis_search(unitary_candidates(t), score,
+                                   lambda neg, opt: close(cert.value, -neg - opt.certified_gap))
+    search = _basis_search(unitary_candidates(t), score)
+    neg, _, opt, _ = search
+    floor = -neg - opt.certified_gap
+    reach = guess(floor)
+    bound = None if reach is None else _descent_bound(lambda v: close(v, floor), reach)
+    return minimize_over_moment_polytope(t, objective, max_iter=max_iter, bound=bound), search
+
+
 def minimax_gap(
     t: Tensor,
     objective,
@@ -941,35 +974,28 @@ def minimax_gap(
     of the min of F over the rotated support polytope (rhs).
 
     The two agree in exact arithmetic; ``gap = lhs - rhs`` is reported
-    signed.  The lhs is computed by entropic scaling when F is a negated
-    weighted entropy, and otherwise by a certificate or by subgradient
-    scaling descent.  The lhs bounds the true value from above and (rhs -
-    its certified gap) from below, so the basis search stops once that
-    bracket is as narrow as the lhs is loose.  A bracket closed to max(10 inner_tol, 1e-6) reports
-    ``converged=True``; an open one reports the lhs solver's own flag.
+    signed.  The lhs bounds the true value from above and (rhs - its
+    certified gap) from below: a bracket closed to max(10 inner_tol, 1e-6)
+    reports ``converged=True``, an open one the lhs solver's own flag.
 
     For a negated weighted entropy the lhs is the bracket of
     ``quantum_functional``: a certified lower end on a free exact support
     (Christandl, Vrana & Zuiddam, STOC 2018), a square pencil (Gurvits,
     JCSS 2004) or a semistable concise tensor, else a scaling run stopped
     once its iterate is within ``bracket_width(cfg.inner_tol)`` bits of the
-    upper end; so the lhs may sit that far above the true value and the
-    basis search allows the same slack.  ``lhs_certificate.bracket`` holds
-    (lo, hi) in bits of F_theta(t), and a candidate whose support is the
-    exact one reuses the solve that gave hi.
+    upper end; so the lhs may sit that far above the true value, and the
+    basis search stops at the first basis within that slack.
+    ``lhs_certificate.bracket`` holds (lo, hi) in bits of F_theta(t), and a
+    candidate whose support is the exact one reuses the solve that gave hi.
 
-    For any other F the lhs is certified without a descent where
-    ``_moment_certificate`` applies: on a free exact support it is the
-    support program there, and on a concise tensor that one of
-    ``_semistability_rule``'s invariants proves semistable it is F at the
-    point uniform on the flattening ranks; ``lhs_certificate.lower_end``
-    names the certificate, and a candidate whose support is the exact one
-    reuses the free support's solve.  Elsewhere the identity basis is
-    scored first.  Its rhs less its certified gap bounds the minimum from
-    below, so the descent stops as soon as its value passes the report's
-    closed test against it, and the lhs may sit max(10 inner_tol, 1e-6)
-    above that bound; the basis search allows the same slack and reuses
-    the identity's solve.
+    Any other F goes through ``_minimax_sides``, which ``g_stable_rank``
+    also calls, with the closed test as its close test.  Where
+    ``_moment_certificate`` applies the lhs is certified without a descent
+    (``lhs_certificate.lower_end`` names the certificate): the support
+    program on a free exact support, whose solve a candidate of that
+    support reuses, or F at the point uniform on the flattening ranks of a
+    semistable concise tensor.  Elsewhere every basis is scored first, then
+    the descent stops as soon as it passes the closed test against the best.
     """
     cfg = cfg or SearchConfig()
     t.require_nonzero()
@@ -978,41 +1004,28 @@ def minimax_gap(
     if isinstance(objective, NegWeightedEntropy):
         q, known = _bracketed_scaling(t, ThetaWeights.theta(objective.theta),
                                       inner_tol=cfg.inner_tol)
-        slack = bracket_width(cfg.inner_tol)
         lhs = -q.bits
         lhs_cert = replace(q, value=lhs, bits=lhs)
-        lhs_converged = q.converged
+        search = _basis_search(
+            unitary_candidates(t), _support_score(t, objective, cfg, known),
+            lambda neg, opt: -neg - opt.certified_gap >= lhs - bracket_width(cfg.inner_tol))
     else:
-        slack = closed_tol
-        cert = _moment_certificate(t, objective, range(t.order))
-        if cert is not None:
-            known, lhs, lhs_converged = cert.solve, cert.value, True
-            lhs_cert = FunctionalCertificate(value=lhs, bits=float("nan"), witness=cert.witness,
-                                             lower_end=cert.how)
-        else:
-            _, known = _support_score(t, objective, cfg, None)(GroupElement.identity(t.dims))
-            floor = known.value - known.certified_gap
-            bound = _descent_bound(lambda v: v - floor <= closed_tol, floor + closed_tol)
-            res = minimize_over_moment_polytope(t, objective, bound=bound)
-            lhs, lhs_converged = res.value, res.converged
-            lhs_cert = FunctionalCertificate(value=lhs, bits=float("nan"), witness=res.witness,
-                                             group_factors=res.group_factors,
-                                             converged=res.converged)
+        res, search = _minimax_sides(t, objective, cfg, lambda v, floor: v - floor <= closed_tol,
+                                     lambda floor: floor + closed_tol)
+        lhs, descent = res.value, isinstance(res, MomentDescentResult)
+        lhs_cert = FunctionalCertificate(
+            value=lhs, bits=float("nan"), witness=res.witness,
+            group_factors=res.group_factors if descent else None,
+            converged=not descent or res.converged, lower_end=None if descent else res.how)
 
-    neg_rhs, best_u, rhs_opt, scored = _basis_search(
-        unitary_candidates(t),
-        _support_score(t, objective, cfg, known),
-        lambda neg, opt: -neg - opt.certified_gap >= lhs - slack,
-    )
+    neg_rhs, best_u, rhs_opt, scored = search
     rhs = -neg_rhs
     rhs_cert = FunctionalCertificate(
         value=float(rhs),
         bits=float("nan"),
         witness=rhs_opt.marginals,
-        theta=None,
         group_factors=tuple(best_u.factors),
         converged=rhs_opt.certified_gap <= closed_tol,
-        gap=None,
     )
     closed = lhs - (rhs - rhs_opt.certified_gap) <= closed_tol
     return MinimaxReport(
@@ -1021,6 +1034,6 @@ def minimax_gap(
         gap=float(lhs - rhs),
         lhs_certificate=lhs_cert,
         rhs_certificate=rhs_cert,
-        converged=bool(closed or lhs_converged),
+        converged=bool(closed or lhs_cert.converged),
         bases_scored=scored,
     )

@@ -1,15 +1,15 @@
-"""Linear programs with row duals: HiGHS through scipy for the cover LPs, and
-an in-package simplex for the small LPs whose slack basis is feasible.
+"""Linear programs with row duals: HiGHS through scipy for the cover LPs of
+``hypergraphs``, and an in-package simplex for the small LPs whose slack
+basis is feasible.
 
 ``solve_lp`` runs HiGHS (Huangfu & Hall, "Parallelizing the dual revised
-simplex method", 2018), which is deterministic for a fixed input; the
-fractional cover LPs of ``hypergraphs`` use it.  scipy is imported on the
-first solve, not with this module, because ``scipy.optimize`` takes about
-half a second to import and adds about 50 MB to the process.
+simplex method", 2018), which is deterministic for a fixed input.  scipy is
+imported on the first solve, not with this module: ``scipy.optimize`` takes
+about half a second to import and adds about 50 MB to the process.
 ``slack_simplex`` solves max c.x subject to g x <= h, x >= 0 with h >= 0 in
-numpy: the inf-norm and l1 support programs and the Kelley master LPs of
-the slice rank and the asymptotic cover (``optim.kelley_master``) go
-through it, so the commands that need no cover LP never import scipy.
+numpy: the inf-norm and l1 support programs (and so ``g_stable_rank``'s
+fractional cover LP, their LP dual) and the Kelley master LPs
+(``optim.kelley_master``) go through it, so no CLI command imports scipy.optimize.
 """
 
 from __future__ import annotations

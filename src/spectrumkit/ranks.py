@@ -17,7 +17,6 @@ Reports carry every route's value and the largest pairwise disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .functionals import (
     _eigenbasis_unitary,
     _flattening_ranks,
     _is_free,
+    _minimax_sides,
     _moment_certificate,
     entropic_scaling,
     minimize_over_moment_polytope,
@@ -38,10 +38,8 @@ from .functionals import (
 )
 from .hypergraphs import (
     BipartiteGraph,
-    Hypergraph,
     asymptotic_vertex_cover,
     bipartite_vertex_cover,
-    fractional_vertex_cover,
     hypergraph_of,
 )
 from .optim import (
@@ -265,58 +263,35 @@ def g_stable_rank(
     marginal eigenbasis ("cover_lp", ``unitary_candidates``) and by the
     reciprocal inf-norm program over marginal spectra ("moment_linf").
 
-    Every cover LP is an upper end and every moment point's 1 / value a
-    lower end.  Where ``_moment_certificate`` applies (a free exact support
-    or a semistable concise tensor), the inf-norm minimum v is known, within
-    its certified gap g, without a descent: "moment_linf" is 1 / v, and
-    ``details["moment_certificate"]`` names the certificate.  The fractional
-    cover LP is the LP dual of the inf-norm program, so a basis whose
-    ``cfg.eta`` support is the free exact support takes its cover, 1 / (v -
-    g), from the certificate's solve.  The G-stable rank is at most
-    1 / (v - g), so the basis search stops at the first cover within
-    ``cfg.inner_tol`` bits of it.  Elsewhere the cover route scores both
-    bases, and a moment descent runs until cover_lp - 1 / value <=
-    route_tol.  ``details["descent_iterations"]`` and
-    ``details["descent_stop"]`` say how the moment route ended (0 and the
-    certificate's name where there was no descent).  A moment route above
-    the cover route by more than route_tol is an inverted bracket: a note
-    and status "warn".  ``details["cover_bases"]`` counts the bases
-    scored."""
+    The two routes are the two sides of the minimax formula for
+    F = max_j ||p_j||_inf / alpha_j, from ``functionals._minimax_sides``,
+    the implementation behind ``minimax_gap``.  The fractional cover LP is
+    the LP dual of the inf-norm support program, so a basis whose program
+    has value v and certified gap g has cover 1 / (v - g); each distinct
+    support is solved once.  Every moment point's 1 / value is a lower end.
+    Where ``_moment_certificate`` applies (a free exact support or a
+    semistable concise tensor), the moment minimum is known without a
+    descent (``details["moment_certificate"]``), a basis whose ``cfg.eta``
+    support is the free exact one takes the certificate's solve, and the
+    search stops at the first cover within route_tol of "moment_linf".
+    Elsewhere every basis is scored, then a moment descent of at most 6000
+    steps runs until cover_lp - 1 / value <= route_tol.
+    ``details["descent_iterations"]`` and ``details["descent_stop"]`` say
+    how the moment route ended (0 and the certificate's name where there
+    was no descent).  A moment route above the cover route by more than
+    route_tol is an inverted bracket: a note and status "warn".
+    ``details["cover_bases"]`` counts the bases scored."""
     t.require_nonzero()
     cfg = cfg or SearchConfig()
     alpha = alpha or ThetaWeights.alpha(np.ones(t.order))
     if alpha.role != "alpha":
         raise InvalidArgumentError("G-stable rank expects weights with role 'alpha'")
 
-    objective = MaxInfNorm(alpha)
-    cert = _moment_certificate(t, objective, range(t.order))
-    solve = cert.solve if cert is not None else None
-    # equal supports have equal covers: one LP per support, and the first
-    # basis reaching it
-    cover_of: dict[Hypergraph, float] = {}
-
-    def cover(u):
-        h = hypergraph_of(apply_group(u, t), cfg.eta)
-        if h not in cover_of:
-            if solve is not None and np.array_equal(h.as_support().points,
-                                                    solve.distribution.support.points):
-                cover_of[h] = 1.0 / (solve.value - solve.certified_gap)
-            else:
-                cover_of[h] = fractional_vertex_cover(h, alpha).value
-        return cover_of[h], None
-
-    top = -np.inf if cert is None else 2.0**cfg.inner_tol / (cert.value - cert.gap)
-    val_a, best_u, _, scored = _basis_search(unitary_candidates(t), cover,
-                                             lambda best, _: best <= top)
-    val_a = float(val_a)
-    if cert is None:
-        bound = None
-        if val_a > route_tol:
-            bound = _descent_bound(lambda v: val_a - 1.0 / v <= route_tol,
-                                   1.0 / (val_a - route_tol))
-        res = minimize_over_moment_polytope(t, objective, max_iter=6000, bound=bound)
-    else:
-        res = cert
+    res, (neg, best_u, opt, scored) = _minimax_sides(
+        t, MaxInfNorm(alpha), cfg, lambda v, floor: 1.0 / floor - 1.0 / v <= route_tol,
+        lambda floor: 1.0 / (1.0 / floor - route_tol) if 1.0 / floor > route_tol else None,
+        max_iter=6000)
+    val_a = float(1.0 / (-neg - opt.certified_gap))
     val_b = 1.0 / res.value
 
     inverted = f"inverted bracket: moment_linf {val_b:.6f} above cover_lp {val_a:.6f}"

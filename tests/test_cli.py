@@ -189,14 +189,14 @@ def test_rank_gstable_route_tol_sets_the_descent_stop(files, capsys, monkeypatch
     # moment route is a descent that runs until it is within --route-tol of
     # the cover LP's 3: a tighter tolerance takes more steps
     steps = []
-    descend = ranks.minimize_over_moment_polytope
+    descend = functionals.minimize_over_moment_polytope
 
     def counted(*args, **kwargs):
         res = descend(*args, **kwargs)
         steps.append(res.iterations)
         return res
 
-    monkeypatch.setattr(ranks, "minimize_over_moment_polytope", counted)
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope", counted)
     for tol in ("5e-3", "1e-3", "1e-4"):
         code, out = run(capsys, "rank", "gstable", files["rand334"], "--route-tol", tol)
         payload = json.loads(out)
@@ -206,17 +206,19 @@ def test_rank_gstable_route_tol_sets_the_descent_stop(files, capsys, monkeypatch
     assert steps[0] < steps[1] < steps[2] <= 6000
     # a descent cut short leaves the routes further apart than --route-tol:
     # exit 3
-    monkeypatch.setattr(ranks, "minimize_over_moment_polytope",
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope",
                         lambda *a, **k: descend(*a, **{**k, "max_iter": 3}))
     code, out = run(capsys, "rank", "gstable", files["rand334"], "--route-tol", "1e-4")
     assert code == 3 and json.loads(out)["gap"] > 1e-4
 
 
 def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
-    def failing(lp):
+    # GL.W is neither free nor certified semistable: its cover route solves
+    # the inf-norm support programs by the in-package simplex
+    def failing(c, g, h):
         raise LpError("iteration limit reached")
 
-    monkeypatch.setattr(hypergraphs, "solve_lp", failing)
+    monkeypatch.setattr(optim, "slack_simplex", failing)
     code = main(["rank", "gstable", files["gl_w"]])
     captured = capsys.readouterr()
     assert code == 2
@@ -225,10 +227,10 @@ def test_rank_gstable_solver_failure_exit_2(files, capsys, monkeypatch):
 
 
 def test_rank_gstable_size_cap_exit_2(files, capsys, monkeypatch):
-    def capped(lp):
+    def capped(c, g, h):
         raise hypergraphs.ResourceLimitError("4096^2 edges exceeds the cap 1000000")
 
-    monkeypatch.setattr(hypergraphs, "solve_lp", capped)
+    monkeypatch.setattr(optim, "slack_simplex", capped)
     code = main(["rank", "gstable", files["gl_w"]])
     captured = capsys.readouterr()
     assert code == 2
@@ -522,11 +524,12 @@ def test_functional_and_minimax_runs_leave_scipy_unloaded(files):
     assert _fresh_process(_CLI_RUNS, *runs).strip() == f"{[0] * len(runs)} []"
 
 
-def test_gstable_runs_on_free_supports_leave_scipy_unloaded(files):
-    # on a free support the cover LP of the identity basis is the dual of
-    # the inf-norm program that certifies the moment route, so no HiGHS solve
-    runs = [f"rank gstable {files['w']}", f"rank gstable {files['ww']}"]
-    assert _fresh_process(_CLI_RUNS, *runs).strip() == f"{[0] * len(runs)} []"
+def test_gstable_runs_leave_scipy_unloaded(files):
+    # every cover LP is read off the dual inf-norm support program, which the
+    # in-package simplex solves: on free supports (W, W x W), on GL.W (exit
+    # 3: its routes disagree) and on a generic 3x3x4 tensor, which descends
+    runs = [f"rank gstable {files[name]}" for name in ("w", "ww", "gl_w", "rand334")]
+    assert _fresh_process(_CLI_RUNS, *runs).strip() == "[0, 0, 3, 0] []"
 
 
 def test_slice_rank_runs_leave_scipy_unloaded(files):

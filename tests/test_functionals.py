@@ -22,6 +22,7 @@ from spectrumkit import (
     ThetaWeights,
     apply_group,
     entropic_scaling,
+    g_stable_rank,
     kempf_ness_value,
     make_unit,
     matmul_tensor,
@@ -998,11 +999,11 @@ def test_minimax_gap_examples(w, matmul222):
 def test_minimax_closed_bracket_converges_and_stops_the_search():
     t = random_tensor((3, 3, 3), np.random.default_rng(7))
     rep = minimax_gap(t, MaxInfNorm(ThetaWeights.alpha([1, 1, 1])), FAST)
-    # no certificate covers a generic 3x3x3 tensor: the descent stops once
-    # its value meets the identity basis's support bound
+    # no certificate covers a generic 3x3x3 tensor: both bases are scored,
+    # then the descent stops once its value meets the best support bound
     assert rep.lhs_certificate.lower_end is None
     assert rep.lhs_certificate.converged is True
-    assert rep.converged is True and rep.bases_scored == 1
+    assert rep.converged is True and rep.bases_scored == 2
     assert abs(rep.gap) <= 1e-6
 
 
@@ -1028,7 +1029,8 @@ def test_minimax_on_a_free_support_makes_no_descent(label, monkeypatch):
 @pytest.mark.parametrize("label", ["rand333", "sparse332"])
 def test_minimax_descents_stop_at_the_support_bound(label, monkeypatch):
     # neither tensor is free or certified semistable, so each objective
-    # runs a descent, which stops once it meets the identity's support bound
+    # scores both bases, then runs a descent, which stops once it meets the
+    # best support bound
     t = {"rand333": random_tensor((3, 3, 3), np.random.default_rng(7)),
          "sparse332": sparse332()}[label]
     descents = []
@@ -1039,8 +1041,21 @@ def test_minimax_descents_stop_at_the_support_bound(label, monkeypatch):
         rep = minimax_gap(t, objective, FAST)
         assert descents[-1].stop == "bracket"
         assert rep.lhs_certificate.lower_end is None
-        assert rep.converged and rep.bases_scored == 1
+        assert rep.converged and rep.bases_scored == 2
         assert abs(rep.gap) <= 1e-6
+
+
+def test_minimax_linf_and_g_stable_rank_agree_off_the_identity():
+    # flattening 0 of this sparse 3x3x3 tensor has rank 2, so every moment
+    # point has F >= 1 at alpha = (1/2, 1, 3/2); the identity's support
+    # program reads 2/3 and the eigenbasis's 1.  Scoring every basis before
+    # the descent aims it at 1, not at the identity's 2/3
+    t = sparse_tensor((3, 3, 3), 6, 8)
+    alpha = ThetaWeights.alpha([0.5, 1.0, 1.5])
+    rep = minimax_gap(t, MaxInfNorm(alpha), FAST)
+    assert rep.rhs == pytest.approx(1.0, abs=1e-12)
+    assert 1.0 <= rep.lhs <= 1.0 + 1e-6 and rep.converged
+    assert abs(g_stable_rank(t, alpha, FAST).routes["cover_lp"] - 1.0 / rep.rhs) <= 1e-12
 
 
 def test_minimax_open_bracket_reports_the_descent_flag(monkeypatch):

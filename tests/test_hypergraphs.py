@@ -20,7 +20,7 @@ from spectrumkit import (
     vertex_cover,
     w_tensor,
 )
-from spectrumkit import ranks
+from spectrumkit import functionals
 from spectrumkit.hypergraphs import ResourceLimitError
 from spectrumkit import min_convex_over_support
 from spectrumkit.optim import MaxInfNorm
@@ -200,16 +200,18 @@ def test_fractional_cover_of_w_power_six():
 
 def test_g_stable_rank_solves_one_lp_per_support(monkeypatch):
     calls = []
+    solve = functionals.min_convex_over_support
 
-    def counted(h, alpha):
-        calls.append(h)
-        return fractional_vertex_cover(h, alpha)
+    def counted(s, objective, **kwargs):
+        calls.append(s.points.tobytes())
+        return solve(s, objective, **kwargs)
 
-    monkeypatch.setattr(ranks, "fractional_vertex_cover", counted)
+    monkeypatch.setattr(functionals, "min_convex_over_support", counted)
     # W's support is free: the identity's cover comes from the inf-norm
-    # program's solve, with no cover LP
+    # program's solve that certifies the moment route, with no other solve
     rep = g_stable_rank(w_tensor())
-    assert abs(rep.value - 1.5) <= 1e-9 and calls == []
+    assert abs(rep.value - 1.5) <= 1e-9 and len(calls) == 1
+    calls.clear()
     g_stable_rank(gl_w_tensor())
     assert 1 <= len(calls) <= 2 and len(set(calls)) == len(calls)
 

@@ -467,15 +467,15 @@ def test_g_stable_rank_examples(w):
 
 def test_g_stable_cover_route_scores_every_basis(w, monkeypatch):
     # W's support is free: the identity's cover is the certificate's solve,
-    # which meets the certified upper end, so the search stops there
+    # which meets the moment route, so the search stops there
     assert g_stable_rank(w, AL1, FAST).details["cover_bases"] == 1
     seen = []
-    cover = ranks.fractional_vertex_cover
-    monkeypatch.setattr(ranks, "fractional_vertex_cover",
-                        lambda h, a: seen.append(h) or cover(h, a))
+    solve = functionals.min_convex_over_support
+    monkeypatch.setattr(functionals, "min_convex_over_support",
+                        lambda s, *a, **k: seen.append(s.points.tobytes()) or solve(s, *a, **k))
     rep = g_stable_rank(gl_w_tensor(), AL1, FAST)
     assert rep.details["cover_bases"] == 2
-    assert len(seen) == len(set(seen)) <= 2  # one LP per distinct support
+    assert 1 <= len(seen) == len(set(seen)) <= 2  # one solve per distinct support
 
 
 def test_g_stable_descent_stops_at_the_bracket():
@@ -504,10 +504,15 @@ def test_g_stable_rank_certified_without_a_descent(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("moment descent on a certified tensor")
 
-    monkeypatch.setattr(ranks, "minimize_over_moment_polytope", refuse)
-    if how == "free_support":
-        monkeypatch.setattr(ranks, "fractional_vertex_cover", refuse)
+    monkeypatch.setattr(functionals, "minimize_over_moment_polytope", refuse)
+    solves = []
+    solve = functionals.min_convex_over_support
+    monkeypatch.setattr(functionals, "min_convex_over_support",
+                        lambda *a, **k: solves.append(solve(*a, **k)) or solves[-1])
     rep = g_stable_rank(t, AL1, FAST)
+    # one support solve: on a free support the certificate's, which the
+    # identity reuses, else the identity's
+    assert len(solves) == 1
     assert rep.details["moment_certificate"] == rep.details["descent_stop"] == how
     assert rep.details["descent_iterations"] == 0
     assert rep.details["cover_bases"] == 1
@@ -517,9 +522,11 @@ def test_g_stable_rank_certified_without_a_descent(name, monkeypatch):
 
 
 def test_g_stable_inverted_bracket_warns(monkeypatch):
-    # a cover route of 1 below the moment route of a generic 3x3x4 tensor,
-    # whose descent stops at its start (1 / value >= 1 there)
-    monkeypatch.setattr(ranks, "fractional_vertex_cover", lambda h, alpha: SimpleNamespace(value=1.0))
+    # a cover route of 1 (every support program read as 1) below the moment
+    # route of a generic 3x3x4 tensor, whose descent stops at its start
+    # (1 / value >= 1 there)
+    monkeypatch.setattr(functionals, "min_convex_over_support",
+                        lambda s, objective, tol: SimpleNamespace(value=1.0, certified_gap=0.0))
     rep = g_stable_rank(random_tensor((3, 3, 4), np.random.default_rng(0)), AL1, FAST)
     assert rep.status == "warn"
     assert [n for n in rep.notes if n.startswith("inverted bracket: ")]
